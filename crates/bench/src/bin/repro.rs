@@ -8,7 +8,9 @@
 //! byte-identical for any `--workers` value. Outputs land in
 //! `results/<tag>.out`; run statistics (wall time per experiment,
 //! points/s, simulated bytes/s — never part of experiment output) go to
-//! `results/BENCH_repro.json`.
+//! `results/BENCH_repro.json`. `--only <tag>` with the per-figure knobs
+//! (`--system`, `--mode`, `--seed`, `--runs`, …) is how a single figure
+//! is regenerated.
 //!
 //! ```text
 //! repro [--quick|--full] [--workers N] [--only fig2,fig5,…]
@@ -161,6 +163,14 @@ fn run() -> Result<(), RunnerError> {
             eprintln!("repro: {e}");
         }
     }
+
+    // A `--features obs` build leaves the run's spans as
+    // results/TRACE_<tag>.json + FLAME_<tag>.folded, named after the
+    // experiment when exactly one was selected.
+    obsreport::write_artifacts(match only.as_deref() {
+        Some([tag]) => tag,
+        _ => "repro",
+    });
 
     if let Some(baseline) = args.get("check-baseline") {
         check_baseline(Path::new(baseline), report.wall_seconds)?;

@@ -9,7 +9,7 @@
 //! server is serialising or wedging somewhere.
 //!
 //! This benchmark measures real wall-clock throughput, so unlike the
-//! figure binaries it is *not* part of the deterministic `repro` catalog.
+//! figures it is *not* part of the deterministic `repro` catalog.
 //!
 //! The run also monitors itself: it binds a [`ScrapeListener`] next to
 //! the PDU server, scrapes its own `/metrics` endpoint at the start and

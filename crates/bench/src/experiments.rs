@@ -1,9 +1,9 @@
 //! The experiment registry: every figure, table and study of the paper
 //! as a declarative [`Experiment`] the parallel runner can execute.
 //!
-//! This is the single source of truth the thin per-figure binaries
-//! (`fig1` … `papi_avail`) and the `repro` orchestrator both build from.
-//! Each experiment decomposes into independent sweep points; a point's
+//! This is the single source of truth the `repro` orchestrator builds
+//! from (`repro --only <tag>` runs one experiment and writes
+//! `results/<tag>.out`). Each experiment decomposes into independent sweep points; a point's
 //! machine seed derives from the experiment's base seed via
 //! [`crate::point_seed`], so sequential and parallel execution produce
 //! bit-identical output.
@@ -57,8 +57,8 @@ fn perr(tag: &'static str, label: &str, e: impl fmt::Display) -> RunnerError {
 }
 
 /// Build one experiment. Returns `None` for an unknown tag. `args`
-/// supplies the per-figure knobs the binaries have always accepted
-/// (`--seed`, `--system`, `--mode`, `--runs`, `--n`, …).
+/// supplies the per-figure knobs (`--seed`, `--system`, `--mode`,
+/// `--runs`, `--n`, …).
 pub fn build(tag: &str, mode: Mode, args: &Args) -> Option<Experiment> {
     match tag {
         "fig1" => Some(fig1(args)),
@@ -120,34 +120,6 @@ pub fn build_all(mode: Mode, args: &Args) -> Vec<Experiment> {
     TAGS.iter().filter_map(|t| build(t, mode, args)).collect()
 }
 
-/// Entry point of the thin per-figure binaries: parse the common flags,
-/// build the experiment, run it (sequentially unless `--workers` says
-/// otherwise) and print its composed output.
-pub fn run_bin(tag: &'static str) -> std::process::ExitCode {
-    let args = Args::parse();
-    let mode = Mode::from_args(&args);
-    let Some(exp) = build(tag, mode, &args) else {
-        eprintln!("unknown experiment tag: {tag}");
-        return std::process::ExitCode::FAILURE;
-    };
-    let workers = args.get_usize("workers", 1);
-    let report = crate::runner::run_experiments(vec![exp], workers);
-    let mut failed = false;
-    for er in &report.experiments {
-        print!("{}", er.output);
-        for e in &er.errors {
-            eprintln!("error: {e}");
-            failed = true;
-        }
-    }
-    crate::obsreport::write_artifacts(tag);
-    if failed {
-        std::process::ExitCode::FAILURE
-    } else {
-        std::process::ExitCode::SUCCESS
-    }
-}
-
 // --- resort trace constructors (fn pointers keep points `Send`) -------
 
 fn make_nest1(m: &mut SimMachine, n: usize) -> Box<dyn ResortTrace> {
@@ -176,6 +148,10 @@ fn make_s2cf_4x8(m: &mut SimMachine, n: usize) -> Box<dyn ResortTrace> {
 
 // --- Fig. 1 -----------------------------------------------------------
 
+/// Figure 1: the capped-GEMV memory-usage schematic, rendered from the
+/// actual kernel model. The shaded band is the allocated (capped) part of
+/// matrix A (`P × N`, `P = min(M, N)`); the hatched area below is the
+/// memory a plain GEMV of output size `M` would have needed.
 fn fig1(args: &Args) -> Experiment {
     let m = args.get_u64("m", 4096).max(1);
     let n = args.get_u64("n", 1280).max(1);
@@ -260,6 +236,13 @@ fn one_rep(_: u64) -> u32 {
     1
 }
 
+/// Figure 2: memory traffic of the single-threaded GEMM with **one
+/// repetition**, measured via PCP on Summit (`--system summit`, Fig. 2a)
+/// or via perf_uncore on Tellico (`--system tellico`, Fig. 2b).
+///
+/// Expected shape: small sizes dominated by noise; measurements approach
+/// the 3N²/N² expectations only for larger problems, identically on both
+/// measurement paths.
 fn fig2(mode: Mode, args: &Args) -> Experiment {
     let system = System::from_arg(&args.get_or("system", "summit"));
     let sizes = gemm_sizes_for(mode);
@@ -284,8 +267,17 @@ fn fig2(mode: Mode, args: &Args) -> Experiment {
     exp
 }
 
-/// Figs. 3 and 4: the single-vs-batched adaptive-repetition comparison,
-/// on Summit/PCP (Fig. 3) or Tellico/perf_uncore (Fig. 4).
+/// Figs. 3 and 4: GEMM with the adaptive repetition scheme (Eq. 5),
+/// `--mode single` (a) vs `--mode batched` (b, one GEMM per usable
+/// core), on Summit/PCP (Fig. 3) or directly with perf_uncore on the
+/// Tellico testbed (Fig. 4 — the single-thread divergence is not a PCP
+/// artifact).
+///
+/// Expected shape: repetition averaging removes the noise floor; the
+/// single-threaded kernel still drifts above the expectation with size and
+/// shows NO jump at N≈809 (L3 slice borrowing gives it 110 MB), while the
+/// batched kernel matches the expectation and jumps once each core's 5 MB
+/// share is exceeded.
 fn gemm_adaptive(
     tag: &'static str,
     system: System,
@@ -337,6 +329,14 @@ fn gemm_adaptive(
 
 // --- Fig. 5: capped GEMV ----------------------------------------------
 
+/// Figure 5: the batched, capped GEMV — square (`M = N = P`) up to the
+/// capping point at 1280, capped (`N = P = 1280`) beyond; PCP events on
+/// Summit (`--system summit`, Fig. 5a) or perf_uncore on Tellico
+/// (`--system tellico`, Fig. 5b).
+///
+/// Expected shape: reads track `M·N + M + N` through the transition;
+/// writes exceed the tiny `M` expectation until M reaches ~10⁴ (noise
+/// floor), on both measurement paths.
 fn fig5(mode: Mode, args: &Args) -> Experiment {
     let system = System::from_arg(&args.get_or("system", "summit"));
     let sizes = gemv_sizes_for(mode);
@@ -393,8 +393,17 @@ fn push_resort_rows(
     }
 }
 
-/// Figs. 6 and 9 share their shape: one routine, a section without and
-/// (optionally) with `-fprefetch-loop-arrays`.
+/// Figs. 6 and 9 share their shape: one routine on the 2×4 grid,
+/// min/max over runs, a section without and (optionally) with
+/// `-fprefetch-loop-arrays`.
+///
+/// Expected shape, Fig. 6 (S1CF loop nest 1, sequential copy
+/// `in → tmp`): one read + one write per element without the flag
+/// (stores bypass the cache); `dcbtst` adds a second read (of `tmp`).
+/// Fig. 9 (S2CF, the post-exchange peer merge): the innermost traversal
+/// dimension matches the innermost storage dimension, so the stride is
+/// amortized: one read and one write per element; `dcbtst` adds the
+/// extra read of `out`.
 fn resort_figure(
     tag: &'static str,
     routine: &'static str,
@@ -426,6 +435,13 @@ fn resort_figure(
     exp
 }
 
+/// Figure 7: memory traffic of S1CF loop nest 2 (strided reads of `tmp`,
+/// sequential writes of `out`), without (7a) and with (7b)
+/// `-fprefetch-loop-arrays`.
+///
+/// Expected shape: one write per element throughout; reads rise from ~2
+/// per element toward ~5 once N passes the Eq. 7 bound (~724 for a 5 MB
+/// share and 8 ranks).
 fn fig7(mode: Mode, args: &Args) -> Experiment {
     let sizes = fft_sizes_for(mode);
     let runs = resort_runs(mode, args);
@@ -453,6 +469,12 @@ fn fig7(mode: Mode, args: &Args) -> Experiment {
     exp
 }
 
+/// Figure 8: S1CF written as the combined loop nest (Listing 8):
+/// sequential reads of `in`, strided writes of `out`.
+///
+/// Expected shape: two reads (in + out's read-for-ownership) and one
+/// write per element — "significantly less reading than ... the original
+/// S1CF".
 fn fig8(mode: Mode, args: &Args) -> Experiment {
     let sizes = fft_sizes_for(mode);
     let runs = resort_runs(mode, args);
@@ -477,6 +499,12 @@ fn fig8(mode: Mode, args: &Args) -> Experiment {
 
 // --- Fig. 10: bandwidth at scale --------------------------------------
 
+/// Figure 10: S1CF vs. S2CF at scale — 16 nodes, 4×8 virtual processor
+/// grid, N ∈ {1344, 2016}, no `-fprefetch-loop-arrays`.
+///
+/// Expected shape: S1CF moves ~2 reads per write, S2CF ~1 read per write,
+/// and S2CF achieves the higher bandwidth thanks to the locality of its
+/// access pattern.
 fn fig10(mode: Mode, args: &Args) -> Experiment {
     let seed = args.get_u64("seed", 10);
     let (r, c) = (4usize, 8usize);
@@ -576,6 +604,15 @@ fn timeline_text(timeline: &papi_profiling::Timeline) -> String {
     out
 }
 
+/// Figure 11: the multi-component performance profile of a single rank of
+/// the GPU-accelerated 3D-FFT — 32 nodes, 8×8 virtual processor grid;
+/// host memory read/write traffic (PCP), GPU power (NVML) and InfiniBand
+/// receive traffic monitored simultaneously through one PAPI event set.
+///
+/// Expected shape: each 1D-FFT phase shows a host-read surge (H2D), a GPU
+/// power spike, then a host-write surge (D2H); re-sorting phases 1/3 show
+/// ~2:1 read:write, phases 2/4 ~1:1 with higher bandwidth; the two
+/// All2All phases are the only network activity.
 fn fig11(mode: Mode, args: &Args) -> Experiment {
     let (dn, ds) = if mode == Mode::Quick {
         (448, 2)
@@ -632,6 +669,14 @@ fn fig11_profile(n: usize, slabs: usize, seed: u64) -> Result<String, RunnerErro
     Ok(timeline_text(&timeline))
 }
 
+/// Figure 12: the multi-component performance profile of a single
+/// QMCPACK-style rank — VMC (no drift) → VMC (drift) → DMC, with host
+/// memory traffic, GPU power and InfiniBand receive traffic monitored
+/// simultaneously.
+///
+/// Expected shape: three visibly distinct regimes; the drifted VMC phase
+/// moves more host memory and runs heavier GPU kernels; only DMC (walker
+/// load balancing) touches the network.
 fn fig12(mode: Mode, args: &Args) -> Experiment {
     let (dw, db, dst) = if mode == Mode::Quick {
         (256, 3, 10)
@@ -701,6 +746,8 @@ fn fig12_profile(cfg: QmcConfig) -> Result<String, RunnerError> {
 
 // --- Tables and listings ----------------------------------------------
 
+/// Table I: the systems and the memory-traffic performance events
+/// measured on each, as exposed by the running PAPI stack.
 fn table1() -> Experiment {
     let mut exp = Experiment::new("table1", "Architectures and performance events");
     exp.push(Point::run("listing", || {
@@ -756,6 +803,8 @@ fn table1_text() -> String {
     out
 }
 
+/// Table II: the supplemental performance events (GPU power via NVML,
+/// InfiniBand port traffic) available on a Summit node with a fabric.
 fn table2() -> Experiment {
     let mut exp = Experiment::new("table2", "Supplemental performance events");
     exp.push(Point::run("listing", || {
@@ -842,6 +891,22 @@ fn stream_cycles(policy: ModelPolicy, bytes: u64) -> f64 {
     cycles as f64 / (bytes / 64) as f64
 }
 
+/// Ablation study: what each model mechanism contributes to the paper's
+/// phenomena. For every switchable mechanism of
+/// [`p9_memsim::ModelPolicy`], a diagnostic kernel is run with the
+/// mechanism on and off and the headline quantity compared:
+///
+/// * `store_gather_bypass` — S1CF loop nest 1 (Fig. 6a): with the bypass,
+///   ~1 read per element; without, every store write-allocates and the
+///   routine looks like its `-fprefetch-loop-arrays` variant (~2 reads).
+/// * `anti_pollution` — S1CF loop nest 2 just below the Eq. 7 bound
+///   (Fig. 7a): with streaming-store mid-LRU insertion the `tmp` reuse
+///   window survives up to the bound (sharp 2→5 crossover near N ≈ 724);
+///   with naive MRU insertion the `out` stream erodes the window early
+///   and the crossover smears to smaller N.
+/// * `hw_prefetch` — a streaming read (GEMV row sweep): traffic is
+///   unchanged, but the exposed miss latency (cycles) rises sharply
+///   without prefetch.
 fn ablation(mode: Mode) -> Experiment {
     let mut exp = Experiment::new("ablation", "Model-mechanism ablation study");
     exp.push(Point::fixed(
@@ -901,6 +966,8 @@ fn ablation(mode: Mode) -> Experiment {
 
 // --- papi_avail -------------------------------------------------------
 
+/// `papi_avail`-style listing: component status and every native event
+/// the running stack exposes, for either system.
 fn papi_avail(args: &Args) -> Experiment {
     let system = System::from_arg(&args.get_or("system", "summit"));
     let mut exp = Experiment::new("papi_avail", "PAPI component and event listing");

@@ -1,5 +1,4 @@
-//! Measurement drivers shared by the figure binaries and the repro
-//! runner.
+//! Measurement drivers behind the experiments of the repro catalog.
 //!
 //! Every driver here measures **one sweep point** on a machine it builds
 //! itself from the caller's seed (see [`crate::point_seed`]): points are

@@ -74,7 +74,7 @@ impl Args {
 ///
 /// `Quick` trims every sweep to the sizes that finish in seconds (the
 /// golden-figure regression suite and the CI `repro-quick` lane run
-/// here); `Default` matches the figure binaries' historical defaults;
+/// here); `Default` is the figures' historical sweep;
 /// `Full` extends to the paper's largest problem sizes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Mode {

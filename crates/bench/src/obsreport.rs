@@ -1,6 +1,6 @@
-//! Self-observability artifacts for the figure binaries.
+//! Self-observability artifacts for the bench binaries.
 //!
-//! Every binary calls [`write_artifacts`] once at the end of `main`.
+//! Each bench binary calls [`write_artifacts`] once at the end of its run.
 //! When the stack was built with `--features obs` the tracer holds the
 //! run's spans, and this writes a Chrome-trace JSON (loadable in
 //! `chrome://tracing` / Perfetto) plus a folded-stack file (pipe into

@@ -551,13 +551,12 @@ impl Aggregator {
     ) -> Result<SocketAddr, FleetError> {
         let published = Arc::clone(&self.published);
         let debug = Arc::clone(&self.debug);
-        let handler: RequestHandler = Arc::new(move |target: &str| {
-            let path = target.split('?').next().unwrap_or(target);
+        let handler: RequestHandler = Arc::new(move |path: &str, query: &str| {
             if path == "/metrics" || path == "/" {
                 let doc = published.lock().unwrap_or_else(|e| e.into_inner()).clone();
                 return Some(HttpResponse::ok(CONTENT_TYPE, doc));
             }
-            debug.handle(target)
+            debug.handle(path, query)
         });
         let listener = ScrapeListener::bind_handler(addr, handler, 2, 16)?;
         let bound = listener.local_addr();

@@ -109,13 +109,9 @@ impl DebugPlane {
         }
     }
 
-    /// Route one `/debug/*` request-target; `None` for unknown paths
-    /// (the listener turns that into a 404).
-    pub fn handle(&self, target: &str) -> Option<HttpResponse> {
-        let (path, query) = match target.split_once('?') {
-            Some((p, q)) => (p, q),
-            None => (target, ""),
-        };
+    /// Route one `/debug/*` request; `None` for unknown paths (the
+    /// listener turns that into a 404).
+    pub fn handle(&self, path: &str, query: &str) -> Option<HttpResponse> {
         match path {
             "/debug/trace" => Some(HttpResponse::ok("application/json", self.render_trace())),
             "/debug/flame" => Some(HttpResponse::text(200, "OK", self.render_flame())),
@@ -539,11 +535,11 @@ mod tests {
     #[test]
     fn handle_routes_and_404s() {
         let p = plane(1);
-        assert!(p.handle("/debug/trace").is_some());
-        assert!(p.handle("/debug/flame").is_some());
-        assert!(p.handle("/debug/passes").is_some());
-        assert!(p.handle("/debug/series?sel=*").is_some());
-        assert!(p.handle("/debug/unknown").is_none());
-        assert!(p.handle("/metrics").is_none());
+        assert!(p.handle("/debug/trace", "").is_some());
+        assert!(p.handle("/debug/flame", "").is_some());
+        assert!(p.handle("/debug/passes", "").is_some());
+        assert!(p.handle("/debug/series", "sel=*").is_some());
+        assert!(p.handle("/debug/unknown", "").is_none());
+        assert!(p.handle("/metrics", "").is_none());
     }
 }

@@ -133,8 +133,7 @@ pub struct CoreSim {
     scratch_pf: PrefetchRequest,
     scratch_store: Vec<StoreOutcome>,
     /// Hot-path shortcuts enabled (observationally identical to the
-    /// reference path; see [`CoreSim::set_fast_path`]). Defaults to on
-    /// unless the crate is built with the `slowpath-reference` feature.
+    /// reference path; see [`CoreSim::set_fast_path`]). Defaults to on.
     fast_path: bool,
     /// A bulk `load_seq`/`store_seq` call is in flight: memory-level
     /// transactions accumulate in `batch_read`/`batch_write` and flush to
@@ -173,7 +172,7 @@ impl CoreSim {
             shadow: ShadowLedger::default(),
             scratch_pf: PrefetchRequest::default(),
             scratch_store: Vec::with_capacity(8),
-            fast_path: cfg!(not(feature = "slowpath-reference")),
+            fast_path: true,
             batching: false,
             batch_read: [0; MBA_CHANNELS],
             batch_write: [0; MBA_CHANNELS],
@@ -184,8 +183,7 @@ impl CoreSim {
     /// locked-stream prefetch-engine shortcut, batched MBA accounting for
     /// sequential runs). Both settings produce bit-identical simulation
     /// results; the reference path exists so tests can assert exactly
-    /// that. Building with the `slowpath-reference` cargo feature flips
-    /// the default to off.
+    /// that.
     pub fn set_fast_path(&mut self, enabled: bool) {
         self.fast_path = enabled;
     }

@@ -174,21 +174,6 @@ impl Monitor {
         fired
     }
 
-    /// Attach a spill sink to the monitor's ring: points that fall off
-    /// a full window land in compressed storage instead of being
-    /// dropped, and [`window`](Self::window) reads them back.
-    pub fn with_spill(mut self, sink: std::sync::Arc<dyn crate::series::SpillSink>) -> Self {
-        self.store = self.store.with_spill(sink);
-        self
-    }
-
-    /// Samples of `name` in `[t_from_ns, t_to_ns]`: recent points from
-    /// the live ring, older ones from the spill store (when attached),
-    /// merged transparently (see [`SeriesStore::window`]).
-    pub fn window(&self, name: &str, t_from_ns: u64, t_to_ns: u64) -> Vec<crate::series::Sample> {
-        self.store.window(name, t_from_ns, t_to_ns)
-    }
-
     /// The underlying series windows.
     pub fn store(&self) -> &SeriesStore {
         &self.store

@@ -57,7 +57,7 @@ pub mod trace;
 
 pub use derive::{Alert, Monitor, Predicate, Rule};
 pub use metrics::{global as registry, Counter, Gauge, HistSnapshot, Histogram, Registry};
-pub use series::{Series, SeriesStore, SpillSink};
+pub use series::{Series, SeriesStore};
 pub use snapshot::Snapshot;
 pub use stitch::{critical_path, CriticalPath};
 pub use trace::{drain, dropped_records, next_trace_id, Kind, SpanEvent, SpanGuard};

@@ -13,28 +13,8 @@
 //! OpenMetrics exposition ([`crate::openmetrics`]) both read from it.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use crate::metrics::{ExportSemantics, Exported};
-
-/// Where a full ring sends the points it would otherwise discard.
-///
-/// Implemented by the `papi-store` crate's `StoreSpill` (the trait
-/// lives here so `obs` never depends on the storage engine). A store
-/// attached via [`SeriesStore::with_spill`] receives every evicted
-/// sample and serves old windows back through
-/// [`SeriesStore::window`] — the live monitor reads recent points from
-/// the ring and older ones from compressed history transparently.
-pub trait SpillSink: Send + Sync {
-    /// Accept one evicted sample of the series `name`. Eviction order
-    /// is ring order, so timestamps arrive strictly increasing per
-    /// series; a sink may drop duplicates to stay exactly-once.
-    fn spill(&self, name: &str, semantics: ExportSemantics, sample: Sample);
-
-    /// Samples of `name` inside the inclusive window
-    /// `[t_from_ns, t_to_ns]`, oldest first.
-    fn read(&self, name: &str, t_from_ns: u64, t_to_ns: u64) -> Vec<Sample>;
-}
 
 /// One observation of a scalar metric at a caller-supplied time.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,7 +92,7 @@ impl Series {
     }
 
     /// [`push`](Self::push), returning the sample the ring had to evict
-    /// to make room (if any) so the caller can spill or count it.
+    /// to make room (if any) so the caller can count it.
     pub fn push_evicting(&mut self, t_ns: u64, value: u64) -> Option<Sample> {
         if let Some(last) = self.samples.back() {
             if t_ns <= last.t_ns {
@@ -129,7 +109,7 @@ impl Series {
     }
 
     /// Rebuild a series from already-ordered samples (e.g. a window
-    /// read back out of compressed storage), so every [`crate::derive`]
+    /// queried out of compressed storage), so every [`crate::derive`]
     /// function applies to archived history exactly as it does to the
     /// live ring. Out-of-order samples are dropped by [`push`], same as
     /// live.
@@ -142,24 +122,15 @@ impl Series {
     }
 }
 
-/// A set of named series, one ring per metric.
-#[derive(Clone)]
+/// A set of named series, one ring per metric. The rings hold only the
+/// recent window the live rules need; whoever wants history ingests the
+/// same snapshots into a `store::Store` and queries that (as the fleet
+/// aggregator does).
+#[derive(Clone, Debug)]
 pub struct SeriesStore {
     capacity: usize,
     series: Vec<Series>,
-    spill: Option<Arc<dyn SpillSink>>,
     evicted: u64,
-}
-
-impl std::fmt::Debug for SeriesStore {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SeriesStore")
-            .field("capacity", &self.capacity)
-            .field("series", &self.series)
-            .field("spill", &self.spill.is_some())
-            .field("evicted", &self.evicted)
-            .finish()
-    }
 }
 
 impl SeriesStore {
@@ -170,22 +141,11 @@ impl SeriesStore {
         SeriesStore {
             capacity: capacity.max(2),
             series: Vec::new(),
-            spill: None,
             evicted: 0,
         }
     }
 
-    /// Attach a spill sink: points evicted from full rings land there
-    /// instead of being dropped, and [`window`](Self::window) reads
-    /// them back.
-    pub fn with_spill(mut self, sink: Arc<dyn SpillSink>) -> Self {
-        self.spill = Some(sink);
-        self
-    }
-
-    /// Points dropped on the floor by full rings (evictions with no
-    /// spill sink attached). Spilled points are not lost and are not
-    /// counted here.
+    /// Points evicted by full rings since construction.
     pub fn evicted(&self) -> u64 {
         self.evicted
     }
@@ -200,10 +160,9 @@ impl SeriesStore {
     }
 
     /// Append one sample to the series `name`, creating it on first use.
-    /// When a full ring must evict its oldest point, the point goes to
-    /// the spill sink if one is attached; otherwise it is genuinely
-    /// lost, which is reported (`obs.series.evicted` counter plus an
-    /// instant event) rather than silent.
+    /// When a full ring must evict its oldest point, that is reported
+    /// (`obs.series.evicted` counter plus an instant event) rather than
+    /// silent.
     pub fn push(&mut self, name: &str, semantics: ExportSemantics, t_ns: u64, value: u64) {
         let evicted = if let Some(s) = self.series.iter_mut().find(|s| s.name == name) {
             s.push_evicting(t_ns, value)
@@ -214,35 +173,10 @@ impl SeriesStore {
             None
         };
         if let Some(sample) = evicted {
-            match &self.spill {
-                Some(sink) => sink.spill(name, semantics, sample),
-                None => {
-                    self.evicted += 1;
-                    crate::counter!("obs.series.evicted").inc();
-                    crate::instant!("obs.series.evicted", sample.t_ns);
-                }
-            }
+            self.evicted += 1;
+            crate::counter!("obs.series.evicted").inc();
+            crate::instant!("obs.series.evicted", sample.t_ns);
         }
-    }
-
-    /// Samples of `name` inside the inclusive window
-    /// `[t_from_ns, t_to_ns]`, oldest first: spilled history first (if
-    /// a sink is attached), then the live ring tail. Callers cannot
-    /// tell where the ring ends and compressed storage begins.
-    pub fn window(&self, name: &str, t_from_ns: u64, t_to_ns: u64) -> Vec<Sample> {
-        let mut out = match &self.spill {
-            Some(sink) => sink.read(name, t_from_ns, t_to_ns),
-            None => Vec::new(),
-        };
-        let newest_spilled = out.last().map(|s| s.t_ns);
-        if let Some(series) = self.get(name) {
-            out.extend(series.iter().filter(|s| {
-                s.t_ns >= t_from_ns
-                    && s.t_ns <= t_to_ns
-                    && newest_spilled.is_none_or(|n| s.t_ns > n)
-            }));
-        }
-        out
     }
 
     /// The series for `name`, if any sample has been observed.
@@ -319,7 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn spill_less_eviction_is_counted_not_silent() {
+    fn eviction_is_counted_not_silent() {
         let mut store = SeriesStore::new(2);
         let before = crate::counter!("obs.series.evicted").get();
         for t in 1..=5u64 {
@@ -328,45 +262,8 @@ mod tests {
         // Ring kept 2 of 5; the 3 dropped points are reported.
         assert_eq!(store.evicted(), 3);
         assert_eq!(crate::counter!("obs.series.evicted").get() - before, 3);
-        // Without a spill sink, window() is just the ring tail.
-        let w = store.window("lossy", 0, u64::MAX);
-        assert_eq!(w.len(), 2);
-        assert_eq!(w[0].t_ns, 40);
-    }
-
-    struct VecSink(std::sync::Mutex<Vec<(String, Sample)>>);
-
-    impl SpillSink for VecSink {
-        fn spill(&self, name: &str, _semantics: ExportSemantics, sample: Sample) {
-            self.0
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .push((name.to_string(), sample));
-        }
-        fn read(&self, name: &str, t_from_ns: u64, t_to_ns: u64) -> Vec<Sample> {
-            self.0
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .iter()
-                .filter(|(n, s)| n == name && s.t_ns >= t_from_ns && s.t_ns <= t_to_ns)
-                .map(|(_, s)| *s)
-                .collect()
-        }
-    }
-
-    #[test]
-    fn spilled_evictions_are_not_lost_and_window_merges() {
-        let sink = Arc::new(VecSink(std::sync::Mutex::new(Vec::new())));
-        let mut store = SeriesStore::new(2).with_spill(sink.clone());
-        for t in 1..=5u64 {
-            store.push("kept", ExportSemantics::Counter, t * 10, t);
-        }
-        assert_eq!(store.evicted(), 0, "spilled points are not lost points");
-        let w = store.window("kept", 0, u64::MAX);
-        let ts: Vec<u64> = w.iter().map(|s| s.t_ns).collect();
-        assert_eq!(ts, vec![10, 20, 30, 40, 50]);
-        // Windows clip on both sides and stay strictly ordered.
-        let mid = store.window("kept", 20, 40);
-        assert_eq!(mid.len(), 3);
+        let kept = store.get("lossy").expect("series");
+        assert_eq!(kept.len(), 2);
+        assert_eq!(kept.oldest().map(|s| s.t_ns), Some(40));
     }
 }

@@ -9,7 +9,7 @@
 //! one caller-supplied `t_ns`, and every consumer takes the pair —
 //! agreement on timestamps holds by construction, not by discipline.
 
-use crate::metrics::{global, Exported, Registry};
+use crate::metrics::{Exported, Registry};
 
 /// A point-in-time view of a registry's flattened scalars.
 #[derive(Clone, Debug)]
@@ -29,11 +29,6 @@ impl Snapshot {
             t_ns,
             scalars: reg.export(),
         }
-    }
-
-    /// Snapshot the process-global registry at `t_ns`.
-    pub fn take_global(t_ns: u64) -> Self {
-        Self::take(global(), t_ns)
     }
 
     /// The scalar named `name`, if exported.
@@ -56,13 +51,5 @@ mod tests {
         assert_eq!(snap.get("snap.test.a").unwrap().value, 3);
         assert_eq!(snap.get("snap.test.b").unwrap().value, 9);
         assert!(snap.get("snap.test.missing").is_none());
-    }
-
-    #[test]
-    fn global_snapshot_sees_macro_metrics() {
-        crate::counter!("snap.test.global").inc();
-        let snap = Snapshot::take_global(7);
-        assert_eq!(snap.t_ns, 7);
-        assert!(snap.get("snap.test.global").is_some());
     }
 }

@@ -17,9 +17,7 @@ use std::time::Duration;
 use pcp_sim::pmns::{InstanceId, MetricDesc, MetricId};
 use pcp_sim::{PcpError, PmApi};
 
-use crate::pdu::{
-    read_pdu, write_pdu, ErrorCode, Pdu, WireError, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
-};
+use crate::pdu::{read_pdu, write_pdu, ErrorCode, Pdu, WireError, PROTOCOL_VERSION};
 use crate::server::{decode_direction, decode_semantics};
 
 /// Default per-call I/O timeout: long enough for a loaded loopback
@@ -62,14 +60,13 @@ impl WireClient {
         match client.call(&Pdu::Creds {
             version: PROTOCOL_VERSION,
         })? {
-            Pdu::CredsAck { version, client_id }
-                if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) =>
-            {
-                Ok(WireClient {
-                    client_id,
-                    ..client
-                })
-            }
+            Pdu::CredsAck {
+                version: PROTOCOL_VERSION,
+                client_id,
+            } => Ok(WireClient {
+                client_id,
+                ..client
+            }),
             Pdu::CredsAck { version, .. } => Err(PcpError::Protocol(format!(
                 "server answered with unsupported version {version}"
             ))),
@@ -128,7 +125,7 @@ impl WireClient {
     }
 
     /// Traced scrape: a non-zero `trace_id` rides the `Exposition`
-    /// frame (protocol v3) and is echoed as the arg of the server's
+    /// frame and is echoed as the arg of the server's
     /// render span, so a fleet aggregator's per-host child id stitches
     /// the client and server sides into one `obs::stitch::FanoutTrace`.
     pub fn scrape_exposition_traced(&self, trace_id: u64) -> Result<String, PcpError> {

@@ -42,7 +42,7 @@ pub mod server;
 
 pub use client::WireClient;
 pub use logger::{SamplingScheduler, ScheduleSpec};
-pub use pdu::{ErrorCode, Pdu, PduError, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION};
+pub use pdu::{ErrorCode, Pdu, PduError, PROTOCOL_VERSION};
 pub use pool::BoundedQueue;
 pub use scrape::ScrapeListener;
 pub use server::{PmcdServer, ServerError, StatsSnapshot, WireConfig};

@@ -21,20 +21,11 @@ use std::io::{self, Read, Write};
 
 /// Frame magic: "PC".
 pub const MAGIC: u16 = 0x5043;
-/// Current protocol version. Bumped on any incompatible layout change;
-/// servers reject versions outside
-/// [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`] with
-/// [`ErrorCode::BadVersion`].
-/// History: v1 — initial protocol; v2 — `Fetch` carries a leading
-/// trace-context id (8 bytes, 0 = untraced) and the
-/// `Exposition`/`ExpositionResult` scrape ops exist; v3 —
-/// `Exposition` carries an optional fan-out trace id (8 bytes when
-/// present; an empty payload means untraced, so every v2 frame is
-/// also a valid v3 frame).
+/// The one protocol version this build speaks. Bumped on any layout
+/// change; a frame header or `Creds` carrying any other version is
+/// rejected with [`ErrorCode::BadVersion`]. `Fetch` and `Exposition`
+/// both lead with an 8-byte trace-context id (0 = untraced).
 pub const PROTOCOL_VERSION: u8 = 3;
-/// Oldest version this build still accepts (v2 frames are a strict
-/// subset of v3, so a v2 peer interoperates unchanged).
-pub const MIN_PROTOCOL_VERSION: u8 = 2;
 /// Fixed header size in bytes.
 pub const HEADER_LEN: usize = 8;
 /// Default upper bound on a payload. Generous for a 16-metric namespace;
@@ -175,8 +166,7 @@ pub enum Pdu {
     },
     /// Request the OpenMetrics text exposition of the server's merged
     /// metric view (self-metrics + obs registry). `trace_id` is the
-    /// fan-out trace context (v3): 0 means untraced and encodes as an
-    /// empty payload, byte-identical to the v2 frame.
+    /// fan-out trace context; 0 means untraced.
     Exposition {
         trace_id: u64,
     },
@@ -344,11 +334,7 @@ impl Pdu {
                 put_u32(&mut p, code.to_u32());
                 put_str(&mut p, detail);
             }
-            Pdu::Exposition { trace_id } => {
-                if *trace_id != 0 {
-                    put_u64(&mut p, *trace_id);
-                }
-            }
+            Pdu::Exposition { trace_id } => put_u64(&mut p, *trace_id),
             Pdu::ExpositionResult { text } => {
                 debug_assert!(text.len() <= MAX_EXPOSITION);
                 put_u32(&mut p, text.len() as u32);
@@ -455,7 +441,7 @@ pub fn decode_header(bytes: &[u8; HEADER_LEN], max_payload: u32) -> Result<Frame
         return Err(PduError::BadMagic(magic));
     }
     let version = bytes[2];
-    if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+    if version != PROTOCOL_VERSION {
         return Err(PduError::BadVersion(version));
     }
     let type_tag = bytes[3];
@@ -579,10 +565,7 @@ pub fn decode_payload(type_tag: u8, payload: &[u8]) -> Result<Pdu, PduError> {
                 detail: c.string()?,
             }
         }
-        T_EXPOSITION => Pdu::Exposition {
-            // v2 peers send an empty payload; v3 appends the trace id.
-            trace_id: if c.remaining() == 0 { 0 } else { c.u64()? },
-        },
+        T_EXPOSITION => Pdu::Exposition { trace_id: c.u64()? },
         T_EXPOSITION_RESULT => {
             let len = c.u32()? as usize;
             if len > MAX_EXPOSITION {
@@ -944,35 +927,28 @@ mod tests {
             trace_id: 0xfeed_0042,
         };
         let frame = pdu.encode();
-        assert_eq!(frame.len(), HEADER_LEN + 8, "traced payload is 8 bytes");
+        assert_eq!(frame.len(), HEADER_LEN + 8, "the trace id is 8 bytes");
         assert_eq!(decode_frame(&frame, DEFAULT_MAX_PAYLOAD).unwrap(), pdu);
-        // Untraced encodes as the empty-payload v2 frame.
-        let legacy = Pdu::Exposition { trace_id: 0 }.encode();
-        assert_eq!(legacy.len(), HEADER_LEN);
-        assert_eq!(
-            decode_frame(&legacy, DEFAULT_MAX_PAYLOAD).unwrap(),
-            Pdu::Exposition { trace_id: 0 }
-        );
-        // A torn trace id (1..=7 bytes) is neither a v2 nor a v3 frame.
-        for cut in 1..8 {
+        // Untraced (id 0) has the same layout.
+        let untraced = Pdu::Exposition { trace_id: 0 }.encode();
+        assert_eq!(untraced.len(), HEADER_LEN + 8);
+        // A missing or torn trace id (0..=7 bytes) does not decode.
+        for cut in 0..8 {
             let mut torn = frame[..HEADER_LEN + cut].to_vec();
             torn[4..8].copy_from_slice(&(cut as u32).to_be_bytes());
             assert!(decode_frame(&torn, DEFAULT_MAX_PAYLOAD).is_err(), "{cut}");
         }
     }
 
-    /// v2 peers must keep decoding: any in-range version in the header
-    /// is accepted, anything outside the window is rejected.
+    /// Exactly one version decodes: both neighbours of
+    /// [`PROTOCOL_VERSION`] (the lower one is the retired v2) are
+    /// `BadVersion`.
     #[test]
-    fn version_window_accepts_v2_and_rejects_neighbours() {
+    fn both_neighbours_of_the_protocol_version_are_rejected() {
         let mut frame = Pdu::Exposition { trace_id: 0 }.encode();
         assert_eq!(frame[2], PROTOCOL_VERSION);
-        frame[2] = MIN_PROTOCOL_VERSION;
-        assert_eq!(
-            decode_frame(&frame, DEFAULT_MAX_PAYLOAD).unwrap(),
-            Pdu::Exposition { trace_id: 0 }
-        );
-        for bad in [MIN_PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
+        assert!(decode_frame(&frame, DEFAULT_MAX_PAYLOAD).is_ok());
+        for bad in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
             frame[2] = bad;
             assert!(matches!(
                 decode_frame(&frame, DEFAULT_MAX_PAYLOAD),

@@ -16,7 +16,7 @@
 //! the door with `503` (counted by `wire.scrape.shed`).
 //!
 //! [`ScrapeListener::bind_handler`] generalises the route table: a
-//! handler maps request-targets to [`HttpResponse`]s, which is how the
+//! handler maps `(path, query)` to [`HttpResponse`]s, which is how the
 //! fleet aggregator hangs its `/debug/*` diagnostics plane (DESIGN.md
 //! §16) off the same transport. Served `/debug/*` responses are
 //! tallied by `wire.debug.requests` / `wire.debug.bytes`.
@@ -29,7 +29,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::pool::{BoundedQueue, Pop, PushError};
-use crate::server::{exposition_text, unix_ns, PmcdServer};
+use crate::server::PmcdServer;
 
 /// OpenMetrics content type served with every `200`.
 pub const CONTENT_TYPE: &str = "application/openmetrics-text; version=1.0.0; charset=utf-8";
@@ -40,10 +40,11 @@ pub const CONTENT_TYPE: &str = "application/openmetrics-text; version=1.0.0; cha
 /// fleet document instead.
 pub type ExpositionProvider = Arc<dyn Fn() -> String + Send + Sync>;
 
-/// A route table: maps a request-target (path plus any `?query`) to a
+/// A route table: maps a request's `(path, query)` — the request-target
+/// split once at its first `?`, query empty when absent — to a
 /// response, or `None` for 404. Handlers run on listener workers, so
 /// they must be cheap and must never block on locks held across I/O.
-pub type RequestHandler = Arc<dyn Fn(&str) -> Option<HttpResponse> + Send + Sync>;
+pub type RequestHandler = Arc<dyn Fn(&str, &str) -> Option<HttpResponse> + Send + Sync>;
 
 /// One response as produced by a [`RequestHandler`]; the listener owns
 /// status-line/header framing (byte-exact `Content-Length`,
@@ -103,19 +104,9 @@ impl ScrapeListener {
     /// Bind next to `server` with a small default pool (2 workers, 16
     /// pending connections) — scrapes are periodic, not a fleet.
     pub fn bind<A: ToSocketAddrs>(addr: A, server: &PmcdServer) -> std::io::Result<Self> {
-        Self::bind_with(addr, server, 2, 16)
-    }
-
-    /// Bind with explicit worker and pending-queue sizes.
-    pub fn bind_with<A: ToSocketAddrs>(
-        addr: A,
-        server: &PmcdServer,
-        workers: usize,
-        pending: usize,
-    ) -> std::io::Result<Self> {
         let shared = server.shared();
-        let provider: ExpositionProvider = Arc::new(move || exposition_text(&shared, unix_ns()));
-        Self::bind_provider(addr, provider, workers, pending)
+        let provider: ExpositionProvider = Arc::new(move || shared.exposition());
+        Self::bind_provider(addr, provider, 2, 16)
     }
 
     /// Bind serving an arbitrary exposition provider — the transport
@@ -128,8 +119,7 @@ impl ScrapeListener {
         workers: usize,
         pending: usize,
     ) -> std::io::Result<Self> {
-        let handler: RequestHandler = Arc::new(move |target: &str| {
-            let path = target.split('?').next().unwrap_or(target);
+        let handler: RequestHandler = Arc::new(move |path: &str, _query: &str| {
             (path == "/metrics" || path == "/").then(|| HttpResponse::ok(CONTENT_TYPE, provider()))
         });
         Self::bind_handler(addr, handler, workers, pending)
@@ -229,8 +219,8 @@ fn accept_loop(listener: TcpListener, queue: &BoundedQueue<TcpStream>, shutdown:
 fn shed(mut stream: TcpStream) {
     obs::counter!("wire.scrape.shed").inc();
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let _ =
-        stream.write_all(response(503, "Service Unavailable", "scraper at capacity\n").as_bytes());
+    let busy = HttpResponse::text(503, "Service Unavailable", "scraper at capacity\n".into());
+    let _ = stream.write_all(frame(&busy).as_bytes());
 }
 
 fn worker_loop(handler: &RequestHandler, queue: &BoundedQueue<TcpStream>, shutdown: &AtomicBool) {
@@ -256,25 +246,24 @@ fn serve_scrape(handler: &RequestHandler, mut stream: TcpStream) {
         return;
     }
     let reply = match read_request_line(&mut stream) {
-        RequestLine::Get(target) => match handler(&target) {
-            Some(r) => {
-                if target
-                    .split('?')
-                    .next()
-                    .unwrap_or("")
-                    .starts_with("/debug/")
-                {
-                    obs::counter!("wire.debug.requests").inc();
-                    obs::counter!("wire.debug.bytes").add(r.body.len() as u64);
+        RequestLine::Get(target) => {
+            // The one place a request-target is split into path + query.
+            let (path, query) = target.split_once('?').unwrap_or((&target, ""));
+            match handler(path, query) {
+                Some(r) => {
+                    if path.starts_with("/debug/") {
+                        obs::counter!("wire.debug.requests").inc();
+                        obs::counter!("wire.debug.bytes").add(r.body.len() as u64);
+                    }
+                    frame(&r)
                 }
-                frame(&r)
+                None => frame(&HttpResponse::text(
+                    404,
+                    "Not Found",
+                    format!("no route {target}\n"),
+                )),
             }
-            None => frame(&HttpResponse::text(
-                404,
-                "Not Found",
-                format!("no route {target}\n"),
-            )),
-        },
+        }
         RequestLine::BadMethod(method) => frame(&HttpResponse::text(
             405,
             "Method Not Allowed",
@@ -354,28 +343,22 @@ fn frame(r: &HttpResponse) -> String {
     )
 }
 
-/// Assemble one `HTTP/1.1` response with the body and `Connection:
-/// close`; 200s carry the OpenMetrics content type.
-fn response(status: u16, reason: &'static str, body: &str) -> String {
-    if status == 200 {
-        frame(&HttpResponse::ok(CONTENT_TYPE, body.to_owned()))
-    } else {
-        frame(&HttpResponse::text(status, reason, body.to_owned()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn response_frames_the_body() {
-        let r = response(200, "OK", "# EOF\n");
+    fn frame_carries_status_headers_and_body() {
+        let r = frame(&HttpResponse::ok(CONTENT_TYPE, "# EOF\n".into()));
         assert!(r.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(r.contains("Content-Length: 6\r\n"));
         assert!(r.contains(CONTENT_TYPE));
         assert!(r.ends_with("\r\n\r\n# EOF\n"));
-        let nf = response(404, "Not Found", "no route /x\n");
+        let nf = frame(&HttpResponse::text(
+            404,
+            "Not Found",
+            "no route /x\n".into(),
+        ));
         assert!(nf.contains("text/plain"));
     }
 
@@ -384,7 +367,7 @@ mod tests {
         // A label value can carry multi-byte UTF-8; the frame must
         // advertise the byte length or a strict client truncates.
         let body = "x{k=\"h\u{00e9}\"} 1\n"; // é is 2 bytes
-        let r = response(200, "OK", body);
+        let r = frame(&HttpResponse::ok(CONTENT_TYPE, body.into()));
         let expected = format!("Content-Length: {}\r\n", body.len());
         assert!(body.len() > body.chars().count());
         assert!(r.contains(&expected), "frame was: {r}");
@@ -471,7 +454,7 @@ mod tests {
         let debug_body = "pass 1: stragg\u{00e9}r tellico-0007 \u{2014} 42 ns\n";
         assert!(debug_body.len() > debug_body.chars().count());
         let routed = debug_body.to_string();
-        let handler: RequestHandler = Arc::new(move |target: &str| match target {
+        let handler: RequestHandler = Arc::new(move |path: &str, _query: &str| match path {
             "/metrics" => Some(HttpResponse::ok(CONTENT_TYPE, "# EOF\n".into())),
             "/debug/passes" => Some(HttpResponse::text(200, "OK", routed.clone())),
             _ => None,

@@ -6,7 +6,9 @@
 //! arrive over a `std::sync::mpsc` channel; each request carries its own
 //! response channel (a bounded rendezvous), mirroring PCP's PDU exchange.
 //! (A *real* networked PMCD over TCP lives in the `pcp-wire` crate; this
-//! in-process daemon remains the zero-infrastructure fallback.)
+//! in-process daemon remains the zero-infrastructure fallback.) What
+//! the daemon answers is defined by [`FetchCore`]; the service loop here
+//! is only the channel transport in front of it.
 //!
 //! Two fidelity knobs model the indirection the paper evaluates:
 //!
@@ -21,10 +23,9 @@
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Instant;
 
+use crate::fetchcore::FetchCore;
 use crate::pmns::{InstanceId, MetricDesc, MetricId, Pmns};
-use crate::selfmetrics::{self, DaemonStats, OBS_METRIC_BASE, SELF_METRIC_BASE};
 use p9_memsim::machine::SocketShared;
 use p9_memsim::{PrivilegeError, PrivilegeToken};
 
@@ -140,7 +141,6 @@ impl From<PrivilegeError> for PmcdError {
 /// The daemon itself (owns the service thread).
 pub struct Pmcd {
     handle: PmcdHandle,
-    stats: Arc<DaemonStats>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -157,19 +157,13 @@ impl Pmcd {
         token.require_elevated()?;
         config.validate();
         let (tx, rx) = channel::<Request>();
-        let cfg = config.clone();
-        // Self-metrics exist from construction, not lazily on first
-        // fetch: the very first sample of a pmlogger schedule already
-        // resolves and records the `pmcd.*` columns.
-        let stats = Arc::new(DaemonStats::new());
-        let thread_stats = Arc::clone(&stats);
+        let core = FetchCore::new(pmns, sockets, config.fetch_touch, None);
         let thread = std::thread::Builder::new()
             .name("pmcd".into())
-            .spawn(move || service_loop(pmns, sockets, cfg, thread_stats, rx))
+            .spawn(move || service_loop(&core, &rx))
             .map_err(PmcdError::Spawn)?;
         Ok(Pmcd {
             handle: PmcdHandle { tx, config },
-            stats,
             thread: Some(thread),
         })
     }
@@ -190,12 +184,6 @@ impl Pmcd {
     pub fn handle(&self) -> PmcdHandle {
         self.handle.clone()
     }
-
-    /// The daemon's own operational counters (also fetchable by any
-    /// client under `pmcd.*`).
-    pub fn stats(&self) -> &DaemonStats {
-        &self.stats
-    }
 }
 
 impl Drop for Pmcd {
@@ -207,106 +195,30 @@ impl Drop for Pmcd {
     }
 }
 
-fn service_loop(
-    pmns: Pmns,
-    sockets: Vec<Arc<SocketShared>>,
-    config: PmcdConfig,
-    stats: Arc<DaemonStats>,
-    rx: Receiver<Request>,
-) {
+/// The channel transport: one [`FetchCore`] call per request. Replies
+/// go out on the request's own rendezvous channel; a client that hung
+/// up before its reply is not an error.
+fn service_loop(core: &FetchCore, rx: &Receiver<Request>) {
+    let stats = core.stats();
     while let Ok(req) = rx.recv() {
+        stats.count_pdu_in();
         match req {
             Request::LookupName { name, reply } => {
-                stats.record_request();
-                let found = pmns
-                    .lookup(&name)
-                    .or_else(|| DaemonStats::lookup(&name))
-                    .or_else(|| selfmetrics::obs_lookup(&name));
-                let _ = reply.send(found);
-                stats.record_reply();
+                let _ = reply.send(core.lookup(&name));
             }
             Request::Desc { id, reply } => {
-                stats.record_request();
-                let desc = if id.0 >= OBS_METRIC_BASE {
-                    selfmetrics::obs_desc(id)
-                } else if id.0 >= SELF_METRIC_BASE {
-                    DaemonStats::desc(id)
-                } else {
-                    pmns.desc(id).cloned()
-                };
-                let _ = reply.send(desc);
-                stats.record_reply();
+                let _ = reply.send(core.desc(id));
             }
             Request::Children { prefix, reply } => {
-                stats.record_request();
-                let mut names: Vec<String> = pmns
-                    .children(&prefix)
-                    .into_iter()
-                    .map(str::to_owned)
-                    .collect();
-                names.extend(DaemonStats::names_under(&prefix));
-                names.extend(selfmetrics::obs_children(&prefix));
-                let _ = reply.send(names);
-                stats.record_reply();
+                let _ = reply.send(core.children(&prefix));
             }
             Request::Fetch { requests, reply } => {
-                stats.record_request();
-                #[cfg(feature = "obs")]
-                let _span = obs::span!("pmcd.fetch", requests.len() as u64);
-                let start = Instant::now();
-                // One registry snapshot per batch: every `pmcd.obs.*`
-                // value in the reply is from the same registry state.
-                let mut obs_snap: Option<Vec<obs::metrics::Exported>> = None;
-                let values = requests
-                    .iter()
-                    .map(|&(id, inst)| {
-                        fetch_one(&pmns, &sockets, &config, &stats, id, inst, &mut obs_snap)
-                    })
-                    .collect();
-                stats.record_fetch(start.elapsed());
-                let _ = reply.send(values);
-                stats.record_reply();
+                // No connection queue in front of a channel: depth 0.
+                let _ = reply.send(core.fetch(requests.into_iter(), 0));
             }
             Request::Shutdown => break,
         }
-    }
-}
-
-fn fetch_one(
-    pmns: &Pmns,
-    sockets: &[Arc<SocketShared>],
-    config: &PmcdConfig,
-    stats: &DaemonStats,
-    id: MetricId,
-    inst: InstanceId,
-    obs_snap: &mut Option<Vec<obs::metrics::Exported>>,
-) -> Option<u64> {
-    // Self-metrics and the obs-registry export are instance-less: any
-    // valid instance reads the same value. Obs ids are answered from a
-    // registry export taken at most once per fetch batch, so a reply
-    // can never mix registry states across its columns.
-    if id.0 >= OBS_METRIC_BASE {
-        let snap = obs_snap.get_or_insert_with(|| obs::registry().export());
-        return selfmetrics::obs_value_from(snap, id);
-    }
-    if id.0 >= SELF_METRIC_BASE {
-        return stats.value((id.0 - SELF_METRIC_BASE) as usize);
-    }
-    let desc = pmns.desc(id)?;
-    if !pmns.valid_instance(inst) {
-        return None;
-    }
-    // Nest values are published on each socket's qualifier CPU; any other
-    // CPU instance reads as zero (matching the real perfevent export).
-    match pmns.socket_of_instance(inst) {
-        Some(socket) => {
-            let shared = sockets.get(socket)?;
-            if config.fetch_touch {
-                shared.measurement_touch();
-            }
-            Some(shared.counters().channel(desc.channel, desc.direction))
-        }
-        None => Some(0),
+        stats.count_pdu_out();
     }
 }
 
@@ -318,6 +230,7 @@ pub(crate) fn oneshot<T>() -> (SyncSender<T>, Receiver<T>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fetchcore::{OBS_METRIC_BASE, SELF_METRIC_BASE};
     use p9_arch::Machine;
     use p9_memsim::{Direction, SimMachine};
 

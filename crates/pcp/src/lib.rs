@@ -17,6 +17,9 @@
 //!   [`p9_memsim::PrivilegeToken`] and handles to every socket's counters,
 //!   servicing lookup/describe/fetch requests over `std::sync::mpsc`
 //!   channels. (The `pcp-wire` crate provides the networked equivalent.)
+//! * [`fetchcore`] — [`FetchCore`], the one definition of what a PMCD
+//!   answers (lookup, desc, children, fetch, the `pmcd.*` self-metrics
+//!   and the `pmcd.obs.*` registry export) behind both transports.
 //! * [`client`] — `PcpContext`, the unprivileged client: `pm_lookup_name`,
 //!   `pm_get_desc`, `pm_fetch`.
 //! * [`archive`] — the `pmlogger` side: cadence-driven sampling into
@@ -31,11 +34,11 @@
 pub mod archive;
 pub mod client;
 pub mod daemon;
+pub mod fetchcore;
 pub mod pmns;
-pub mod selfmetrics;
 
 pub use archive::{Archive, ArchiveRecord, PmLogger};
 pub use client::{PcpContext, PcpError, PmApi};
 pub use daemon::{Pmcd, PmcdConfig, PmcdError, PmcdHandle};
+pub use fetchcore::{FetchCore, StatsSnapshot, OBS_METRIC_BASE, SELF_METRIC_BASE};
 pub use pmns::{InstanceId, MetricDesc, MetricId, MetricSemantics, Pmns};
-pub use selfmetrics::{DaemonStats, OBS_METRIC_BASE, SELF_METRIC_BASE};

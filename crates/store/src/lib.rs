@@ -22,9 +22,6 @@
 //! * **Queries** ([`query`]): windowed samples plus rate/delta/ewma
 //!   derivations that *reuse* [`obs::derive`], so archived and live
 //!   math cannot diverge.
-//! * **Spill** ([`spill`]): an [`obs::series::SpillSink`] adapter — the
-//!   live ring evicts into the store and serves old windows back out of
-//!   it transparently.
 //!
 //! The engine reports itself through `store.*` obs metrics (METRICS.md)
 //! and is held to the workspace no-panic lint: every fallible path
@@ -36,12 +33,10 @@ pub mod index;
 pub mod memfs;
 pub mod query;
 pub mod segment;
-pub mod spill;
 
 pub use engine::{CompactStats, Store, StoreConfig, StoreStats};
 pub use index::{glob_match, Selector, SeriesKey};
 pub use query::{Derivation, SeriesData};
-pub use spill::StoreSpill;
 
 /// Typed errors for every fallible store path (the crate is covered by
 /// the workspace no-panic lint, like the wire crates).

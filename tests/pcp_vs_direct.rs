@@ -194,10 +194,39 @@ fn wire_and_inprocess_transports_report_identical_byte_counts() {
             (a, pmns.instance_of_socket(0))
         })
         .collect();
+    assert_eq!(reqs.len(), 16, "the full nest event group");
     assert_eq!(
         ctx.pm_fetch(&reqs).unwrap(),
         client.pm_fetch(&reqs).unwrap()
     );
+
+    // The daemon's own subtree too: both transports front one
+    // `FetchCore` definition, so every `pmcd.*` name (self-metrics and
+    // the registry export) has the same id and descriptor on both. The
+    // registry is append-only and other tests in this process may grow
+    // it, so the listings are compared on the fixed self-metric part
+    // and every name of the first listing is then checked on both.
+    let own = |names: Vec<String>| -> Vec<String> {
+        names
+            .into_iter()
+            .filter(|n| !n.starts_with("pmcd.obs."))
+            .collect()
+    };
+    let listed = ctx.pm_get_children("pmcd").unwrap();
+    assert_eq!(
+        own(listed.clone()),
+        own(client.pm_get_children("pmcd").unwrap())
+    );
+    assert_eq!(own(listed.clone()).len(), 15);
+    for name in &listed {
+        let a = ctx.pm_lookup_name(name).unwrap();
+        assert_eq!(a, client.pm_lookup_name(name).unwrap(), "{name}");
+        assert_eq!(
+            ctx.pm_get_desc(a).unwrap(),
+            client.pm_get_desc(a).unwrap(),
+            "{name}"
+        );
+    }
 }
 
 /// The PCP indirection has a *time* cost (daemon round-trips) even though

@@ -1,13 +1,11 @@
 //! Tier-1 acceptance for the storage tier (DESIGN.md §12): the
-//! compressed store really sits underneath both of its consumers — the
-//! live monitoring ring and the registry-snapshot/archive path — and
-//! the three layers agree on timestamps and values by construction.
-
-use std::sync::Arc;
+//! compressed store holds the history of the same registry snapshots
+//! the live monitoring ring sees, and the layers agree on timestamps
+//! and values by construction.
 
 use obs::metrics::{ExportSemantics, Registry};
 use obs::{Monitor, Snapshot};
-use store::{Selector, SeriesKey, Store, StoreConfig, StoreSpill};
+use store::{Selector, SeriesKey, Store, StoreConfig};
 
 /// Registry snapshots ingested under a prefix+labels come back out of a
 /// selector query with the snapshot's exact timestamps — the unified
@@ -51,43 +49,46 @@ fn registry_snapshots_flow_into_the_store_with_one_timestamp() {
     assert!(rate > 0.0);
 }
 
-/// The live ring spills evicted points into the store and serves old
-/// windows back transparently — a Monitor with a small ring still
-/// answers queries over the whole run.
+/// One series holder per job: the live `Monitor` keeps only the recent
+/// ring its rules need (evictions counted, never silent), while the same
+/// snapshots ingested straight into the `Store` keep the whole run — the
+/// fleet aggregator's arrangement.
 #[test]
-fn live_monitor_reads_old_windows_from_the_store() {
+fn live_monitor_ring_is_bounded_while_the_store_keeps_the_history() {
     let reg = Registry::new();
     let c = reg.counter("fleet.fetches");
-    let store = Arc::new(Store::new(StoreConfig {
+    let store = Store::new(StoreConfig {
         chunk_samples: 4,
         segment_bytes: 64,
         retention_ns: None,
-    }));
-    let spill = Arc::new(StoreSpill::new(Arc::clone(&store)).with_label("host", "h0"));
-    let mut monitor = Monitor::new(3, Vec::new()).with_spill(spill);
+    });
+    let mut monitor = Monitor::new(3, Vec::new());
 
     for tick in 1..=50u64 {
         c.add(7);
         let snap = Snapshot::take(&reg, tick * 1_000_000);
         monitor.tick(snap.t_ns, &snap.scalars);
+        store
+            .ingest_snapshot("", &[("host", "h0")], &snap)
+            .expect("snapshot ingest");
     }
 
-    // The ring holds only the newest 3 points...
-    assert_eq!(
-        monitor.store().get("fleet.fetches").map(|s| s.len()),
-        Some(3)
-    );
-    // ...but the full 50-point history is reachable through window().
-    let full = monitor.window("fleet.fetches", 0, u64::MAX);
+    // The ring holds only the newest 3 points and says what it dropped...
+    let ring = monitor.store().get("fleet.fetches").expect("live series");
+    assert_eq!(ring.len(), 3);
+    assert_eq!(ring.oldest().map(|s| s.t_ns), Some(48_000_000));
+    assert_eq!(monitor.store().evicted(), 47);
+    // ...and the full 50-point history is in the store, same timestamps.
+    let sel = Selector::metric("fleet.fetches").with_label("host", "h0");
+    let full = &store.query(&sel, 0, u64::MAX).expect("query")[0].samples;
     assert_eq!(full.len(), 50);
     assert!(full.windows(2).all(|w| w[1].t_ns > w[0].t_ns));
     assert_eq!(full[0].value, 7);
     assert_eq!(full[49].value, 350);
-    // An old-only window is served purely from compressed storage.
-    let old = monitor.window("fleet.fetches", 1_000_000, 10_000_000);
+    assert_eq!(full[47..], ring.iter().collect::<Vec<_>>()[..]);
+    // An old-only window comes purely from compressed storage.
+    let old = &store.query(&sel, 1_000_000, 10_000_000).expect("query")[0].samples;
     assert_eq!(old.len(), 10);
-    // Nothing was dropped on the floor.
-    assert_eq!(monitor.store().evicted(), 0);
 }
 
 /// Retention-driven compaction keeps the store bounded while a fleet
