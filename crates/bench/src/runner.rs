@@ -8,7 +8,8 @@
 //! output is composed **in registration order** from the points' returned
 //! strings, which makes an N-worker run byte-identical to a 1-worker run.
 //! Wall-clock times never enter experiment output; they are quarantined
-//! in the run report (`results/BENCH_repro.json`).
+//! in the [`RunReport`], which `repro` prints as a summary table and the
+//! benchmark's `catalog_quick` workload reads (`bench.experiment.*_s`).
 //!
 //! Failure model: a point that returns an error (or panics — the pool
 //! catches unwinds) fails **its experiment only**. The remaining points
@@ -43,10 +44,8 @@ pub enum RunnerError {
     Io { path: String, message: String },
     /// Summary error: these experiments had failing points.
     Failed { experiments: Vec<String> },
-    /// Bad command-line usage (unknown tag, malformed flag value…).
+    /// Bad command-line usage (unknown tag, unknown `--key`…).
     Usage { message: String },
-    /// The run's wall time regressed past the baseline gate.
-    Regression { wall: f64, limit: f64 },
 }
 
 impl fmt::Display for RunnerError {
@@ -67,10 +66,6 @@ impl fmt::Display for RunnerError {
                 write!(f, "experiments failed: {}", experiments.join(", "))
             }
             RunnerError::Usage { message } => write!(f, "usage: {message}"),
-            RunnerError::Regression { wall, limit } => write!(
-                f,
-                "wall time {wall:.2}s exceeds the baseline gate of {limit:.2}s"
-            ),
         }
     }
 }

@@ -41,10 +41,6 @@ pub struct AggregatorConfig {
     pub sim_rate_alert_bytes_per_s: f64,
     /// Per-connection I/O timeout for host scrapes.
     pub io_timeout: Duration,
-    /// Passes retained by the debug plane — the K of the `/debug/*`
-    /// endpoints. 0 disables pass tracing and capture entirely (the
-    /// untraced baseline fleet_bench compares against).
-    pub debug_passes: usize,
     /// `alert.fleet.straggler_skew` fires when a pass's straggler skew
     /// (`fleet.pass.skew_ratio`, permille of the mean host chain)
     /// exceeds this. Default `u64::MAX`: silent unless a caller opts
@@ -61,7 +57,6 @@ impl Default for AggregatorConfig {
             // silent unless a caller opts into a realistic threshold.
             sim_rate_alert_bytes_per_s: 1e15,
             io_timeout: Duration::from_secs(5),
-            debug_passes: DEFAULT_DEBUG_PASSES,
             straggler_skew_alert_permille: u64::MAX,
         }
     }
@@ -92,9 +87,8 @@ pub struct PassReport {
     /// Pass-level trace id (child scrape ids are
     /// `stitch::fanout_child_id(pass_id, host_index)`).
     pub pass_id: u64,
-    /// The stitched fan-out tree for this pass; `None` when tracing is
-    /// disabled (`debug_passes == 0`) or the pass span was lost to ring
-    /// eviction.
+    /// The stitched fan-out tree for this pass; `None` when the pass
+    /// span was lost to ring eviction.
     pub trace: Option<FanoutTrace>,
 }
 
@@ -194,7 +188,7 @@ impl Aggregator {
         hosts_gauge.set(targets.len() as u64);
 
         let store = Arc::new(Store::new(StoreConfig::default()));
-        let debug = Arc::new(DebugPlane::new(cfg.debug_passes, Arc::clone(&store)));
+        let debug = Arc::new(DebugPlane::new(DEFAULT_DEBUG_PASSES, Arc::clone(&store)));
         Aggregator {
             monitor: Monitor::new(cfg.monitor_capacity, rules),
             cfg,
@@ -233,11 +227,6 @@ impl Aggregator {
         &self.store
     }
 
-    /// The diagnostics plane behind `/debug/*`.
-    pub fn debug(&self) -> &Arc<DebugPlane> {
-        &self.debug
-    }
-
     /// Scrape targets' hostnames, in index order.
     pub fn host_names(&self) -> Vec<String> {
         self.targets.iter().map(|t| t.name.clone()).collect()
@@ -255,9 +244,9 @@ impl Aggregator {
 
     /// Scrape one host over the wire and parse strictly. Any failure —
     /// refused connection, protocol error, unparseable document — makes
-    /// the host stale for this pass. A nonzero `trace_id` (the pass's
-    /// fan-out child id for this slot) rides the Exposition frame so the
-    /// host's own render span joins this pass's trace tree.
+    /// the host stale for this pass. `trace_id` (the pass's fan-out
+    /// child id for this slot) rides the Exposition frame so the host's
+    /// own render span joins this pass's trace tree.
     fn scrape_one(&self, target: &Target, trace_id: u64) -> Result<HostScrape, String> {
         let client = WireClient::connect_with_timeout(target.addr, self.cfg.io_timeout)
             .map_err(|e| format!("connect: {e:?}"))?;
@@ -276,26 +265,20 @@ impl Aggregator {
     /// tick the monitor, ingest into the store, and publish the new
     /// fleet document.
     ///
-    /// When tracing is on (`debug_passes > 0`) the whole pass runs
-    /// under a `fleet.pass` span with `fleet.pass.fanout` / `.merge` /
-    /// `.ingest` phase children, each host scrape under a
-    /// `fleet.host.scrape` span carrying its fan-out child id, and the
-    /// drained events are stitched into the report's [`FanoutTrace`]
-    /// and recorded on the debug plane.
+    /// The whole pass runs under a `fleet.pass` span with
+    /// `fleet.pass.fanout` / `.merge` / `.ingest` phase children, each
+    /// host scrape under a `fleet.host.scrape` span carrying its
+    /// fan-out child id, and the drained events are stitched into the
+    /// report's [`FanoutTrace`] and recorded on the debug plane.
     pub fn scrape_pass(&mut self, t_ns: u64) -> PassReport {
-        let trace_on = self.cfg.debug_passes > 0;
-        let pass_id = if trace_on {
-            obs::trace::next_trace_id()
-        } else {
-            0
-        };
-        // obs-ok: fleet pass tracing is runtime-gated by debug_passes
-        // (the debug plane needs it in every build), not the obs feature.
-        let pass_span = trace_on.then(|| obs::span!(stitch::PASS_SPAN, pass_id));
+        let pass_id = obs::trace::next_trace_id();
+        // obs-ok: pass tracing is unconditional — the debug plane needs
+        // it in every build, not only under the obs feature.
+        let pass_span = obs::span!(stitch::PASS_SPAN, pass_id);
 
         // --- fan out ----------------------------------------------------
-        // obs-ok: runtime-gated pass tracing, see pass_span above.
-        let fanout_span = trace_on.then(|| obs::span!(stitch::PASS_FANOUT_SPAN));
+        // obs-ok: unconditional pass tracing, see pass_span above.
+        let fanout_span = obs::span!(stitch::PASS_FANOUT_SPAN);
         let queue: BoundedQueue<usize> = BoundedQueue::new(self.targets.len().max(1));
         for i in 0..self.targets.len() {
             let _ = queue.try_push(i);
@@ -318,19 +301,12 @@ impl Aggregator {
                                     let child = stitch::fanout_child_id(pass_id, i as u64);
                                     let started = Instant::now();
                                     let result = {
-                                        // obs-ok: runtime-gated pass tracing, see pass_span above.
-                                        let _host = trace_on.then(|| {
-                                            // obs-ok: runtime-gated pass tracing
-                                            obs::span!(stitch::HOST_SCRAPE_SPAN, child)
-                                        });
-                                        this.scrape_one(
-                                            &this.targets[i],
-                                            if trace_on { child } else { 0 },
-                                        )
+                                        // obs-ok: unconditional pass tracing, see pass_span above.
+                                        let _host = obs::span!(stitch::HOST_SCRAPE_SPAN, child);
+                                        this.scrape_one(&this.targets[i], child)
                                     };
-                                    if trace_on && result.is_err() {
-                                        // obs-ok: runtime-gated pass tracing,
-                                        // see pass_span above.
+                                    if result.is_err() {
+                                        // obs-ok: unconditional pass tracing, see pass_span above.
                                         obs::instant!(stitch::HOST_FAIL_INSTANT, child);
                                     }
                                     let lat = started.elapsed().as_nanos().min(u64::MAX as u128);
@@ -381,8 +357,8 @@ impl Aggregator {
             .collect();
 
         // --- merge ------------------------------------------------------
-        // obs-ok: runtime-gated pass tracing, see pass_span above.
-        let merge_span = trace_on.then(|| obs::span!(stitch::PASS_MERGE_SPAN));
+        // obs-ok: unconditional pass tracing, see pass_span above.
+        let merge_span = obs::span!(stitch::PASS_MERGE_SPAN);
         let merged: MergeOutcome = merge_parallel(&scrapes, workers);
         let host_text = render(&merged.samples, None);
         self.series_merged.set(merged.samples.len() as u64);
@@ -412,8 +388,8 @@ impl Aggregator {
         drop(merge_span);
 
         // --- store ingest -----------------------------------------------
-        // obs-ok: runtime-gated pass tracing, see pass_span above.
-        let ingest_span = trace_on.then(|| obs::span!(stitch::PASS_INGEST_SPAN));
+        // obs-ok: unconditional pass tracing, see pass_span above.
+        let ingest_span = obs::span!(stitch::PASS_INGEST_SPAN);
         let mut samples_ingested = 0u64;
         for s in &merged.samples {
             let Value::Int(v) = s.value else {
@@ -437,51 +413,46 @@ impl Aggregator {
         // Close the pass span before draining so its record is in the
         // ring; everything below is bookkeeping outside the pass wall.
         drop(pass_span);
-        let (trace, events) = if trace_on {
-            let n_hosts = self.targets.len();
-            let children: std::collections::HashSet<u64> = (0..n_hosts)
-                .map(|i| stitch::fanout_child_id(pass_id, i as u64))
-                .collect();
-            // Keep only this pass's events: the pass span and its child
-            // scrapes (matched by id), and phase spans from the pass
-            // thread inside the pass window. Anything else in the rings
-            // — previous-pass leftovers, unrelated spans from tests
-            // sharing the process — is dropped.
-            let drained = obs::trace::drain();
-            let pass_ev = drained
-                .iter()
-                .find(|e| e.label == stitch::PASS_SPAN && e.arg == pass_id)
-                .copied();
-            let in_pass = |e: &obs::trace::SpanEvent| {
-                pass_ev.is_some_and(|p| {
-                    e.tid == p.tid
-                        && e.start_ns >= p.start_ns
-                        && e.start_ns.saturating_add(e.dur_ns) <= p.start_ns + p.dur_ns
-                })
-            };
-            let mut events: Vec<_> = drained
-                .into_iter()
-                .filter(|e| {
-                    (e.label == stitch::PASS_SPAN && e.arg == pass_id)
-                        || children.contains(&e.arg)
-                        || (matches!(
-                            e.label,
-                            stitch::PASS_FANOUT_SPAN
-                                | stitch::PASS_MERGE_SPAN
-                                | stitch::PASS_INGEST_SPAN
-                        ) && in_pass(e))
-                })
-                .collect();
-            events.sort_unstable_by_key(|e| (e.start_ns, e.tid, e.label));
-            let trace = FanoutTrace::stitch(&events, pass_id, n_hosts);
-            if let Some(t) = &trace {
-                self.straggler_ns.record(t.straggler_ns());
-                self.skew_ratio.set(t.skew_ratio_permille());
-            }
-            (trace, events)
-        } else {
-            (None, Vec::new())
+        let n_hosts = self.targets.len();
+        let children: std::collections::HashSet<u64> = (0..n_hosts)
+            .map(|i| stitch::fanout_child_id(pass_id, i as u64))
+            .collect();
+        // Keep only this pass's events: the pass span and its child
+        // scrapes (matched by id), and phase spans from the pass thread
+        // inside the pass window. Anything else in the rings —
+        // previous-pass leftovers, unrelated spans from tests sharing
+        // the process — is dropped.
+        let drained = obs::trace::drain();
+        let pass_ev = drained
+            .iter()
+            .find(|e| e.label == stitch::PASS_SPAN && e.arg == pass_id)
+            .copied();
+        let in_pass = |e: &obs::trace::SpanEvent| {
+            pass_ev.is_some_and(|p| {
+                e.tid == p.tid
+                    && e.start_ns >= p.start_ns
+                    && e.start_ns.saturating_add(e.dur_ns) <= p.start_ns + p.dur_ns
+            })
         };
+        let mut events: Vec<_> = drained
+            .into_iter()
+            .filter(|e| {
+                (e.label == stitch::PASS_SPAN && e.arg == pass_id)
+                    || children.contains(&e.arg)
+                    || (matches!(
+                        e.label,
+                        stitch::PASS_FANOUT_SPAN
+                            | stitch::PASS_MERGE_SPAN
+                            | stitch::PASS_INGEST_SPAN
+                    ) && in_pass(e))
+            })
+            .collect();
+        events.sort_unstable_by_key(|e| (e.start_ns, e.tid, e.label));
+        let trace = FanoutTrace::stitch(&events, pass_id, n_hosts);
+        if let Some(t) = &trace {
+            self.straggler_ns.record(t.straggler_ns());
+            self.skew_ratio.set(t.skew_ratio_permille());
+        }
 
         // --- monitor ----------------------------------------------------
         let snap = obs::Snapshot::take(&self.registry, t_ns);

@@ -28,8 +28,7 @@ use obs::trace::SpanEvent;
 use pcp_wire::scrape::HttpResponse;
 use store::{Derivation, Selector, SeriesData, Store};
 
-/// Default number of passes the plane retains (the K in "last K
-/// passes").
+/// Passes the aggregator's plane retains (the K in "last K passes").
 pub const DEFAULT_DEBUG_PASSES: usize = 8;
 
 /// Cap on retained span events per pass — a runaway pass (e.g. one that
@@ -71,8 +70,7 @@ pub struct DebugPlane {
 
 impl DebugPlane {
     /// A plane retaining the last `capacity` passes, answering
-    /// `/debug/series` from `store`. Capacity 0 disables capture (every
-    /// endpoint still answers, over an empty ring).
+    /// `/debug/series` from `store`.
     pub fn new(capacity: usize, store: Arc<Store>) -> Self {
         DebugPlane {
             capacity,
@@ -98,9 +96,6 @@ impl DebugPlane {
 
     /// Record one pass, evicting the oldest beyond the capacity.
     pub fn record_pass(&self, mut record: PassRecord) {
-        if self.capacity == 0 {
-            return;
-        }
         record.events.truncate(MAX_EVENTS_PER_PASS);
         let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
         ring.push_back(record);
@@ -423,10 +418,6 @@ mod tests {
         let passes = p.render_passes();
         assert!(passes.contains("pass 8 ") && passes.contains("pass 10 "));
         assert!(!passes.contains("pass 7 "), "old passes evicted:\n{passes}");
-
-        let zero = plane(0);
-        zero.record_pass(record(1, 1));
-        assert_eq!(zero.len(), 0, "capacity 0 disables capture");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::io::{Read as _, Write as _};
 use std::sync::Mutex;
 use std::time::Duration;
 
-use fleet::{host_name, Aggregator, AggregatorConfig, Fleet};
+use fleet::{host_name, Aggregator, AggregatorConfig, Fleet, DEFAULT_DEBUG_PASSES};
 use obs::stitch::FANOUT_COMPONENTS;
 
 const SEC: u64 = 1_000_000_000;
@@ -128,21 +128,21 @@ fn debug_endpoints_are_bounded_deterministic_and_match_in_process_queries() {
         &fleet,
         AggregatorConfig {
             workers: 3,
-            debug_passes: 2,
             ..AggregatorConfig::default()
         },
     );
     let addr = agg.serve_http("127.0.0.1:0").expect("bind");
     let mut reports = Vec::new();
-    for pass in 1..=4u64 {
+    const K: usize = DEFAULT_DEBUG_PASSES;
+    for pass in 1..=(K as u64 + 2) {
         fleet.tick_traffic(pass);
         reports.push(agg.scrape_pass(pass * SEC));
     }
 
-    // Bounded: only the last K=2 passes are retained.
+    // Bounded: only the last K passes are retained.
     let (status, passes) = http_get(addr, "/debug/passes");
     assert_eq!(status, 200);
-    assert!(passes.starts_with("# fleet passes (last 2 of up to 2)\n"));
+    assert!(passes.starts_with(&format!("# fleet passes (last {K} of up to {K})\n")));
     for (i, r) in reports.iter().enumerate() {
         let line = format!("pass {} ", r.pass_id);
         assert_eq!(
@@ -176,7 +176,7 @@ fn debug_endpoints_are_bounded_deterministic_and_match_in_process_queries() {
     // /debug/series answers bit-for-bit what an in-process store query
     // renders, derivation included.
     let sel = store::Selector::metric("pmcd_obs_host_sim_bytes").with_label("host", host_name(1));
-    let t_to = reports.last().expect("4 passes").t_ns;
+    let t_to = reports.last().expect("K + 2 passes").t_ns;
     let reference = fleet::debug::render_series_data(
         &agg.store()
             .query(&sel, t_to - 4 * SEC, t_to)
@@ -199,23 +199,4 @@ fn debug_endpoints_are_bounded_deterministic_and_match_in_process_queries() {
     let (status, metrics) = http_get(addr, "/metrics");
     assert_eq!(status, 200);
     assert!(metrics.contains("fleet_hosts 3"));
-}
-
-#[test]
-fn untraced_aggregator_keeps_empty_debug_plane() {
-    let fleet = Fleet::spawn(2, 0x0FF).expect("spawn fleet");
-    let mut agg = Aggregator::new(
-        &fleet,
-        AggregatorConfig {
-            workers: 2,
-            debug_passes: 0,
-            ..AggregatorConfig::default()
-        },
-    );
-    fleet.tick_traffic(1);
-    let report = agg.scrape_pass(SEC);
-    assert_eq!(report.scraped, 2);
-    assert_eq!(report.pass_id, 0);
-    assert!(report.trace.is_none(), "tracing disabled");
-    assert!(agg.debug().is_empty(), "nothing recorded");
 }

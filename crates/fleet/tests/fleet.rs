@@ -119,35 +119,41 @@ fn clean_fleet_scrapes_everyone_and_raises_no_alerts() {
     );
 }
 
+/// The fault drill, at unit size and at the 256-host scale the tier is
+/// held to (DESIGN.md §14).
 #[test]
 fn killing_one_host_raises_exactly_that_hosts_staleness_alert() {
-    let mut fleet = Fleet::spawn(5, 0xDEAD).expect("spawn fleet");
-    let mut agg = aggregator(&fleet, 8);
-    fleet.tick_traffic(1);
-    let clean = agg.scrape_pass(SEC);
-    assert!(clean.alerts.is_empty());
+    for (hosts, workers, victim) in [(5, 8, 2), (256, 32, 128)] {
+        let mut fleet = Fleet::spawn(hosts, 0xDEAD).expect("spawn fleet");
+        let mut agg = aggregator(&fleet, workers);
+        fleet.tick_traffic(1);
+        let clean = agg.scrape_pass(SEC);
+        assert_eq!(clean.scraped, hosts);
+        assert!(clean.alerts.is_empty());
 
-    fleet.kill_host(2);
-    fleet.tick_traffic(2);
-    let faulted = agg.scrape_pass(2 * SEC);
-    assert_eq!(faulted.scraped, 4);
-    assert_eq!(faulted.stale, vec![host_name(2)]);
-    // Exactly one alert, and it names host 2 — no other host trips.
-    assert_eq!(
-        faulted.alerts.len(),
-        1,
-        "expected exactly one alert, got {:?}",
-        faulted.alerts
-    );
-    assert_eq!(faulted.alerts[0].rule, "alert.fleet.host_stale");
-    assert_eq!(faulted.alerts[0].metric, "fleet.host.stale.tellico-0002");
+        fleet.kill_host(victim);
+        fleet.tick_traffic(2);
+        let faulted = agg.scrape_pass(2 * SEC);
+        assert_eq!(faulted.scraped, hosts - 1);
+        assert_eq!(faulted.stale, vec![host_name(victim)]);
+        // Exactly one alert, and it names the victim — no other host trips.
+        assert_eq!(
+            faulted.alerts.len(),
+            1,
+            "expected exactly one alert, got {:?}",
+            faulted.alerts
+        );
+        let stale_metric = format!("fleet.host.stale.{}", host_name(victim));
+        assert_eq!(faulted.alerts[0].rule, "alert.fleet.host_stale");
+        assert_eq!(faulted.alerts[0].metric, stale_metric);
 
-    // The dead host stays stale and keeps alerting; the others never do.
-    fleet.tick_traffic(3);
-    let again = agg.scrape_pass(3 * SEC);
-    assert_eq!(again.stale, vec![host_name(2)]);
-    for alert in &again.alerts {
-        assert_eq!(alert.metric, "fleet.host.stale.tellico-0002");
+        // The dead host stays stale and keeps alerting; the others never do.
+        fleet.tick_traffic(3);
+        let again = agg.scrape_pass(3 * SEC);
+        assert_eq!(again.stale, vec![host_name(victim)]);
+        for alert in &again.alerts {
+            assert_eq!(alert.metric, stale_metric);
+        }
     }
 }
 

@@ -7,15 +7,15 @@
 //! * **Span/event tracing** ([`trace`]): thread-local ring buffers of
 //!   fixed-size `Copy` records, `rdtsc` timestamps, lock-free recording
 //!   and a serialized drain. Recording never allocates after a thread's
-//!   first record; budget ≤ 50 ns per span (checked by
-//!   `bench/src/bin/overhead.rs` in CI).
+//!   first record (`tests/no_alloc.rs`); budget ≤ 50 ns per span (read
+//!   from the benchmark's `obs.span_ns`).
 //! * **Metrics** ([`metrics`]): counters, gauges and log2-bucket
 //!   histograms with mergeable snapshots, collected in an append-only
 //!   registry whose flattened view the PCP daemons serve as the
 //!   `pmcd.obs.*` PMNS subtree.
 //! * **Exporters**: Chrome `trace_event` JSON ([`chrome`]) for
-//!   `chrome://tracing`/Perfetto, folded stacks ([`flame`]) for
-//!   flamegraphs, and a plain-text dashboard ([`dashboard`]).
+//!   `chrome://tracing`/Perfetto and folded stacks ([`flame`]) for
+//!   flamegraphs.
 //! * **Live monitoring** ([`series`], [`derive`], [`openmetrics`],
 //!   [`stitch`]): ring-buffered time series fed by registry snapshots,
 //!   `pmie`-style rate/delta/ewma derivations and threshold rules,
@@ -45,7 +45,6 @@
 
 pub mod chrome;
 pub mod clock;
-pub mod dashboard;
 pub mod derive;
 pub mod flame;
 pub mod metrics;

@@ -15,9 +15,7 @@
 //! Each component is clamped against the budget remaining after the
 //! ones before it, so the shares always sum to the client RTT *exactly*
 //! — the decomposition can be wrong about attribution in pathological
-//! traces, but it can never invent or lose time. This replaces the
-//! hand-computed latency split that `src/bin/overhead.rs` used to do
-//! from self-metric deltas.
+//! traces, but it can never invent or lose time.
 
 use crate::trace::{Kind, SpanEvent};
 

@@ -1,8 +1,7 @@
 //! Proves the tracer's zero-allocation claim with a counting global
 //! allocator: after a thread's ring exists and metrics are registered,
 //! recording spans, instants, counters and histogram samples performs
-//! no heap allocation at all. CI runs this (and the `overhead` bench
-//! binary, which repeats the check under timing) on every push.
+//! no heap allocation at all.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
