@@ -118,28 +118,52 @@ impl Chunk {
     /// The header is re-derived by a full decode so a corrupt payload
     /// surfaces as a typed error here rather than at query time.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, StoreError> {
-        let samples = decode(&bytes)?;
-        let (Some(first), Some(last)) = (samples.first(), samples.last()) else {
-            return Err(StoreError::Corrupt("chunk encodes zero samples"));
-        };
-        let count = u32::try_from(samples.len())
+        let (mut min_t, mut max_t, mut count) = (0u64, 0u64, 0u64);
+        walk(&bytes, |s| {
+            if count == 0 {
+                min_t = s.t_ns;
+            }
+            max_t = s.t_ns;
+            count += 1;
+            true
+        })?;
+        let count = u32::try_from(count)
             .map_err(|_| StoreError::Corrupt("chunk sample count overflows u32"))?;
         Ok(Chunk {
             bytes,
-            min_t: first.t_ns,
-            max_t: last.t_ns,
+            min_t,
+            max_t,
             count,
         })
     }
 
     /// Decode every sample, oldest first.
     pub fn samples(&self) -> Result<Vec<Sample>, StoreError> {
-        decode(&self.bytes)
+        let mut out = Vec::with_capacity(self.count as usize);
+        walk(&self.bytes, |s| {
+            out.push(s);
+            true
+        })?;
+        Ok(out)
+    }
+
+    /// Append the samples inside the inclusive window `[from, to]` to
+    /// `out`, oldest first. Decoding stops once a sample reaches `to`,
+    /// so a window ending mid-chunk does not pay for the rest.
+    pub fn samples_in(&self, from: u64, to: u64, out: &mut Vec<Sample>) -> Result<(), StoreError> {
+        walk(&self.bytes, |s| {
+            if s.t_ns >= from && s.t_ns <= to {
+                out.push(s);
+            }
+            s.t_ns < to
+        })
     }
 }
 
-/// Decode a chunk payload into its samples.
-fn decode(bytes: &[u8]) -> Result<Vec<Sample>, StoreError> {
+/// Decode a chunk payload, handing each sample to `visit` oldest first
+/// until it returns `false` or the payload ends. A walk that runs to the
+/// end also validates that nothing trails the last sample.
+fn walk(bytes: &[u8], mut visit: impl FnMut(Sample) -> bool) -> Result<(), StoreError> {
     let mut pos = 0usize;
     let count = get_varint(bytes, &mut pos)?;
     if count == 0 {
@@ -150,10 +174,11 @@ fn decode(bytes: &[u8]) -> Result<Vec<Sample>, StoreError> {
         // a count beyond the payload size is corruption, not data.
         return Err(StoreError::Corrupt("chunk count exceeds payload size"));
     }
-    let mut out = Vec::with_capacity(count as usize);
     let mut t = get_varint(bytes, &mut pos)?;
     let mut v = get_varint(bytes, &mut pos)?;
-    out.push(Sample { t_ns: t, value: v });
+    if !visit(Sample { t_ns: t, value: v }) {
+        return Ok(());
+    }
     let mut dt = 0i64;
     for _ in 1..count {
         let dod = unzigzag(get_varint(bytes, &mut pos)?);
@@ -167,12 +192,14 @@ fn decode(bytes: &[u8]) -> Result<Vec<Sample>, StoreError> {
             .checked_add(step)
             .ok_or(StoreError::Corrupt("timestamp overflows u64"))?;
         v ^= get_varint(bytes, &mut pos)?;
-        out.push(Sample { t_ns: t, value: v });
+        if !visit(Sample { t_ns: t, value: v }) {
+            return Ok(());
+        }
     }
     if pos != bytes.len() {
         return Err(StoreError::Corrupt("trailing bytes after last sample"));
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Encode `samples` (strictly increasing in time) into one chunk.
@@ -245,6 +272,29 @@ mod tests {
         assert_eq!(chunk.samples().unwrap(), samples);
         let rebuilt = Chunk::from_bytes(chunk.bytes().to_vec()).unwrap();
         assert_eq!(rebuilt, chunk);
+    }
+
+    #[test]
+    fn windowed_decode_is_the_filtered_full_decode() {
+        let samples: Vec<Sample> = (1..=20u64).map(|i| s(i * 10, i * i)).collect();
+        let chunk = encode(&samples).unwrap();
+        // Whole chunk, mid-chunk both ends, between two samples, one
+        // sample, before the first, after the last, inverted.
+        for (from, to) in [
+            (0, u64::MAX),
+            (35, 142),
+            (41, 49),
+            (70, 70),
+            (0, 9),
+            (201, 900),
+            (150, 50),
+        ] {
+            let mut got = vec![s(1, 1)];
+            chunk.samples_in(from, to, &mut got).unwrap();
+            let mut want = vec![s(1, 1)];
+            want.extend(samples.iter().filter(|p| p.t_ns >= from && p.t_ns <= to));
+            assert_eq!(got, want, "window [{from}, {to}]");
+        }
     }
 
     #[test]

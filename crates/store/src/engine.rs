@@ -4,18 +4,23 @@
 //! Write path: every series has a *head* (an uncompressed in-order
 //! sample buffer). When a head reaches `chunk_samples` it is sealed
 //! into an immutable compressed [`Chunk`](crate::chunk::Chunk) and
-//! staged; when the staging area reaches `segment_bytes` the staged
-//! entries are encoded into one segment file on the in-memory FS and
-//! the segment list is republished. Out-of-order and zero-dt samples
-//! are rejected at the door (`store.ingest.out_of_order`), so every
-//! structure downstream is strictly time-ordered by construction.
+//! staged on its head; when the staged bytes reach `segment_bytes` the
+//! staged chunks are drained head by head — series order, and time
+//! order within a series, with no sorting — encoded into one segment
+//! file on the in-memory FS, and the segment list is republished.
+//! Out-of-order and zero-dt samples are rejected at the door
+//! (`store.ingest.out_of_order`), so every structure downstream is
+//! strictly time-ordered by construction.
 //!
-//! Read path: queries clone the current `Arc` segment list (one short
-//! lock) and copy the matching head tails (another short lock), then
-//! decompress outside any lock. Compaction builds replacement segments
-//! off to the side and swaps the list in one lock acquisition —
-//! readers holding the old list keep reading the old immutable
-//! segments, whose bytes outlive their files (see
+//! Read path: queries copy the matching head tails (one short lock)
+//! and clone the current `Arc` segment list (another short lock), then
+//! decompress outside any lock — only the chunks of matching series
+//! that overlap the window, in segments whose time bounds overlap it
+//! (`store.query.segments_skipped`, `store.query.chunks_decoded`), so a
+//! query costs its window, not the store. Compaction builds
+//! replacement segments off to the side and swaps the list in one lock
+//! acquisition — readers holding the old list keep reading the old
+//! immutable segments, whose bytes outlive their files (see
 //! [`MemFs`](crate::memfs::MemFs)).
 //!
 //! Retention is chunk-granular: a chunk is dropped only when its whole
@@ -29,16 +34,21 @@ use std::sync::{Arc, Mutex};
 use obs::metrics::ExportSemantics;
 use obs::series::Sample;
 
-use crate::chunk::{self, RAW_SAMPLE_BYTES};
+use crate::chunk::{self, Chunk, RAW_SAMPLE_BYTES};
 use crate::index::{Selector, SeriesKey};
 use crate::memfs::MemFs;
 use crate::query::SeriesData;
 use crate::segment::{self, Entry, Segment};
 use crate::StoreError;
 
-/// Copied-out live head tail: series identity plus its uncompressed,
-/// in-order sample buffer.
-type HeadTail = (SeriesKey, ExportSemantics, Vec<Sample>);
+/// The not-yet-flushed part of one series inside a query window,
+/// copied out from under the ingest lock.
+struct Tail {
+    key: SeriesKey,
+    semantics: ExportSemantics,
+    staged: Vec<Chunk>,
+    head: Vec<Sample>,
+}
 
 /// Engine tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -70,26 +80,38 @@ struct Head {
     /// Newest timestamp ever ingested for this series — survives
     /// seals, so ordering is enforced across chunk boundaries too.
     last_t: Option<u64>,
+    /// Where this series' sealed chunks wait in [`Ingest::staged`]. An
+    /// index, not a `Vec` here: every sample ingested touches its
+    /// head, the sealed chunks are touched once per `chunk_samples`.
+    slot: usize,
+}
+
+/// Seal `head`'s sample buffer into a chunk staged for the next segment
+/// flush; returns the chunk's size in bytes.
+fn seal(head: &mut Head, staged: &mut [Vec<Chunk>]) -> Result<usize, StoreError> {
+    let chunk = chunk::encode(&head.samples)?;
+    head.samples.clear();
+    obs::counter!("store.chunk.sealed").inc();
+    let bytes = chunk.bytes().len();
+    staged
+        .get_mut(head.slot)
+        .ok_or(StoreError::Corrupt("head has no staging slot"))?
+        .push(chunk);
+    Ok(bytes)
 }
 
 /// Everything the write path mutates, under one lock.
 #[derive(Debug, Default)]
 struct Ingest {
     heads: BTreeMap<SeriesKey, Head>,
-    staging: Vec<Entry>,
+    /// Sealed chunks not yet in a segment, one list per series (indexed
+    /// by [`Head::slot`]), oldest first: grouped as they are sealed, so
+    /// a flush writes each series contiguously without sorting.
+    staged: Vec<Vec<Chunk>>,
+    /// Bytes of all staged chunks together.
     staging_bytes: usize,
     next_seq: u64,
     out_of_order: u64,
-}
-
-impl Default for Head {
-    fn default() -> Self {
-        Head {
-            semantics: ExportSemantics::Instant,
-            samples: Vec::new(),
-            last_t: None,
-        }
-    }
 }
 
 /// What one [`Store::compact`] pass did.
@@ -192,6 +214,7 @@ impl Store {
         value: u64,
     ) -> Result<(), StoreError> {
         let mut ingest = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
+        let ingest = &mut *ingest;
         if !ingest.heads.contains_key(key) {
             ingest.heads.insert(
                 key.clone(),
@@ -199,8 +222,10 @@ impl Store {
                     semantics,
                     samples: Vec::new(),
                     last_t: None,
+                    slot: ingest.staged.len(),
                 },
             );
+            ingest.staged.push(Vec::new());
         }
         let Some(head) = ingest.heads.get_mut(key) else {
             return Err(StoreError::Corrupt("freshly inserted head vanished"));
@@ -219,18 +244,9 @@ impl Store {
         head.samples.push(Sample { t_ns, value });
         obs::counter!("store.ingest.samples").inc();
         if head.samples.len() >= self.cfg.chunk_samples {
-            let semantics = head.semantics;
-            let chunk = chunk::encode(&head.samples)?;
-            head.samples.clear();
-            obs::counter!("store.chunk.sealed").inc();
-            ingest.staging_bytes += chunk.bytes().len();
-            ingest.staging.push(Entry {
-                key: key.clone(),
-                semantics,
-                chunk,
-            });
+            ingest.staging_bytes += seal(head, &mut ingest.staged)?;
             if ingest.staging_bytes >= self.cfg.segment_bytes {
-                self.flush_staging(&mut ingest)?;
+                self.flush_staging(ingest)?;
             }
         }
         Ok(())
@@ -265,36 +281,30 @@ impl Store {
     /// cold-readable. Idempotent when nothing is pending.
     pub fn flush(&self) -> Result<(), StoreError> {
         let mut ingest = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
-        let keys: Vec<SeriesKey> = ingest
-            .heads
-            .iter()
-            .filter(|(_, h)| !h.samples.is_empty())
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in keys {
-            let Some(head) = ingest.heads.get_mut(&key) else {
-                continue;
-            };
-            let semantics = head.semantics;
-            let chunk = chunk::encode(&head.samples)?;
-            head.samples.clear();
-            obs::counter!("store.chunk.sealed").inc();
-            ingest.staging_bytes += chunk.bytes().len();
-            ingest.staging.push(Entry {
-                key,
-                semantics,
-                chunk,
-            });
+        let ingest = &mut *ingest;
+        for head in ingest.heads.values_mut() {
+            if !head.samples.is_empty() {
+                ingest.staging_bytes += seal(head, &mut ingest.staged)?;
+            }
         }
-        if !ingest.staging.is_empty() {
-            self.flush_staging(&mut ingest)?;
-        }
-        Ok(())
+        self.flush_staging(ingest)
     }
 
-    /// Write the staged entries as one segment file and publish it.
+    /// Write the staged chunks as one segment file and publish it.
+    /// Draining the staged lists in head-map order is what orders the
+    /// entries by (series, time) — ingest never sorts.
     fn flush_staging(&self, ingest: &mut Ingest) -> Result<(), StoreError> {
-        let entries = std::mem::take(&mut ingest.staging);
+        let mut entries = Vec::with_capacity(ingest.staged.iter().map(Vec::len).sum());
+        for (key, head) in &ingest.heads {
+            let Some(staged) = ingest.staged.get_mut(head.slot) else {
+                continue;
+            };
+            entries.extend(staged.drain(..).map(|chunk| Entry {
+                key: key.clone(),
+                semantics: head.semantics,
+                chunk,
+            }));
+        }
         ingest.staging_bytes = 0;
         if entries.is_empty() {
             return Ok(());
@@ -304,11 +314,7 @@ impl Store {
         let bytes = segment::encode(&entries);
         let len = bytes.len();
         self.fs.create(&name, bytes)?;
-        let seg = Arc::new(Segment {
-            file: name,
-            bytes: len,
-            entries,
-        });
+        let seg = Arc::new(Segment::new(name, len, entries));
         let mut sealed = self.sealed.lock().unwrap_or_else(|e| e.into_inner());
         let mut list = Vec::with_capacity(sealed.len() + 1);
         list.extend(sealed.iter().cloned());
@@ -333,16 +339,16 @@ impl Store {
         let ingest = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
         let head_samples: u64 = ingest.heads.values().map(|h| h.samples.len() as u64).sum();
         let sealed_samples: u64 = segments.iter().map(|s| s.samples()).sum();
-        let staged: u64 = ingest
-            .staging
-            .iter()
-            .map(|e| u64::from(e.chunk.count()))
-            .sum();
+        let staged = || ingest.staged.iter().flatten();
+        let staged_samples: u64 = staged().map(|c| u64::from(c.count())).sum();
         StoreStats {
-            samples: head_samples + sealed_samples + staged,
+            samples: head_samples + sealed_samples + staged_samples,
             out_of_order: ingest.out_of_order,
-            chunks_sealed: segments.iter().map(|s| s.entries.len() as u64).sum::<u64>()
-                + ingest.staging.len() as u64,
+            chunks_sealed: segments
+                .iter()
+                .map(|s| s.entries().len() as u64)
+                .sum::<u64>()
+                + staged().count() as u64,
             segments_flushed: segments.len() as u64,
             compressed_bytes: self.fs.live_bytes(),
         }
@@ -369,7 +375,7 @@ impl Store {
     /// Select series and return their samples inside the inclusive
     /// window `[t_from_ns, t_to_ns]`, oldest first, merging sealed
     /// chunks, staged chunks and live heads. Decompression happens
-    /// outside every lock.
+    /// outside every lock, and only of chunks the window overlaps.
     pub fn query(
         &self,
         sel: &Selector,
@@ -378,55 +384,86 @@ impl Store {
     ) -> Result<Vec<SeriesData>, StoreError> {
         obs::counter!("store.query.count").inc();
         let started = std::time::Instant::now();
-        // Copy matching tails (staged chunks are cheap Arc-less clones
-        // of compressed bytes; heads are small by construction). This
-        // must happen BEFORE the segment list is cloned: a concurrent
-        // flush moves staging into a new segment, so tail-then-list can
-        // only double-see samples (deduped below), never miss them.
-        let (staged, heads): (Vec<Entry>, Vec<HeadTail>) = {
+        // Copy the matching tails (staged chunks are compressed bytes;
+        // heads are small by construction). This must happen BEFORE the
+        // segment list is cloned: a concurrent flush moves staged chunks
+        // into a new segment, so tail-then-list can only double-see
+        // samples (deduped below), never miss them.
+        let tails: Vec<Tail> = {
             let ingest = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
-            let staged = ingest
-                .staging
-                .iter()
-                .filter(|e| sel.matches(&e.key) && e.chunk.overlaps(t_from_ns, t_to_ns))
-                .cloned()
-                .collect();
-            let heads = ingest
+            ingest
                 .heads
                 .iter()
-                .filter(|(k, h)| sel.matches(k) && !h.samples.is_empty())
-                .map(|(k, h)| (k.clone(), h.semantics, h.samples.clone()))
-                .collect();
-            (staged, heads)
+                .filter(|(key, _)| sel.matches(key))
+                .map(|(key, h)| Tail {
+                    key: key.clone(),
+                    semantics: h.semantics,
+                    staged: ingest
+                        .staged
+                        .get(h.slot)
+                        .into_iter()
+                        .flatten()
+                        .filter(|c| c.overlaps(t_from_ns, t_to_ns))
+                        .cloned()
+                        .collect(),
+                    head: h
+                        .samples
+                        .iter()
+                        .filter(|s| s.t_ns >= t_from_ns && s.t_ns <= t_to_ns)
+                        .copied()
+                        .collect(),
+                })
+                .filter(|t| !t.staged.is_empty() || !t.head.is_empty())
+                .collect()
         };
         let segments = self.segments();
 
-        let mut out: BTreeMap<SeriesKey, SeriesData> = BTreeMap::new();
-        let mut push = |key: &SeriesKey, semantics: ExportSemantics, samples: &[Sample]| {
-            let data = out.entry(key.clone()).or_insert_with(|| SeriesData {
-                key: key.clone(),
-                semantics,
-                samples: Vec::new(),
-            });
-            for s in samples {
-                if s.t_ns >= t_from_ns && s.t_ns <= t_to_ns {
-                    data.samples.push(*s);
-                }
-            }
+        let mut out: BTreeMap<&SeriesKey, SeriesData> = BTreeMap::new();
+        let series = |key: &SeriesKey, semantics| SeriesData {
+            key: key.clone(),
+            semantics,
+            samples: Vec::new(),
         };
+        let (mut segments_skipped, mut chunks_decoded) = (0u64, 0u64);
         for seg in segments.iter() {
-            for e in &seg.entries {
-                if sel.matches(&e.key) && e.chunk.overlaps(t_from_ns, t_to_ns) {
-                    push(&e.key, e.semantics, &e.chunk.samples()?);
+            if !seg.overlaps(t_from_ns, t_to_ns) {
+                segments_skipped += 1;
+                continue;
+            }
+            for run in seg.runs() {
+                // A run is one series, oldest chunk first: one selector
+                // verdict covers it, and no chunk after the first one
+                // that starts past the window can overlap it.
+                let mut hits = run
+                    .iter()
+                    .take_while(|e| e.chunk.min_t() <= t_to_ns)
+                    .filter(|e| e.chunk.max_t() >= t_from_ns)
+                    .peekable();
+                let Some(first) = hits.peek() else { continue };
+                if !sel.matches(&first.key) {
+                    continue;
+                }
+                let data = out
+                    .entry(&first.key)
+                    .or_insert_with(|| series(&first.key, first.semantics));
+                for e in hits {
+                    e.chunk.samples_in(t_from_ns, t_to_ns, &mut data.samples)?;
+                    chunks_decoded += 1;
                 }
             }
         }
-        for e in &staged {
-            push(&e.key, e.semantics, &e.chunk.samples()?);
+        for tail in &tails {
+            let data = out
+                .entry(&tail.key)
+                .or_insert_with(|| series(&tail.key, tail.semantics));
+            for chunk in &tail.staged {
+                chunk.samples_in(t_from_ns, t_to_ns, &mut data.samples)?;
+                chunks_decoded += 1;
+            }
+            data.samples.extend_from_slice(&tail.head);
         }
-        for (key, semantics, samples) in &heads {
-            push(key, *semantics, samples);
-        }
+        obs::counter!("store.query.segments_skipped").add(segments_skipped);
+        obs::counter!("store.query.chunks_decoded").add(chunks_decoded);
 
         let mut result: Vec<SeriesData> = out.into_values().collect();
         for series in &mut result {
@@ -468,7 +505,7 @@ impl Store {
         // are ordered, chunks within a series too).
         let mut survivors: BTreeMap<SeriesKey, (ExportSemantics, Vec<Sample>)> = BTreeMap::new();
         for seg in before.iter() {
-            for e in &seg.entries {
+            for e in seg.entries() {
                 if e.chunk.max_t() < cutoff {
                     stats.chunks_dropped += 1;
                     stats.samples_dropped += u64::from(e.chunk.count());
@@ -508,11 +545,7 @@ impl Store {
             let bytes = segment::encode(&entries);
             let len = bytes.len();
             self.fs.create(&name, bytes)?;
-            segments.push(Arc::new(Segment {
-                file: name,
-                bytes: len,
-                entries,
-            }));
+            segments.push(Arc::new(Segment::new(name, len, entries)));
             Ok(())
         };
         for (key, (semantics, samples)) in survivors {
@@ -680,6 +713,47 @@ mod tests {
         assert!(stats.chunks_rewritten < 8, "{stats:?}");
         let after = store.query(&Selector::metric("m.d"), 0, u64::MAX).unwrap();
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn published_segments_are_ordered_in_the_file_as_in_memory() {
+        let store = Store::new(StoreConfig {
+            chunk_samples: 4,
+            segment_bytes: 200,
+            retention_ns: None,
+        });
+        // `Segment::new` would put any entry order right in memory; the
+        // engine's claim is that it never has to, because the file was
+        // already written series by series, oldest chunk first.
+        let check = |stage: &str| {
+            let segments = store.segments();
+            assert!(segments.len() > 3, "{stage}: {} segments", segments.len());
+            for seg in segments.iter() {
+                let file = store.fs().read(&seg.file).unwrap();
+                assert_eq!(
+                    segment::encode(seg.entries()),
+                    &file[..],
+                    "{stage}: {} is not in (series, time) order on disk",
+                    seg.file
+                );
+                let series: Vec<&SeriesKey> = seg.runs().map(|run| &run[0].key).collect();
+                assert!(series.windows(2).all(|w| w[0] < w[1]), "{stage}");
+            }
+        };
+        // Interleaved like a sampling scheduler: seal order is
+        // z, m, a, z, m, a, …, so grouping is the flush's doing.
+        for i in 0..200u64 {
+            for metric in ["z.last", "m.mid", "a.first"] {
+                store
+                    .ingest(&key(metric), ExportSemantics::Counter, (i + 1) * 1_000, i)
+                    .unwrap();
+            }
+        }
+        store.flush().unwrap();
+        assert!(store.segments().iter().all(|seg| seg.runs().count() == 3));
+        check("ingest-flushed");
+        store.compact(u64::MAX).unwrap();
+        check("compacted");
     }
 
     #[test]

@@ -75,21 +75,22 @@ impl std::fmt::Display for SeriesKey {
 /// True when `name` matches `pattern`, where `*` matches any (possibly
 /// empty) run of characters and every other character matches itself.
 /// Iterative two-pointer matcher — linear in practice, no backtracking
-/// blow-up, no allocation.
+/// blow-up, no allocation. It walks bytes, not chars: `*` is ASCII and
+/// UTF-8 is self-synchronising, so a literal can only match on a char
+/// boundary and the verdict is the one a char-wise walk would reach.
 pub fn glob_match(pattern: &str, name: &str) -> bool {
-    let p: Vec<char> = pattern.chars().collect();
-    let n: Vec<char> = name.chars().collect();
+    let (p, n) = (pattern.as_bytes(), name.as_bytes());
     let (mut pi, mut ni) = (0usize, 0usize);
     let mut star: Option<(usize, usize)> = None;
     while ni < n.len() {
-        if pi < p.len() && (p[pi] == n[ni]) {
-            pi += 1;
-            ni += 1;
-        } else if pi < p.len() && p[pi] == '*' {
+        if pi < p.len() && p[pi] == b'*' {
             star = Some((pi, ni));
             pi += 1;
+        } else if pi < p.len() && p[pi] == n[ni] {
+            pi += 1;
+            ni += 1;
         } else if let Some((sp, sn)) = star {
-            // Backtrack: let the last `*` swallow one more character.
+            // Backtrack: let the last `*` swallow one more byte.
             pi = sp + 1;
             ni = sn + 1;
             star = Some((sp, sn + 1));
@@ -97,7 +98,7 @@ pub fn glob_match(pattern: &str, name: &str) -> bool {
             return false;
         }
     }
-    while pi < p.len() && p[pi] == '*' {
+    while pi < p.len() && p[pi] == b'*' {
         pi += 1;
     }
     pi == p.len()
@@ -162,6 +163,8 @@ mod tests {
         assert!(!glob_match("mba.ch*.bytes", "mba.ch0.other"));
         assert!(glob_match("*", "anything"));
         assert!(glob_match("*", ""));
+        // A `*` in the name is an ordinary character to swallow.
+        assert!(glob_match("*", "*x"));
         assert!(glob_match("a*b*c", "a__b__c"));
         assert!(glob_match("a*b*c", "abc"));
         assert!(!glob_match("a*b*c", "acb"));
@@ -169,6 +172,16 @@ mod tests {
         assert!(!glob_match("exact", "exact.more"));
         assert!(!glob_match("", "x"));
         assert!(glob_match("", ""));
+        // Multi-byte names: a `*` swallows whole chars, a literal
+        // multi-byte char matches itself and nothing that merely shares
+        // its continuation bytes (č = C4 8D, ō = C5 8D).
+        assert!(glob_match("mba.*.bytes", "mba.čh0.bytes"));
+        assert!(glob_match("mba.*h0.bytes", "mba.čh0.bytes"));
+        assert!(glob_match("mba.č*.bytes", "mba.čh0.bytes"));
+        assert!(!glob_match("mba.c*.bytes", "mba.čh0.bytes"));
+        assert!(!glob_match("mba.*ōh0.bytes", "mba.čh0.bytes"));
+        assert!(glob_match("*č", "čč"));
+        assert!(!glob_match("č", "ō"));
     }
 
     #[test]

@@ -17,7 +17,18 @@
 //! in-memory form ([`Segment`]) carries each entry's `[min_t, max_t]`
 //! bounds — re-derived from the chunk payloads at open, so a corrupt
 //! file is rejected at the door rather than at query time.
+//!
+//! What makes a windowed query cost its window is derived at the same
+//! moment and lives only in memory: the segment's own `[min_t, max_t]`,
+//! so a query dismisses a segment outside its window with two
+//! comparisons, and the *runs* — entries are ordered by (series, chunk
+//! `min_t`), so each series is one contiguous, time-ordered slice and a
+//! selector is evaluated once per series, not once per chunk. The
+//! engine orders entries before [`encode`], so file order is memory
+//! order; a version-1 file written in any other order is still
+//! accepted and put in order at open.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use obs::metrics::ExportSemantics;
@@ -40,6 +51,13 @@ pub struct Entry {
     pub chunk: Chunk,
 }
 
+impl Entry {
+    /// Where this entry sorts inside a segment: by series, then time.
+    fn order(&self) -> (&SeriesKey, u64) {
+        (&self.key, self.chunk.min_t())
+    }
+}
+
 /// A decoded immutable segment. The raw file bytes are kept alive by an
 /// `Arc` handle (see [`crate::memfs::MemFs`]), so a segment outlives the
 /// removal of its file for as long as any reader holds it.
@@ -49,11 +67,54 @@ pub struct Segment {
     pub file: String,
     /// Encoded size in bytes.
     pub bytes: usize,
-    /// Entries in write order (series are contiguous within a segment).
-    pub entries: Vec<Entry>,
+    /// Ordered by (series, chunk `min_t`).
+    entries: Vec<Entry>,
+    /// One index range of `entries` per series, in series order.
+    runs: Vec<Range<usize>>,
+    min_t: u64,
+    max_t: u64,
 }
 
 impl Segment {
+    /// The in-memory form of `entries`, stored as `file` in `bytes`
+    /// encoded bytes: derives the time bounds and the series runs, and
+    /// puts entries that arrive out of (series, chunk `min_t`) order in
+    /// order first (the engine's never do).
+    pub fn new(file: String, bytes: usize, mut entries: Vec<Entry>) -> Self {
+        if !entries.is_sorted_by_key(Entry::order) {
+            entries.sort_by(|a, b| a.order().cmp(&b.order()));
+        }
+        let runs = entries
+            .chunk_by(|a, b| a.key == b.key)
+            .scan(0, |start, run| {
+                let range = *start..*start + run.len();
+                *start = range.end;
+                Some(range)
+            })
+            .collect();
+        let min_t = entries.iter().map(|e| e.chunk.min_t()).min();
+        let max_t = entries.iter().map(|e| e.chunk.max_t()).max();
+        Segment {
+            file,
+            bytes,
+            entries,
+            runs,
+            min_t: min_t.unwrap_or(0),
+            max_t: max_t.unwrap_or(0),
+        }
+    }
+
+    /// Every entry, ordered by (series, chunk `min_t`).
+    pub fn entries(&self) -> &[Entry] {
+        &self.entries
+    }
+
+    /// The entries one series at a time: each slice is every chunk of
+    /// one series in this segment, oldest first.
+    pub fn runs(&self) -> impl Iterator<Item = &[Entry]> {
+        self.runs.iter().map(|r| &self.entries[r.clone()])
+    }
+
     /// Total samples across all entries.
     pub fn samples(&self) -> u64 {
         self.entries
@@ -62,13 +123,20 @@ impl Segment {
             .sum()
     }
 
+    /// Oldest timestamp in the segment (0 when empty).
+    pub fn min_t(&self) -> u64 {
+        self.min_t
+    }
+
     /// Newest timestamp in the segment (0 when empty).
     pub fn max_t(&self) -> u64 {
-        self.entries
-            .iter()
-            .map(|e| e.chunk.max_t())
-            .max()
-            .unwrap_or(0)
+        self.max_t
+    }
+
+    /// True when some sample may fall inside the inclusive window
+    /// `[from, to]`.
+    pub fn overlaps(&self, from: u64, to: u64) -> bool {
+        self.min_t <= to && self.max_t >= from
     }
 }
 
@@ -179,11 +247,7 @@ pub fn decode(file: &str, bytes: &Arc<[u8]>) -> Result<Segment, StoreError> {
     if pos != bytes.len() {
         return Err(StoreError::Corrupt("trailing bytes after last entry"));
     }
-    Ok(Segment {
-        file: file.to_owned(),
-        bytes: bytes.len(),
-        entries,
-    })
+    Ok(Segment::new(file.to_owned(), bytes.len(), entries))
 }
 
 #[cfg(test)]
@@ -214,14 +278,81 @@ mod tests {
         let bytes = encode(&entries);
         let arc: Arc<[u8]> = bytes.into();
         let seg = decode("seg-0", &arc).unwrap();
-        assert_eq!(seg.entries.len(), 2);
+        assert_eq!(seg.entries().len(), 2);
         assert_eq!(seg.samples(), 200);
-        for (a, b) in seg.entries.iter().zip(&entries) {
+        for (a, b) in seg.entries().iter().zip(&entries) {
             assert_eq!(a.key, b.key);
             assert_eq!(a.semantics, b.semantics);
             assert_eq!(a.chunk, b.chunk);
         }
+        assert_eq!(seg.min_t(), 1_000);
         assert_eq!(seg.max_t(), 5_000 + 99 * 1_000);
+    }
+
+    /// What every reader relies on: each series is one contiguous run,
+    /// runs are in series order, chunks inside a run are oldest first,
+    /// and the bounds cover exactly the entries.
+    fn assert_well_formed(seg: &Segment) {
+        let entries = seg.entries();
+        assert!(entries.is_sorted_by_key(Entry::order));
+        let runs: Vec<&[Entry]> = seg.runs().collect();
+        assert_eq!(runs.concat().len(), entries.len());
+        for run in &runs {
+            assert!(run.iter().all(|e| e.key == run[0].key));
+        }
+        assert!(runs.windows(2).all(|w| w[0][0].key < w[1][0].key));
+        assert_eq!(
+            seg.min_t(),
+            entries.iter().map(|e| e.chunk.min_t()).min().unwrap()
+        );
+        assert_eq!(
+            seg.max_t(),
+            entries.iter().map(|e| e.chunk.max_t()).max().unwrap()
+        );
+    }
+
+    #[test]
+    fn ordered_entries_round_trip_in_order_with_bounds_and_runs() {
+        let entries = vec![
+            entry("mba.ch0.bytes", "h0", 1_000),
+            entry("mba.ch0.bytes", "h0", 200_000),
+            entry("mba.ch0.bytes", "h1", 1_000),
+            entry("mba.ch1.bytes", "h0", 50_000),
+            entry("mba.ch1.bytes", "h0", 300_000),
+        ];
+        let built = Segment::new("seg-0".into(), 0, entries.clone());
+        let arc: Arc<[u8]> = encode(built.entries()).into();
+        let seg = decode("seg-0", &arc).unwrap();
+        assert_well_formed(&seg);
+        for (a, b) in seg.entries().iter().zip(&entries) {
+            assert_eq!((&a.key, &a.chunk), (&b.key, &b.chunk));
+        }
+        let runs: Vec<usize> = seg.runs().map(<[Entry]>::len).collect();
+        assert_eq!(runs, [2, 1, 2]);
+        assert_eq!((seg.min_t(), seg.max_t()), (1_000, 300_000 + 99_000));
+        assert!(seg.overlaps(0, 1_000) && seg.overlaps(399_000, u64::MAX));
+        assert!(!seg.overlaps(0, 999) && !seg.overlaps(399_001, u64::MAX));
+    }
+
+    #[test]
+    fn unordered_file_is_put_in_order_at_open() {
+        // A version-1 file in seal order: series interleaved, and one
+        // series' chunks newest first.
+        let entries = vec![
+            entry("b", "h", 200_000),
+            entry("a", "h", 1_000),
+            entry("b", "h", 1_000),
+            entry("a", "g", 7_000),
+        ];
+        let arc: Arc<[u8]> = encode(&entries).into();
+        let seg = decode("old", &arc).unwrap();
+        assert_well_formed(&seg);
+        assert_eq!(seg.entries().len(), 4);
+        assert_eq!(seg.samples(), 400);
+        let runs: Vec<usize> = seg.runs().map(<[Entry]>::len).collect();
+        assert_eq!(runs, [1, 1, 2]);
+        let empty = Segment::new("none".into(), 0, Vec::new());
+        assert_eq!(empty.runs().count(), 0);
     }
 
     #[test]
@@ -233,6 +364,25 @@ mod tests {
         }
         let arc: Arc<[u8]> = bytes.clone().into();
         assert!(decode("ok", &arc).is_ok());
+    }
+
+    #[test]
+    fn flipped_bytes_decode_well_formed_or_fail_typed() {
+        let bytes = encode(&[
+            entry("b", "h", 200_000),
+            entry("a", "h", 1_000),
+            entry("b", "h", 1_000),
+        ]);
+        for at in 0..bytes.len() {
+            for flip in [0x01u8, 0x80, 0xff] {
+                let mut hostile = bytes.clone();
+                hostile[at] ^= flip;
+                let arc: Arc<[u8]> = hostile.into();
+                if let Ok(seg) = decode("h", &arc) {
+                    assert_well_formed(&seg);
+                }
+            }
+        }
     }
 
     #[test]

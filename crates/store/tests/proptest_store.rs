@@ -23,6 +23,70 @@ fn samples_from(steps: &[(u64, u64)]) -> Vec<Sample> {
         .collect()
 }
 
+/// A selector paired with the naive predicate it must be equivalent to.
+type NaiveSelector = (Selector, fn(&SeriesKey) -> bool);
+
+fn selectors() -> Vec<NaiveSelector> {
+    vec![
+        (Selector::metric("prop.*"), |_| true),
+        (Selector::metric("prop.series"), |k| {
+            k.metric() == "prop.series"
+        }),
+        (Selector::metric("prop.series*"), |k| {
+            k.metric().starts_with("prop.series")
+        }),
+        (Selector::metric("*s*x"), |k| k.metric() == "prop.seriesx"),
+        (Selector::metric("prop.*").with_label("host", "h1"), |k| {
+            k.label("host") == Some("h1")
+        }),
+        (
+            Selector::metric("prop.series").with_label("host", "h0"),
+            |k| k.metric() == "prop.series" && k.label("host") == Some("h0"),
+        ),
+        (Selector::metric("*").with_label("rack", "r0"), |_| false),
+        (Selector::metric("prop"), |_| false),
+    ]
+}
+
+/// Every selector over every window returns exactly the naive filter of
+/// `reference` (sorted by key): matched series in key order, samples
+/// inside the window, series with none left out.
+fn queries_agree(
+    store: &Store,
+    reference: &[(SeriesKey, Vec<Sample>)],
+    windows: &[(u64, u64)],
+    stage: &str,
+) -> Result<(), TestCaseError> {
+    for (sel, naive) in selectors() {
+        for &(from, to) in windows {
+            let expected: Vec<(SeriesKey, Vec<Sample>)> = reference
+                .iter()
+                .filter(|(key, _)| naive(key))
+                .map(|(key, samples)| {
+                    let inside = samples
+                        .iter()
+                        .filter(|s| s.t_ns >= from && s.t_ns <= to)
+                        .copied()
+                        .collect::<Vec<_>>();
+                    (key.clone(), inside)
+                })
+                .filter(|(_, inside)| !inside.is_empty())
+                .collect();
+            let got: Vec<(SeriesKey, Vec<Sample>)> = store
+                .query(&sel, from, to)
+                .expect("query")
+                .into_iter()
+                .map(|d| (d.key, d.samples))
+                .collect();
+            prop_assert!(
+                got == expected,
+                "{stage}: {sel:?} over [{from}, {to}]\n  got: {got:?}\n want: {expected:?}"
+            );
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -43,38 +107,72 @@ proptest! {
     }
 
     /// The full pipeline — ingest through small chunks and segments,
-    /// flush, compact, query — returns exactly what a Vec would.
+    /// flush, compact, query — returns exactly what a Vec would: for
+    /// several series sharing a metric prefix, every selector and every
+    /// window shape, while the data sits in heads and staged chunks,
+    /// after it is flushed to segments, and after compaction.
     #[test]
     fn write_compact_query_agrees_with_naive_reference(
         steps in prop::collection::vec((1u64..1_000_000, 0u64..=u64::MAX), 1..400),
+        more in prop::collection::vec(
+            prop::collection::vec((1u64..1_000_000, 0u64..=u64::MAX), 0..150), 3),
         chunk_samples in 2usize..32,
         window in (0u64..500_000_000, 0u64..500_000_000),
+        pick in 0usize..400,
     ) {
-        let reference = samples_from(&steps);
+        let mut reference: Vec<(SeriesKey, Vec<Sample>)> = vec![
+            (SeriesKey::new("prop.series").with_label("host", "h0"), samples_from(&steps)),
+        ];
+        for (key, steps) in [
+            SeriesKey::new("prop.series").with_label("host", "h1"),
+            SeriesKey::new("prop.seriesx").with_label("host", "h0"),
+            SeriesKey::new("prop.other").with_label("host", "h1"),
+        ].into_iter().zip(&more) {
+            reference.push((key, samples_from(steps)));
+        }
+        reference.sort_by(|a, b| a.0.cmp(&b.0));
+
+        // Every window shape against the first series' timeline: the
+        // random one (mid-chunk at both ends), one sample, the gap
+        // between two neighbours, before the first, after the last.
+        let timeline = &reference.iter().find(|(k, _)| k.label("host") == Some("h0")
+            && k.metric() == "prop.series").expect("first series").1;
+        let at = timeline[pick % timeline.len()].t_ns;
+        let next = timeline.get(pick % timeline.len() + 1).map_or(u64::MAX, |s| s.t_ns);
+        let (first, last) = (timeline[0].t_ns, timeline[timeline.len() - 1].t_ns);
+        let windows = [
+            (window.0.min(window.1), window.0.max(window.1)),
+            (at, at),
+            (at + 1, next - 1),
+            (0, first - 1),
+            (last + 1, u64::MAX),
+            (0, u64::MAX),
+        ];
+
         let store = Store::new(StoreConfig {
             chunk_samples,
             segment_bytes: 256,
             retention_ns: None,
         });
-        let key = SeriesKey::new("prop.series").with_label("host", "h0");
-        for s in &reference {
-            store.ingest(&key, ExportSemantics::Counter, s.t_ns, s.value).expect("in-order ingest");
+        // Interleaved like a sampling scheduler, so segments mix series.
+        let longest = reference.iter().map(|(_, s)| s.len()).max().unwrap_or(0);
+        for i in 0..longest {
+            for (key, samples) in &reference {
+                if let Some(s) = samples.get(i) {
+                    store.ingest(key, ExportSemantics::Counter, s.t_ns, s.value).expect("in-order ingest");
+                }
+            }
         }
+        queries_agree(&store, &reference, &windows, "heads + staged")?;
         store.flush().expect("flush");
+        queries_agree(&store, &reference, &windows, "flushed")?;
         store.compact(u64::MAX).expect("compact");
-
-        let (from, to) = (window.0.min(window.1), window.0.max(window.1));
-        let expected: Vec<Sample> = reference.iter()
-            .filter(|s| s.t_ns >= from && s.t_ns <= to)
-            .copied()
-            .collect();
-        let got = store.query(&Selector::metric("prop.*"), from, to).expect("query");
-        let got_samples = got.first().map(|d| d.samples.clone()).unwrap_or_default();
-        prop_assert_eq!(got_samples, expected);
+        queries_agree(&store, &reference, &windows, "compacted")?;
 
         // And the whole run survives verbatim.
-        let all = store.query(&Selector::metric("prop.series"), 0, u64::MAX).expect("query all");
-        prop_assert_eq!(&all[0].samples, &reference);
+        let all = store.query(&Selector::metric("prop.series").with_label("host", "h0"), 0, u64::MAX)
+            .expect("query all");
+        prop_assert_eq!(&all[0].samples, &samples_from(&steps));
         prop_assert_eq!(all[0].semantics, ExportSemantics::Counter);
     }
 
