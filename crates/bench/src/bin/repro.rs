@@ -165,9 +165,9 @@ fn run() -> Result<(), RunnerError> {
         }
     }
 
-    // A `--features obs` build leaves the run's spans as
-    // <out>/TRACE_<tag>.json + FLAME_<tag>.folded, named after the
-    // experiment when exactly one was selected.
+    // The run's spans land beside its outputs as <out>/TRACE_<tag>.json
+    // + FLAME_<tag>.folded, named after the experiment when exactly one
+    // was selected.
     obsreport::write_artifacts(
         outdir,
         match only.as_deref() {

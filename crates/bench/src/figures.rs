@@ -41,7 +41,6 @@ pub fn gemm_point(
     reps: u32,
     seed: u64,
 ) -> Result<GemmRow, PapiError> {
-    #[cfg(feature = "obs")]
     let _span = obs::span!("bench.gemm_point", n);
     let (mut machine, setup) = crate::node(system, seed);
     let events = match system {
@@ -90,7 +89,6 @@ pub const GEMV_CAP: u64 = 1280;
 
 /// Measure one batched, capped GEMV point of Fig. 5.
 pub fn gemv_point(system: System, threads: usize, m: u64, seed: u64) -> Result<GemvRow, PapiError> {
-    #[cfg(feature = "obs")]
     let _span = obs::span!("bench.gemv_point", m);
     let (mut machine, setup) = crate::node(system, seed);
     let events = match system {
@@ -153,7 +151,6 @@ pub fn measure_resort(
     runs: usize,
     seed: u64,
 ) -> Result<ResortRow, PapiError> {
-    #[cfg(feature = "obs")]
     let _span = obs::span!("bench.resort_point", n as u64);
     let (mut machine, setup) = crate::node(System::Summit, seed);
     machine.set_software_prefetch(0, prefetch);
@@ -232,7 +229,6 @@ pub fn bandwidth_point(
     n: usize,
     seed: u64,
 ) -> BandwidthRow {
-    #[cfg(feature = "obs")]
     let _span = obs::span!("bench.bandwidth_point", n as u64);
     let (mut machine, _setup) = crate::node(System::Summit, seed);
     let active = machine.arch().node.sockets[0].usable_cores;

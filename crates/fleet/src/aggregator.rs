@@ -272,12 +272,9 @@ impl Aggregator {
     /// report's [`FanoutTrace`] and recorded on the debug plane.
     pub fn scrape_pass(&mut self, t_ns: u64) -> PassReport {
         let pass_id = obs::trace::next_trace_id();
-        // obs-ok: pass tracing is unconditional — the debug plane needs
-        // it in every build, not only under the obs feature.
         let pass_span = obs::span!(stitch::PASS_SPAN, pass_id);
 
         // --- fan out ----------------------------------------------------
-        // obs-ok: unconditional pass tracing, see pass_span above.
         let fanout_span = obs::span!(stitch::PASS_FANOUT_SPAN);
         let queue: BoundedQueue<usize> = BoundedQueue::new(self.targets.len().max(1));
         for i in 0..self.targets.len() {
@@ -301,12 +298,10 @@ impl Aggregator {
                                     let child = stitch::fanout_child_id(pass_id, i as u64);
                                     let started = Instant::now();
                                     let result = {
-                                        // obs-ok: unconditional pass tracing, see pass_span above.
                                         let _host = obs::span!(stitch::HOST_SCRAPE_SPAN, child);
                                         this.scrape_one(&this.targets[i], child)
                                     };
                                     if result.is_err() {
-                                        // obs-ok: unconditional pass tracing, see pass_span above.
                                         obs::instant!(stitch::HOST_FAIL_INSTANT, child);
                                     }
                                     let lat = started.elapsed().as_nanos().min(u64::MAX as u128);
@@ -357,7 +352,6 @@ impl Aggregator {
             .collect();
 
         // --- merge ------------------------------------------------------
-        // obs-ok: unconditional pass tracing, see pass_span above.
         let merge_span = obs::span!(stitch::PASS_MERGE_SPAN);
         let merged: MergeOutcome = merge_parallel(&scrapes, workers);
         let host_text = render(&merged.samples, None);
@@ -388,7 +382,6 @@ impl Aggregator {
         drop(merge_span);
 
         // --- store ingest -----------------------------------------------
-        // obs-ok: unconditional pass tracing, see pass_span above.
         let ingest_span = obs::span!(stitch::PASS_INGEST_SPAN);
         let mut samples_ingested = 0u64;
         for s in &merged.samples {
@@ -418,22 +411,25 @@ impl Aggregator {
             .map(|i| stitch::fanout_child_id(pass_id, i as u64))
             .collect();
         // Keep only this pass's events: the pass span and its child
-        // scrapes (matched by id), and phase spans from the pass thread
-        // inside the pass window. Anything else in the rings —
-        // previous-pass leftovers, unrelated spans from tests sharing
-        // the process — is dropped.
+        // scrapes (matched by id), phase spans from the pass thread
+        // inside the pass window, and codec spans a worker recorded
+        // inside one of its host scrapes (matched by thread + time,
+        // like the stitch does). Anything else in the rings —
+        // previous-pass leftovers, the host servers' own codec work,
+        // unrelated spans from tests sharing the process — is dropped.
         let drained = obs::trace::drain();
+        let inside = |outer: &obs::trace::SpanEvent, e: &obs::trace::SpanEvent| {
+            e.tid == outer.tid && stitch::contains(outer, e)
+        };
         let pass_ev = drained
             .iter()
             .find(|e| e.label == stitch::PASS_SPAN && e.arg == pass_id)
             .copied();
-        let in_pass = |e: &obs::trace::SpanEvent| {
-            pass_ev.is_some_and(|p| {
-                e.tid == p.tid
-                    && e.start_ns >= p.start_ns
-                    && e.start_ns.saturating_add(e.dur_ns) <= p.start_ns + p.dur_ns
-            })
-        };
+        let host_evs: Vec<_> = drained
+            .iter()
+            .filter(|e| e.label == stitch::HOST_SCRAPE_SPAN && children.contains(&e.arg))
+            .copied()
+            .collect();
         let mut events: Vec<_> = drained
             .into_iter()
             .filter(|e| {
@@ -444,7 +440,9 @@ impl Aggregator {
                         stitch::PASS_FANOUT_SPAN
                             | stitch::PASS_MERGE_SPAN
                             | stitch::PASS_INGEST_SPAN
-                    ) && in_pass(e))
+                    ) && pass_ev.is_some_and(|p| inside(&p, e)))
+                    || (stitch::CODEC_SPANS.contains(&e.label)
+                        && host_evs.iter().any(|h| inside(h, e)))
             })
             .collect();
         events.sort_unstable_by_key(|e| (e.start_ns, e.tid, e.label));

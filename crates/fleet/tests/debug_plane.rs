@@ -66,6 +66,11 @@ fn traced_pass_conserves_wall_time_end_to_end() {
             let parts: u64 = h.components.iter().map(|(_, v)| v).sum();
             assert_eq!(parts, h.chain_ns, "host {} components", h.host_index);
             assert!(h.ok, "clean pass: host {} ok", h.host_index);
+            // A host that answered is charged its own render and codec
+            // time; neither hides in `wire`.
+            for spent in [FANOUT_COMPONENTS[1], FANOUT_COMPONENTS[2]] {
+                assert!(h.component(spent) > 0, "host {} {spent}", h.host_index);
+            }
         }
         // The straggler is the argmax chain, and skew is >= 1000 by
         // definition (max >= mean).
@@ -116,6 +121,10 @@ fn mid_pass_stall_attributes_straggler_to_exactly_that_host() {
     for h in trace.hosts.iter().filter(|h| h.host_index != 2) {
         assert!(h.ok);
         assert!(h.chain_ns < victim.chain_ns);
+        assert!(
+            h.component(FANOUT_COMPONENTS[1]) > 0,
+            "only the victim never rendered"
+        );
     }
     assert!(trace.skew_ratio_permille() > 2000, "stall shows up as skew");
 }

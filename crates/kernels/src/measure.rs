@@ -95,7 +95,6 @@ where
     if cfg.reps < 1 {
         return Err(PapiError::Invalid("MeasureConfig.reps must be >= 1".into()));
     }
-    #[cfg(feature = "obs")]
     let _span = obs::span!("kernels.measure_traffic", cfg.reps as u64);
     let mut es = EventSet::new();
     for e in events.reads.iter().chain(&events.writes) {

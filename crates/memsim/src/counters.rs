@@ -112,8 +112,6 @@ impl NestCounters {
         // relaxed-ok: independent monotonic statistic; no reader orders
         // other memory against it, and the RMW itself cannot lose counts.
         .fetch_add(SECTOR_BYTES, Ordering::Relaxed);
-        #[cfg(feature = "obs")]
-        obs::counter!("memsim.mba.sector_txns").inc();
     }
 
     /// Record `n` 64-byte transactions on channel `ch` with one atomic
@@ -133,16 +131,12 @@ impl NestCounters {
         // relaxed-ok: same independent-monotonic-statistic argument as
         // record_sector; a batched add cannot lose counts either.
         .fetch_add(n * SECTOR_BYTES, Ordering::Relaxed);
-        #[cfg(feature = "obs")]
-        obs::counter!("memsim.mba.sector_txns").add(n);
     }
 
     /// Record `bytes` of traffic spread evenly across channels (used by the
     /// background-noise process and by device DMA, where per-sector
     /// attribution is irrelevant).
     pub fn record_bulk(&self, bytes: u64, dir: Direction) {
-        #[cfg(feature = "obs")]
-        obs::counter!("memsim.mba.bulk_bytes").add(bytes);
         #[cfg(feature = "verify")]
         match dir {
             Direction::Read => &self.bulk.read_total,

@@ -402,7 +402,6 @@ impl SimMachine {
             nthreads,
             self.sockets[socket].cores.len()
         );
-        #[cfg(feature = "obs")]
         let _span = obs::span!("memsim.run_parallel", nthreads as u64);
         self.configure_active(socket, nthreads);
 
@@ -435,7 +434,6 @@ impl SimMachine {
     where
         F: FnOnce(&mut CoreSim),
     {
-        #[cfg(feature = "obs")]
         let _span = obs::span!("memsim.run_single", socket as u64);
         self.configure_active(socket, 1);
         let sock = &mut self.sockets[socket];

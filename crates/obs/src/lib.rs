@@ -6,9 +6,9 @@
 //!
 //! * **Span/event tracing** ([`trace`]): thread-local ring buffers of
 //!   fixed-size `Copy` records, `rdtsc` timestamps, lock-free recording
-//!   and a serialized drain. Recording never allocates after a thread's
-//!   first record (`tests/no_alloc.rs`); budget ≤ 50 ns per span (read
-//!   from the benchmark's `obs.span_ns`).
+//!   and a serialized drain. Recording never allocates once a thread's
+//!   ring has grown to what the thread records (`tests/no_alloc.rs`);
+//!   budget ≤ 50 ns per span (read from the benchmark's `obs.span_ns`).
 //! * **Metrics** ([`metrics`]): counters, gauges and log2-bucket
 //!   histograms with mergeable snapshots, collected in an append-only
 //!   registry whose flattened view the PCP daemons serve as the
@@ -25,23 +25,16 @@
 //!
 //! ## Instrumenting code
 //!
-//! Call sites in workspace crates are compiled out unless that crate's
-//! `obs` cargo feature is enabled (`cargo xtask lint` enforces the
-//! gate):
+//! Spans, instants and metrics are always compiled in; a span costs
+//! its thread a ring that grows with what it records ([`trace`]):
 //!
 //! ```
-//! // In workspace crates these two lines sit under
-//! // #[cfg(feature = "obs")]; metrics are always on.
 //! let _span = obs::span!("memsim.run_single", 42);
 //! obs::instant!("memsim.dma");
-//! obs::counter!("memsim.mba.sector_txns").inc();
+//! obs::counter!("wire.scrape.requests").inc();
 //! # drop(_span);
 //! # drop(obs::trace::drain());
 //! ```
-//!
-//! Metrics are always compiled (they are plain atomics and feed the
-//! `pmcd.obs.*` subtree even in unprofiled builds); only the tracer
-//! call sites are feature-gated.
 
 pub mod chrome;
 pub mod clock;

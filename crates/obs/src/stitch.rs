@@ -34,7 +34,7 @@ const FETCH_INNER_SPAN: &str = "pmcd.fetch";
 
 /// Labels of the PDU codec spans (matched by thread + time
 /// containment; their args carry payload sizes, not trace ids).
-const CODEC_SPANS: [&str; 2] = ["wire.pdu.encode", "wire.pdu.decode"];
+pub const CODEC_SPANS: [&str; 2] = ["wire.pdu.encode", "wire.pdu.decode"];
 
 /// Component names of the decomposition, in attribution order.
 pub const COMPONENTS: [&str; 5] = [
@@ -73,7 +73,9 @@ impl CriticalPath {
     }
 }
 
-fn contains(outer: &SpanEvent, inner: &SpanEvent) -> bool {
+/// True when `inner` lies wholly inside `outer`'s time window (threads
+/// are the caller's business).
+pub fn contains(outer: &SpanEvent, inner: &SpanEvent) -> bool {
     inner.start_ns >= outer.start_ns
         && inner.start_ns.saturating_add(inner.dur_ns)
             <= outer.start_ns.saturating_add(outer.dur_ns)

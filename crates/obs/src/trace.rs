@@ -1,14 +1,18 @@
 //! The zero-allocation span/event tracer.
 //!
-//! Every thread that records leases one fixed-capacity ring of `Copy`
-//! records on its first record and returns it to a free pool at thread
-//! exit, so short-lived threads (scoped workers, request handlers)
-//! recycle page-warm rings and the ring count is bounded by the peak
-//! number of *concurrent* recorders — a ring is allocated only when the
-//! pool is empty, and that is the only allocation the tracer ever
-//! performs. Recording is a couple of `rdtsc` reads plus an SPSC ring
-//! push: no locks, no heap, no formatting. A full ring drops new
-//! records and counts the drops rather than blocking or reallocating.
+//! Every thread that records leases one ring of `Copy` records on its
+//! first record and returns it to a free pool at thread exit, so
+//! short-lived threads (scoped workers, request handlers) recycle
+//! page-warm rings and the ring count is bounded by the peak number of
+//! *concurrent* recorders. A ring costs what its thread records: it
+//! starts as one [`FIRST_BLOCK`]-record block and doubles, on the
+//! producer's cold path, only when it is really full — up to
+//! [`RING_CAPACITY`], where new records are dropped and counted rather
+//! than blocking. Ring creation (pool empty) and those at most
+//! log2(`RING_CAPACITY` / `FIRST_BLOCK`) doublings are the only
+//! allocations the tracer ever performs. Recording is a couple of
+//! `rdtsc` reads plus an SPSC ring push: no locks, no heap, no
+//! formatting.
 //!
 //! Draining ([`drain`]) walks every registered ring under a registry
 //! lock (drains are serialized; recording proceeds concurrently),
@@ -21,8 +25,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::clock;
 
-/// Records per thread-local ring. Power of two so the ring index is a
-/// mask. 8192 × 48-byte records ≈ 384 KiB per recording thread.
+/// Records in a ring's first block: 64 × 48-byte records = 3 KiB, what
+/// a thread that records a handful of spans between drains (a fleet
+/// host server) ever owns. Power of two, like every later size.
+const FIRST_BLOCK: usize = 64;
+
+/// Ceiling a ring doubles up to: 8192 × 48-byte records ≈ 384 KiB for a
+/// thread that really records that much between drains. Beyond it new
+/// records are dropped and counted.
 pub const RING_CAPACITY: usize = 8192;
 
 /// What a record represents.
@@ -73,7 +83,10 @@ pub struct SpanEvent {
 /// thread) are serialized by the ring-registry lock.
 struct Ring {
     tid: u64,
-    slots: Box<[UnsafeCell<Record>; RING_CAPACITY]>,
+    /// The current block; its length is the ring's capacity (a power of
+    /// two, so the index is a mask). Replaced only by the producer in
+    /// [`Ring::grow`], under the ring-registry lock.
+    slots: UnsafeCell<Box<[UnsafeCell<Record>]>>,
     /// Records published by the producer.
     head: AtomicU64,
     /// Records consumed by the drainer.
@@ -87,17 +100,26 @@ struct Ring {
 }
 
 // SAFETY: slot access is disciplined — the producer writes only slots in
-// [tail, tail+CAPACITY) before releasing `head`; the drainer reads only
+// [tail, tail+capacity) before releasing `head`; the drainer reads only
 // slots in [tail, head) after acquiring `head`. The indices never alias.
-// `cached_tail` is read and written only by the producer thread.
+// `cached_tail` is read and written only by the producer thread. The
+// block itself is swapped only by the producer while it holds the
+// ring-registry lock, and the drainer dereferences it only under that
+// same lock, so neither side ever sees a block the other is replacing.
 unsafe impl Sync for Ring {}
 unsafe impl Send for Ring {}
+
+fn new_block(capacity: usize) -> Box<[UnsafeCell<Record>]> {
+    (0..capacity)
+        .map(|_| UnsafeCell::new(EMPTY_RECORD))
+        .collect()
+}
 
 impl Ring {
     fn new(tid: u64) -> Self {
         Ring {
             tid,
-            slots: Box::new([const { UnsafeCell::new(EMPTY_RECORD) }; RING_CAPACITY]),
+            slots: UnsafeCell::new(new_block(FIRST_BLOCK)),
             head: AtomicU64::new(0),
             tail: AtomicU64::new(0),
             cached_tail: Cell::new(0),
@@ -110,27 +132,60 @@ impl Ring {
     fn push(&self, rec: Record) {
         // relaxed-ok: head is written only by this thread (SPSC).
         let head = self.head.load(Ordering::Relaxed);
+        // SAFETY: only this thread replaces the block (in `grow`, below),
+        // so a shared borrow here cannot overlap a replacement.
+        let mut slots: &[UnsafeCell<Record>] = unsafe { &*self.slots.get() };
         let mut tail = self.cached_tail.get();
-        if head.wrapping_sub(tail) >= RING_CAPACITY as u64 {
+        if head.wrapping_sub(tail) >= slots.len() as u64 {
             // Looks full against the cached tail: refresh from the real
             // consumer index before concluding the ring is actually full.
             tail = self.tail.load(Ordering::Acquire);
             self.cached_tail.set(tail);
+            if head.wrapping_sub(tail) >= slots.len() as u64 {
+                if slots.len() >= RING_CAPACITY {
+                    // Full at the ceiling: drop-new keeps the oldest
+                    // records, which preserves the enclosing-span
+                    // structure exporters reconstruct.
+                    // relaxed-ok: monotonic tally, read only at drain/report time.
+                    self.dropped.fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
+                slots = self.grow(head);
+            }
         }
-        if head.wrapping_sub(tail) >= RING_CAPACITY as u64 {
-            // Full: drop-new keeps the oldest records, which preserves
-            // the enclosing-span structure exporters reconstruct.
-            // relaxed-ok: monotonic tally, read only at drain/report time.
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let idx = (head as usize) & (RING_CAPACITY - 1);
+        let idx = (head as usize) & (slots.len() - 1);
         // SAFETY: slot `idx` is outside [tail, head), so no concurrent
         // drain reads it; only this thread writes the ring.
         unsafe {
-            *self.slots[idx].get() = rec;
+            *slots[idx].get() = rec;
         }
         self.head.store(head.wrapping_add(1), Ordering::Release);
+    }
+
+    /// Producer side, really full below the ceiling: double the block.
+    /// Holding the ring-registry lock excludes [`Ring::drain_into`], so
+    /// `tail` stands still and nobody else is looking at the old block
+    /// while the live `[tail, head)` records move to their slots in the
+    /// new one. The only allocation after ring creation, at most
+    /// log2(`RING_CAPACITY` / `FIRST_BLOCK`) times per ring.
+    #[cold]
+    fn grow(&self, head: u64) -> &[UnsafeCell<Record>] {
+        let _no_drain = registry().lock().unwrap_or_else(|e| e.into_inner());
+        let tail = self.tail.load(Ordering::Acquire);
+        self.cached_tail.set(tail);
+        // SAFETY: this is the producer thread, which holds no other
+        // borrow of the block (`push` re-derives its slice from the
+        // return value), and the lock keeps the drainer out.
+        let slots = unsafe { &mut *self.slots.get() };
+        let mut grown = new_block(slots.len() * 2);
+        let mut at = tail;
+        while at != head {
+            let to = (at as usize) & (grown.len() - 1);
+            *grown[to].get_mut() = *slots[(at as usize) & (slots.len() - 1)].get_mut();
+            at = at.wrapping_add(1);
+        }
+        *slots = grown;
+        slots
     }
 
     /// Drain side; callers hold the ring-registry lock.
@@ -139,11 +194,14 @@ impl Ring {
         // relaxed-ok: tail is written only under the registry lock the
         // caller holds; the producer only Acquire-loads it.
         let mut tail = self.tail.load(Ordering::Relaxed);
+        // SAFETY: the block is replaced only under the registry lock the
+        // caller holds.
+        let slots: &[UnsafeCell<Record>] = unsafe { &*self.slots.get() };
         while tail != head {
-            let idx = (tail as usize) & (RING_CAPACITY - 1);
+            let idx = (tail as usize) & (slots.len() - 1);
             // SAFETY: slots in [tail, head) were published by the
             // Release store of `head` matched by the Acquire load above.
-            out.push((self.tid, unsafe { *self.slots[idx].get() }));
+            out.push((self.tid, unsafe { *slots[idx].get() }));
             tail = tail.wrapping_add(1);
         }
         self.tail.store(tail, Ordering::Release);
@@ -158,8 +216,9 @@ fn ring_pool() -> &'static Mutex<Vec<Arc<Ring>>> {
     POOL.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-// lock-rank: obs.3 — ring-registration list; a leaf, held only for a
-// Vec push (registration) or clone (drain snapshot).
+// lock-rank: obs.3 — ring-registration list; a leaf, held for a Vec
+// push (registration), a walk of the rings (drain) or one ring's block
+// swap (growth) — which is what keeps drains and growth apart.
 fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
     // lock-rank: obs.3 — same lock as the fn above returns.
     static RINGS: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
@@ -181,7 +240,7 @@ thread_local! {
     /// destructor runs at thread exit and returns the ring to the free
     /// pool, so short-lived threads (per-pass scoped workers, request
     /// handlers) recycle page-warm rings instead of growing the registry
-    /// by 384 KiB per thread forever.
+    /// by one ring per thread forever.
     static TL_LEASE: Cell<Option<RingLease>> = const { Cell::new(None) };
 }
 
@@ -360,12 +419,37 @@ mod tests {
     /// then drain must not interleave or they steal each other's events.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
+    impl Ring {
+        fn capacity(&self) -> usize {
+            // SAFETY: called by the ring's producer, or with it parked.
+            unsafe { &*self.slots.get() }.len()
+        }
+
+        /// What [`drain`] does to one ring: `drain_into` under the
+        /// registry lock.
+        fn drain_locked(&self, out: &mut Vec<(u64, Record)>) {
+            let _rings = registry().lock().unwrap_or_else(|e| e.into_inner());
+            self.drain_into(out);
+        }
+    }
+
+    fn numbered(arg: u64) -> Record {
+        Record {
+            arg,
+            ..EMPTY_RECORD
+        }
+    }
+
     #[test]
     fn span_guard_records_duration() {
         let _serial = TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        const SPIN_TICKS: u64 = 200_000;
         {
             let _span = SpanGuard::with_arg("test.trace.outer", 7);
-            std::thread::sleep(std::time::Duration::from_millis(2));
+            let entered = clock::now_ticks();
+            while clock::now_ticks().wrapping_sub(entered) < SPIN_TICKS {
+                std::hint::spin_loop();
+            }
             let _inner = SpanGuard::new("test.trace.inner");
         }
         instant_event("test.trace.marker", 42);
@@ -376,7 +460,12 @@ mod tests {
             .expect("outer span drained");
         assert_eq!(outer.kind, Kind::Span);
         assert_eq!(outer.arg, 7);
-        assert!(outer.dur_ns >= 1_000_000, "outer dur {} ns", outer.dur_ns);
+        let spun_ns = clock::calibration().delta_ns(SPIN_TICKS);
+        assert!(
+            outer.dur_ns >= spun_ns,
+            "outer dur {} ns does not cover the {spun_ns} ns spun inside it",
+            outer.dur_ns
+        );
         let inner = events
             .iter()
             .find(|e| e.label == "test.trace.inner")
@@ -414,6 +503,87 @@ mod tests {
         assert!(flood.len() <= RING_CAPACITY);
         // Drop-new policy: the *oldest* records survive.
         assert!(flood.iter().any(|e| e.arg == 0));
+        // The flood took this thread's ring to the ceiling, not past it.
+        let ring = TL_RING.with(|cell| cell.get());
+        // SAFETY: the registry keeps every leased ring alive.
+        assert_eq!(unsafe { (*ring).capacity() }, RING_CAPACITY);
+    }
+
+    #[test]
+    fn a_ring_drained_before_it_fills_stays_one_block() {
+        // The fleet host-server shape: a few spans, then the pass drains.
+        let ring = Ring::new(0);
+        let mut out = Vec::new();
+        for _round in 0..1000 {
+            for i in 0..(FIRST_BLOCK as u64 - 1) {
+                ring.push(numbered(i));
+            }
+            ring.drain_locked(&mut out);
+        }
+        assert_eq!(ring.capacity(), FIRST_BLOCK);
+        assert_eq!(out.len(), 1000 * (FIRST_BLOCK - 1));
+        assert_eq!(ring.dropped.load(Ordering::Acquire), 0);
+    }
+
+    #[test]
+    fn growth_under_concurrent_drains_keeps_every_record_once_and_in_order() {
+        let ring = Ring::new(0);
+        // Parks the drainer so each block really fills: the producer
+        // holds it while it pushes one record more than the block has.
+        let park = Mutex::new(());
+        let drains = AtomicU64::new(0);
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let mut pushed = 0u64;
+        let mut push_next = || {
+            ring.push(numbered(pushed));
+            pushed += 1;
+        };
+        let mut steps = Vec::new();
+        let drained = std::thread::scope(|scope| {
+            let drainer = scope.spawn(|| {
+                let mut out = Vec::new();
+                loop {
+                    let last = done.load(Ordering::Acquire);
+                    {
+                        let _turn = park.lock().unwrap_or_else(|e| e.into_inner());
+                        ring.drain_locked(&mut out);
+                    }
+                    drains.fetch_add(1, Ordering::Release);
+                    if last {
+                        return out;
+                    }
+                }
+            });
+            while ring.capacity() < RING_CAPACITY {
+                let full = ring.capacity();
+                {
+                    let _parked = park.lock().unwrap_or_else(|e| e.into_inner());
+                    while ring.capacity() == full {
+                        push_next();
+                    }
+                }
+                steps.push(ring.capacity());
+                // Now race the freed drainer, with fewer records than
+                // the new half holds so that only a parked fill grows.
+                let seen = drains.load(Ordering::Acquire);
+                for _ in 0..full / 2 {
+                    push_next();
+                }
+                // At least one whole drain lands before the next fill.
+                while drains.load(Ordering::Acquire) < seen + 2 {
+                    std::thread::yield_now();
+                }
+            }
+            done.store(true, Ordering::Release);
+            drainer.join().expect("drainer")
+        });
+        let doublings: Vec<usize> = std::iter::successors(Some(FIRST_BLOCK * 2), |c| Some(c * 2))
+            .take_while(|&c| c <= RING_CAPACITY)
+            .collect();
+        assert_eq!(steps, doublings, "one doubling per full block");
+        assert_eq!(ring.dropped.load(Ordering::Acquire), 0);
+        let args: Vec<u64> = drained.iter().map(|(_, rec)| rec.arg).collect();
+        assert_eq!(args, (0..pushed).collect::<Vec<_>>());
     }
 
     #[test]

@@ -129,7 +129,6 @@ impl WireClient {
     /// render span, so a fleet aggregator's per-host child id stitches
     /// the client and server sides into one `obs::stitch::FanoutTrace`.
     pub fn scrape_exposition_traced(&self, trace_id: u64) -> Result<String, PcpError> {
-        #[cfg(feature = "obs")]
         let _span = (trace_id != 0).then(|| obs::span!(obs::stitch::CLIENT_SCRAPE_SPAN, trace_id));
         match self.call(&Pdu::Exposition { trace_id })? {
             Pdu::ExpositionResult { text } => Ok(text),
@@ -229,10 +228,8 @@ impl PmApi for WireClient {
     fn pm_fetch(&self, requests: &[(MetricId, InstanceId)]) -> Result<Vec<u64>, PcpError> {
         let wire_reqs: Vec<(u32, u32)> = requests.iter().map(|&(m, i)| (m.0, i.0)).collect();
         // The trace id rides the fetch PDU so the server's handling span
-        // can be stitched to this client span (obs::stitch). Id handout
-        // is a plain atomic and stays on even in unprofiled builds.
+        // can be stitched to this client span (obs::stitch).
         let trace_id = obs::trace::next_trace_id();
-        #[cfg(feature = "obs")]
         let _span = obs::span!(obs::stitch::CLIENT_FETCH_SPAN, trace_id);
         match self.call(&Pdu::Fetch {
             trace_id,

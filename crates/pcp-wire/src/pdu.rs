@@ -346,7 +346,6 @@ impl Pdu {
 
     /// Encode the full frame (header + payload).
     pub fn encode(&self) -> Vec<u8> {
-        #[cfg(feature = "obs")]
         let _span = obs::span!("wire.pdu.encode");
         let payload = self.payload();
         let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
@@ -464,7 +463,6 @@ pub fn decode_header(bytes: &[u8; HEADER_LEN], max_payload: u32) -> Result<Frame
 
 /// Decode a payload for a validated header.
 pub fn decode_payload(type_tag: u8, payload: &[u8]) -> Result<Pdu, PduError> {
-    #[cfg(feature = "obs")]
     let _span = obs::span!("wire.pdu.decode", payload.len() as u64);
     let mut c = Cursor::new(payload);
     let pdu = match type_tag {

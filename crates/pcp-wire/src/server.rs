@@ -326,7 +326,6 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, queue: Arc<BoundedQue
 /// Shed load at the door: tell the client we are saturated and close.
 fn reject_busy(shared: &Shared, mut stream: TcpStream) {
     shared.core.stats().count_client_rejected();
-    #[cfg(feature = "obs")]
     obs::instant!("pmcd.shed", shared.queue.len() as u64);
     let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
     let frame = Pdu::Error {
@@ -357,8 +356,6 @@ fn worker_loop(shared: Arc<Shared>, queue: Arc<BoundedQueue<TcpStream>>) {
 fn serve_client(shared: &Shared, stream: TcpStream) {
     let stats = shared.core.stats();
     let client_id = stats.client_connected();
-    #[cfg(feature = "obs")]
-    let _client_span = obs::span!("pmcd.client", client_id);
     serve_client_inner(shared, stream, client_id);
     stats.client_disconnected();
 }
@@ -414,11 +411,6 @@ fn serve_client_inner(shared: &Shared, mut stream: TcpStream, client_id: u64) {
             }
         };
         stats.count_pdu_in();
-        // One span per served request: read to reply written. Dropped at
-        // the bottom of this loop iteration, before the next blocking
-        // read (which would otherwise dominate every trace).
-        #[cfg(feature = "obs")]
-        let _request_span = obs::span!("pmcd.request", client_id);
 
         // The CREDS exchange must come first and exactly once.
         let reply = if !handshaken {
@@ -504,10 +496,7 @@ fn handle_request(shared: &Shared, pdu: Pdu) -> Pdu {
             // Echo the client's trace id as the span argument so the
             // drained rings stitch into one cross-process critical path
             // (obs::stitch matches client/server spans by this arg).
-            #[cfg(feature = "obs")]
             let _server_span = obs::span!(obs::stitch::SERVER_FETCH_SPAN, trace_id);
-            #[cfg(not(feature = "obs"))]
-            let _ = trace_id;
             if requests.len() > shared.config.max_fetch_batch {
                 return Pdu::Error {
                     code: ErrorCode::TooLarge,
@@ -532,11 +521,8 @@ fn handle_request(shared: &Shared, pdu: Pdu) -> Pdu {
             // arg so an aggregator's FanoutTrace charges this host's
             // server-side render time to the right slot (matched by
             // arg, so per-host clock skew cannot break the stitch).
-            #[cfg(feature = "obs")]
             let _render_span =
                 (trace_id != 0).then(|| obs::span!(obs::stitch::SERVER_SCRAPE_SPAN, trace_id));
-            #[cfg(not(feature = "obs"))]
-            let _ = trace_id;
             Pdu::ExpositionResult {
                 text: shared.exposition(),
             }

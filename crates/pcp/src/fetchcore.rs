@@ -352,7 +352,6 @@ impl FetchCore {
         requests: impl ExactSizeIterator<Item = (MetricId, InstanceId)>,
         queue_depth: u64,
     ) -> Vec<Option<u64>> {
-        #[cfg(feature = "obs")]
         let _span = obs::span!("pmcd.fetch", requests.len() as u64);
         let start = std::time::Instant::now();
         // One registry export answers every `pmcd.obs.*` id in the

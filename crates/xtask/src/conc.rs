@@ -1,10 +1,10 @@
-//! Rules 6 and 7: whole-workspace lock-order and no-blocking-under-lock.
+//! Rules 5 and 6: whole-workspace lock-order and no-blocking-under-lock.
 //!
 //! Built on [`crate::tokens`] (a delimiter-matched token stream over the
 //! scrubbed code view). The analysis is deliberately name-based and
 //! conservative — no type inference, no external crates:
 //!
-//! **Rule 6 (lock-order).** Every `Mutex<...>`/`RwLock<...>` declaration
+//! **Rule 5 (lock-order).** Every `Mutex<...>`/`RwLock<...>` declaration
 //! in the analyzed crates must carry a `// lock-rank: <ns>.<N>`
 //! annotation binding the declared name (field, static, or fn-return
 //! accessor) to a rank. The analyzer tracks guard bindings
@@ -17,7 +17,7 @@
 //! reacquisition) and (b) any cycle in the global rank graph, rendered
 //! edge-by-edge in the error.
 //!
-//! **Rule 7 (no-blocking-under-lock).** While a guard is live, any
+//! **Rule 6 (no-blocking-under-lock).** While a guard is live, any
 //! blocking call — `recv`/`recv_timeout`/`recv_deadline`, `join`,
 //! `accept`, socket/stream I/O (`read`, `read_exact`, `read_to_end`,
 //! `write_all`, `flush`), `sleep`, `connect`, `Condvar::wait*` — is
@@ -233,7 +233,7 @@ struct FileScan {
     bad_decls: Vec<(usize, String)>, // (line, msg)
 }
 
-/// Run rules 6 and 7 over `(rel_path, source)` pairs. Returns the
+/// Run rules 5 and 6 over `(rel_path, source)` pairs. Returns the
 /// violations plus every waiver (`lock-ok`, `blocking-ok`) that was
 /// actually used to suppress a finding.
 pub(crate) fn check(files: &[(String, String)]) -> (Vec<Violation>, Vec<Waiver>) {

@@ -1,4 +1,4 @@
-//! Rules 6–7 must fire on their seeded fixtures — and stay silent on the
+//! Rules 5–6 must fire on their seeded fixtures — and stay silent on the
 //! clean one.
 
 use xtask::lint::{lint_concurrency, lint_concurrency_full, Rule};
@@ -27,7 +27,7 @@ fn missing_annotation_inversion_and_cycle_all_fire() {
     let v = lint_concurrency(&one("fixtures/bad_lock_cycle.rs", BAD_CYCLE));
     assert!(
         v.iter().all(|x| x.rule == Rule::LockOrder),
-        "all findings are rule 6: {v:?}"
+        "all findings are rule 5: {v:?}"
     );
 
     // The unannotated static.

@@ -1,4 +1,4 @@
-//! Rule 7 fixture: guards held across blocking calls — directly, and
+//! Rule 6 fixture: guards held across blocking calls — directly, and
 //! transitively through a workspace fn that sleeps — plus the two clean
 //! shapes (drop-before-block, explicit waiver).
 

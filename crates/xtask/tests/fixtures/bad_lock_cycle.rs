@@ -1,4 +1,4 @@
-//! Rule 6 fixture: every finding here is seeded on purpose — a
+//! Rule 5 fixture: every finding here is seeded on purpose — a
 //! declaration without a rank, a same-namespace rank inversion, and an
 //! A→B / B→A cross-namespace acquisition cycle.
 

@@ -1,4 +1,4 @@
-//! Rule 6/7 fixture: a correctly ranked two-lock hierarchy. The
+//! Rule 5/6 fixture: a correctly ranked two-lock hierarchy. The
 //! analyzer must report nothing here — ordered acquisition, a guard
 //! dropped before a blocking call, a guard consumed by `Condvar::wait`,
 //! and a waived third-party lock are all clean patterns.

@@ -7,7 +7,6 @@ const BAD_PANIC: &str = include_str!("fixtures/bad_panic.rs");
 const TEST_MARKING: &str = include_str!("fixtures/test_marking.rs");
 const BAD_RELAXED: &str = include_str!("fixtures/bad_relaxed.rs");
 const BAD_TAINT: &str = include_str!("fixtures/bad_taint.rs");
-const BAD_OBS_GATE: &str = include_str!("fixtures/bad_obs_gate.rs");
 const BAD_METRIC: &str = include_str!("fixtures/bad_metric.rs");
 
 #[test]
@@ -76,20 +75,6 @@ fn taint_rule_exempts_boundary_crates() {
 }
 
 #[test]
-fn obs_gate_rule_catches_seeded_violations() {
-    let v = lint_source("kernels", "fixtures/bad_obs_gate.rs", BAD_OBS_GATE);
-    let rules: Vec<_> = v.iter().map(|x| x.rule).collect();
-    assert_eq!(rules, vec![Rule::ObsFeatureGate; 2], "{v:?}");
-    let lines: Vec<_> = v.iter().map(|x| x.line).collect();
-    assert_eq!(lines, vec![15, 24], "{v:?}");
-}
-
-#[test]
-fn obs_gate_rule_exempts_the_tracer_crate() {
-    assert!(lint_source("obs", "fixtures/bad_obs_gate.rs", BAD_OBS_GATE).is_empty());
-}
-
-#[test]
 fn metric_catalog_rule_catches_uncatalogued_names() {
     let catalog = MetricCatalog::parse("| `fixture.catalogued.count` | counter | a test |\n");
     let v = lint_source_with_catalog(
@@ -108,7 +93,7 @@ fn metric_catalog_rule_catches_uncatalogued_names() {
 
 #[test]
 fn metric_catalog_rule_needs_a_catalog_and_exempts_the_metrics_crate() {
-    // Rules 1-4 only when no catalog is supplied.
+    // Rules 1-3 only when no catalog is supplied.
     assert!(lint_source("kernels", "fixtures/bad_metric.rs", BAD_METRIC).is_empty());
     // The obs crate implements the macros and is exempt.
     let catalog = MetricCatalog::parse("");

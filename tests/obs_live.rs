@@ -244,38 +244,28 @@ fn stitched_trace_decomposes_wire_fetch_latency() {
     }
     let events = obs::drain();
 
-    #[cfg(feature = "obs")]
-    {
-        let ids = obs::stitch::trace_ids(&events);
-        assert!(ids.len() >= 10, "expected 10 traced fetches, got {ids:?}");
-        for tid in &ids {
-            let path = obs::critical_path(&events, *tid)
-                .unwrap_or_else(|| panic!("trace {tid} did not stitch"));
-            assert_eq!(
-                path.total(),
-                path.rtt_ns,
-                "decomposition must conserve the RTT exactly: {path:?}"
-            );
-            assert!(path.rtt_ns > 0, "{path:?}");
-        }
-        let mean = obs::stitch::mean_critical_path(&events).expect("mean path");
-        assert_eq!(mean.total(), mean.rtt_ns);
-        // The server did real work on the critical path, not just wire.
-        assert!(
-            mean.component("server.fetch") + mean.component("server.dispatch") > 0,
-            "{mean:?}"
+    let ids = obs::stitch::trace_ids(&events);
+    assert!(ids.len() >= 10, "expected 10 traced fetches, got {ids:?}");
+    for tid in &ids {
+        let path = obs::critical_path(&events, *tid)
+            .unwrap_or_else(|| panic!("trace {tid} did not stitch"));
+        assert_eq!(
+            path.total(),
+            path.rtt_ns,
+            "decomposition must conserve the RTT exactly: {path:?}"
         );
+        assert!(path.rtt_ns > 0, "{path:?}");
+    }
+    let mean = obs::stitch::mean_critical_path(&events).expect("mean path");
+    assert_eq!(mean.total(), mean.rtt_ns);
+    // The server did real work on the critical path, not just wire.
+    assert!(
+        mean.component("server.fetch") + mean.component("server.dispatch") > 0,
+        "{mean:?}"
+    );
 
-        // The merged two-process event list is a valid Chrome trace.
-        let doc = obs::chrome::chrome_trace_json(&events);
-        let parsed = obs::chrome::parse_chrome_trace(&doc).expect("strict chrome parse");
-        assert_eq!(parsed.len(), events.len(), "every stitched event survives");
-    }
-    #[cfg(not(feature = "obs"))]
-    {
-        // Without span call sites nothing stitches — but nothing panics
-        // either, and the trace-id handout still advanced.
-        assert!(obs::stitch::trace_ids(&events).is_empty());
-        assert!(obs::trace::next_trace_id() > 10);
-    }
+    // The merged two-process event list is a valid Chrome trace.
+    let doc = obs::chrome::chrome_trace_json(&events);
+    let parsed = obs::chrome::parse_chrome_trace(&doc).expect("strict chrome parse");
+    assert_eq!(parsed.len(), events.len(), "every stitched event survives");
 }

@@ -1,13 +1,12 @@
-//! Observability under parallelism (`--features obs`): the span tracer
-//! and the metric registry are process-global, so a multi-worker repro
-//! run drains to ONE coherent stream.
+//! Observability under parallelism: the span tracer and the metric
+//! registry are process-global, so a multi-worker repro run drains to
+//! ONE coherent stream.
 //!
 //! * The merged span buffer must render to a Chrome trace that
 //!   round-trips the strict parser in `obs::chrome` — worker threads
 //!   interleave records, but every span still closes on its own thread.
 //! * Registry counters fed from worker points must merge to exactly the
 //!   sequential totals: addition commutes, interleaving must not.
-#![cfg(feature = "obs")]
 
 use obs::chrome::{chrome_trace_json, parse_chrome_trace, parse_json};
 use repro_bench::figures;
@@ -51,10 +50,7 @@ fn parallel_spans_render_one_valid_chrome_trace() {
     assert!(report.experiments[0].errors.is_empty());
 
     let events = obs::drain();
-    assert!(
-        !events.is_empty(),
-        "an instrumented run under --features obs must record spans"
-    );
+    assert!(!events.is_empty(), "an instrumented run must record spans");
     let doc = chrome_trace_json(&events);
     parse_json(&doc).expect("chrome trace is well-formed JSON");
     let parsed = parse_chrome_trace(&doc).expect("chrome trace round-trips the strict parser");

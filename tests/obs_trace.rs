@@ -1,9 +1,6 @@
 //! End-to-end self-observability check: a GEMM `measure_traffic` run
-//! traced with `--features obs` exports a Chrome-trace document that
-//! round-trips through the exporter's own parser with every span
-//! preserved. Without the feature the run records nothing and the
-//! round trip degenerates to the empty document, which must still
-//! parse — so the test is meaningful in both CI lanes.
+//! exports a Chrome-trace document that round-trips through the
+//! exporter's own parser with every span preserved.
 
 use blas_kernels::{measure_traffic, BatchedGemmTrace, MeasureConfig, NestEvents};
 use p9_memsim::SimMachine;
@@ -35,20 +32,17 @@ fn gemm_measurement_trace_roundtrips_through_chrome_exporter() {
     assert!(sample.read_bytes > 0.0, "measurement must observe traffic");
 
     let recorded = obs::drain();
-    #[cfg(feature = "obs")]
-    {
-        assert!(
-            recorded
-                .iter()
-                .any(|e| e.label == "kernels.measure_traffic"),
-            "instrumented build must trace the measurement driver; got {:?}",
-            recorded.iter().map(|e| e.label).collect::<Vec<_>>()
-        );
-        assert!(
-            recorded.iter().any(|e| e.label == "memsim.run_parallel"),
-            "instrumented build must trace the simulator run"
-        );
-    }
+    assert!(
+        recorded
+            .iter()
+            .any(|e| e.label == "kernels.measure_traffic"),
+        "the measurement driver is traced; got {:?}",
+        recorded.iter().map(|e| e.label).collect::<Vec<_>>()
+    );
+    assert!(
+        recorded.iter().any(|e| e.label == "memsim.run_parallel"),
+        "the simulator run is traced"
+    );
 
     let doc = obs::chrome::chrome_trace_json(&recorded);
     let parsed = obs::chrome::parse_chrome_trace(&doc).expect("exporter output must parse");
@@ -68,11 +62,5 @@ fn gemm_measurement_trace_roundtrips_through_chrome_exporter() {
     // The folded-stack exporter must agree on the span population
     // (instants are excluded from stacks by construction).
     let folded = obs::flame::folded_stacks(&recorded);
-    let spans = recorded
-        .iter()
-        .filter(|e| e.kind == obs::trace::Kind::Span)
-        .count();
-    if spans > 0 {
-        assert!(!folded.is_empty(), "spans must produce folded stacks");
-    }
+    assert!(!folded.is_empty(), "spans must produce folded stacks");
 }
