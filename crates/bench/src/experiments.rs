@@ -114,12 +114,6 @@ pub fn build(tag: &str, mode: Mode, args: &Args) -> Option<Experiment> {
     }
 }
 
-/// Build every experiment of the catalog for one mode (the `repro`
-/// orchestrator's default work list).
-pub fn build_all(mode: Mode, args: &Args) -> Vec<Experiment> {
-    TAGS.iter().filter_map(|t| build(t, mode, args)).collect()
-}
-
 // --- resort trace constructors (fn pointers keep points `Send`) -------
 
 fn make_nest1(m: &mut SimMachine, n: usize) -> Box<dyn ResortTrace> {

@@ -153,15 +153,10 @@ pub fn node(system: System, seed: u64) -> (SimMachine, NodeSetup) {
     (m, setup)
 }
 
-/// The GEMM problem-size sweep used by Figs. 2–4. `full` extends to the
-/// paper's largest sizes (slower).
-pub fn gemm_sizes(full: bool) -> Vec<u64> {
-    gemm_sizes_for(if full { Mode::Full } else { Mode::Default })
-}
-
-/// Mode-aware GEMM sweep. Quick keeps one point either side of the
-/// Eq. 3/4 cache-region bounds so the golden suite still exercises the
-/// crossover.
+/// The GEMM problem-size sweep used by Figs. 2–4. Full extends to the
+/// paper's largest sizes (slower); Quick keeps one point either side of
+/// the Eq. 3/4 cache-region bounds so the golden suite still exercises
+/// the crossover.
 pub fn gemm_sizes_for(mode: Mode) -> Vec<u64> {
     let mut v = match mode {
         Mode::Quick => return vec![64, 96, 128, 192, 256],
@@ -176,12 +171,7 @@ pub fn gemm_sizes_for(mode: Mode) -> Vec<u64> {
 }
 
 /// The capped-GEMV output-size sweep of Fig. 5 (square until the capping
-/// point at 1280, capped beyond).
-pub fn gemv_sizes(full: bool) -> Vec<u64> {
-    gemv_sizes_for(if full { Mode::Full } else { Mode::Default })
-}
-
-/// Mode-aware GEMV sweep. Quick still crosses the capping point at 1280
+/// point at 1280, capped beyond). Quick still crosses the capping point
 /// and reaches the write-noise floor around 10⁴.
 pub fn gemv_sizes_for(mode: Mode) -> Vec<u64> {
     let mut v = match mode {
@@ -197,11 +187,6 @@ pub fn gemv_sizes_for(mode: Mode) -> Vec<u64> {
 }
 
 /// The FFT problem sizes of Figs. 6–9 (divisible by the 2×4 grid).
-pub fn fft_sizes(full: bool) -> Vec<usize> {
-    fft_sizes_for(if full { Mode::Full } else { Mode::Default })
-}
-
-/// Mode-aware FFT sweep (sizes divisible by the 2×4 grid).
 pub fn fft_sizes_for(mode: Mode) -> Vec<usize> {
     let mut v = match mode {
         Mode::Quick => return vec![112, 168, 224],
@@ -231,11 +216,6 @@ pub fn point_seed(base: u64, tag: &str, salt: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// Print the standard experiment header.
-pub fn header(figure: &str, params: &[(&str, String)]) {
-    print!("{}", header_lines(figure, params));
-}
-
 /// The standard experiment header as a string (the runner composes
 /// experiment output from strings so parallel workers never interleave
 /// on stdout).
@@ -253,14 +233,16 @@ mod tests {
 
     #[test]
     fn sweeps_are_sorted_and_grid_compatible() {
-        let g = gemm_sizes(true);
-        assert!(g.windows(2).all(|w| w[0] < w[1]));
-        let f = fft_sizes(true);
-        assert!(f.windows(2).all(|w| w[0] < w[1]));
-        // Figs. 6-9 run on a 2x4 grid: sizes must divide.
-        assert!(f.iter().all(|n| n % 4 == 0 && n % 2 == 0));
-        let v = gemv_sizes(false);
-        assert!(v.contains(&figures::GEMV_CAP), "sweep must hit the cap");
+        for mode in [Mode::Quick, Mode::Default, Mode::Full] {
+            let g = gemm_sizes_for(mode);
+            assert!(g.windows(2).all(|w| w[0] < w[1]));
+            let f = fft_sizes_for(mode);
+            assert!(f.windows(2).all(|w| w[0] < w[1]));
+            // Figs. 6-9 run on a 2x4 grid: sizes must divide.
+            assert!(f.iter().all(|n| n % 4 == 0 && n % 2 == 0));
+            let v = gemv_sizes_for(mode);
+            assert!(v.contains(&figures::GEMV_CAP), "sweep must hit the cap");
+        }
     }
 
     #[test]

@@ -155,10 +155,7 @@ where
     let elapsed = shared.now_seconds() - t_begin;
     // The factored path injects scaled DMA traffic outside any kernel run,
     // so re-check conservation at the very end of the measurement window.
-    #[cfg(feature = "verify")]
-    machine
-        .verify_socket_conservation(0)
-        .expect("measurement window broke counter conservation");
+    machine.verify_socket_conservation(0)?;
     Ok(TrafficSample {
         read_bytes: read_bytes as f64 / cfg.reps as f64,
         write_bytes: write_bytes as f64 / cfg.reps as f64,

@@ -36,14 +36,12 @@ pub struct NestCounters {
     read_bytes: [AtomicU64; MBA_CHANNELS],
     write_bytes: [AtomicU64; MBA_CHANNELS],
     /// Independent books for `record_bulk` traffic (see [`crate::verify`]).
-    #[cfg(feature = "verify")]
     bulk: BulkShadow,
 }
 
 /// Shadow accounting for bulk (noise / DMA / measurement-overhead) traffic:
 /// mirrors `record_bulk` per channel and in total so the channel-split
 /// arithmetic is double-entry checked.
-#[cfg(feature = "verify")]
 #[derive(Debug, Default)]
 struct BulkShadow {
     read_bytes: [AtomicU64; MBA_CHANNELS],
@@ -137,7 +135,6 @@ impl NestCounters {
     /// background-noise process and by device DMA, where per-sector
     /// attribution is irrelevant).
     pub fn record_bulk(&self, bytes: u64, dir: Direction) {
-        #[cfg(feature = "verify")]
         match dir {
             Direction::Read => &self.bulk.read_total,
             Direction::Write => &self.bulk.write_total,
@@ -156,7 +153,6 @@ impl NestCounters {
                 // relaxed-ok: same monotonic-statistic argument as
                 // record_sector; per-channel adds are independent.
                 .fetch_add(amount, Ordering::Relaxed);
-                #[cfg(feature = "verify")]
                 match dir {
                     Direction::Read => &self.bulk.read_bytes[ch],
                     Direction::Write => &self.bulk.write_bytes[ch],
@@ -167,8 +163,7 @@ impl NestCounters {
         }
     }
 
-    /// Snapshot the bulk-traffic shadow books (`verify` feature).
-    #[cfg(feature = "verify")]
+    /// Snapshot the bulk-traffic shadow books.
     pub fn bulk_shadow(&self) -> crate::verify::BulkSnapshot {
         let mut s = crate::verify::BulkSnapshot::default();
         for ch in 0..MBA_CHANNELS {

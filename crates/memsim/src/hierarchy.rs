@@ -20,7 +20,7 @@ use std::sync::Arc;
 use crate::cache::{sector_mix, Evicted, SetAssocCache};
 use crate::counters::{Direction, NestCounters};
 use crate::machine::{CoreEvent, CoreEventCounters};
-use crate::prefetch::{PrefetchEngine, PrefetchRequest};
+use crate::prefetch::PrefetchEngine;
 use crate::store::{StoreEngine, StoreOutcome};
 use crate::verify::ShadowLedger;
 use crate::SECTOR_BYTES;
@@ -127,14 +127,10 @@ pub struct CoreSim {
     sw_prefetch_stores: bool,
     stats: CoreStats,
     /// Independent second set of books for every sector this core records
-    /// on the nest counters (no-op unless the `verify` feature is on).
+    /// on the nest counters; checked after every kernel.
     shadow: ShadowLedger,
-    // Scratch buffers reused across calls to avoid per-access allocation.
-    scratch_pf: PrefetchRequest,
+    /// Scratch buffer reused across calls to avoid per-access allocation.
     scratch_store: Vec<StoreOutcome>,
-    /// Hot-path shortcuts enabled (observationally identical to the
-    /// reference path; see [`CoreSim::set_fast_path`]). Defaults to on.
-    fast_path: bool,
     /// A bulk `load_seq`/`store_seq` call is in flight: memory-level
     /// transactions accumulate in `batch_read`/`batch_write` and flush to
     /// the shared [`NestCounters`] with one atomic add per channel at the
@@ -170,27 +166,11 @@ impl CoreSim {
             sw_prefetch_stores: false,
             stats: CoreStats::default(),
             shadow: ShadowLedger::default(),
-            scratch_pf: PrefetchRequest::default(),
             scratch_store: Vec::with_capacity(8),
-            fast_path: true,
             batching: false,
             batch_read: [0; MBA_CHANNELS],
             batch_write: [0; MBA_CHANNELS],
         }
-    }
-
-    /// Toggle the hot-path shortcuts (shared set-hash across levels, the
-    /// locked-stream prefetch-engine shortcut, batched MBA accounting for
-    /// sequential runs). Both settings produce bit-identical simulation
-    /// results; the reference path exists so tests can assert exactly
-    /// that.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        self.fast_path = enabled;
-    }
-
-    /// Whether the hot-path shortcuts are enabled.
-    pub fn fast_path(&self) -> bool {
-        self.fast_path
     }
 
     /// Re-size this core's L3 share (the slice-borrowing model). Resident
@@ -245,18 +225,7 @@ impl CoreSim {
         self.stats
     }
 
-    /// Diagnostic: is `sector` resident in this core's L3?
-    pub fn l3_contains(&self, sector: u64) -> bool {
-        self.l3.contains(sector)
-    }
-
-    /// Diagnostic: resident L3 sector count.
-    pub fn l3_resident(&self) -> usize {
-        self.l3.resident()
-    }
-
-    /// The shadow transaction ledger (`verify` feature).
-    #[cfg(feature = "verify")]
+    /// The shadow transaction ledger.
     pub fn shadow(&self) -> &ShadowLedger {
         &self.shadow
     }
@@ -265,7 +234,6 @@ impl CoreSim {
     /// read transactions must equal `demand_misses + prefetch_fills`, and
     /// shadow write transactions must equal
     /// `writebacks + bypass_writes + rmw_partials`.
-    #[cfg(feature = "verify")]
     pub fn verify_conservation(&self, core: usize) -> Result<(), crate::verify::ConservationError> {
         let shadow_reads: u64 = self.shadow.reads().iter().sum();
         let stats_reads = self.stats.demand_misses + self.stats.prefetch_fills;
@@ -309,7 +277,7 @@ impl CoreSim {
         }
     }
 
-    /// Sequential load of `len` bytes starting at `base` (bulk fast path:
+    /// Sequential load of `len` bytes starting at `base` (bulk call:
     /// touches each sector once, trains the stream engine identically to a
     /// element-by-element sweep).
     pub fn load_seq(&mut self, base: u64, len: u64) {
@@ -473,7 +441,7 @@ impl CoreSim {
     /// this call owns the batch (nested bulk calls keep the outer batch).
     #[inline]
     fn begin_batch(&mut self) -> bool {
-        if self.batching || !self.fast_path {
+        if self.batching {
             return false;
         }
         self.batching = true;
@@ -511,26 +479,13 @@ impl CoreSim {
     }
 
     fn load_sector(&mut self, sector: u64) {
-        // Fast path: the access continues an already locked-on stream, so
-        // the prefetch-engine table scan reduces to an MRU-entry advance
-        // and at most one tail prefetch.
-        if self.fast_path {
-            if let Some(pf) = self.prefetch.fast_advance(sector) {
-                self.demand_load_probe(sector);
-                if self.policy.hw_prefetch {
-                    if let Some(p) = pf {
-                        self.prefetch_sector(p);
-                    }
-                }
-                return;
+        let window = self.prefetch.observe(sector);
+        self.demand_load_probe(sector);
+        if self.policy.hw_prefetch {
+            for p in window.sectors() {
+                self.prefetch_sector(p);
             }
         }
-
-        let mut req = std::mem::take(&mut self.scratch_pf);
-        self.prefetch.observe_load(sector, &mut req);
-        self.demand_load_probe(sector);
-        self.issue_prefetches(&req);
-        self.scratch_pf = req;
     }
 
     /// The demand L1→L2→L3→memory probe chain of a load, sharing one
@@ -554,7 +509,7 @@ impl CoreSim {
             // A pending WCB entry for this sector merges into the fetched
             // line (store-to-load forwarding at the line fill).
             self.stores.invalidate(sector);
-            self.fill_mixed(sector, mix, false);
+            self.install_l3_then_l1(sector, mix, false);
         }
     }
 
@@ -571,25 +526,13 @@ impl CoreSim {
         self.install_l1_mixed(sector, mix, dirty);
     }
 
-    #[inline]
-    fn fill_mixed(&mut self, sector: u64, mix: u64, dirty: bool) {
-        self.install_l3_then_l1(sector, mix, dirty);
-    }
-
     fn store_sector(&mut self, sector: u64, lo: u64, hi: u64) {
         // Stores train the stream detector exactly like loads: POWER9
         // detects store streams too, and a strided *store* stream also
         // suppresses bypass (Listing 8's `out` incurs a read per write).
         // Store streams do not issue read prefetch (the allocate path
-        // below performs its own fills), so a fast-path advance simply
-        // discards its tail-prefetch target.
-        let advanced = self.fast_path && self.prefetch.fast_advance(sector).is_some();
-        if !advanced {
-            let mut req = std::mem::take(&mut self.scratch_pf);
-            self.prefetch.observe_load(sector, &mut req);
-            req.sectors.clear();
-            self.scratch_pf = req;
-        }
+        // below performs its own fills), so the window is discarded.
+        self.prefetch.observe(sector);
 
         let mix = sector_mix(sector);
         if self.l1.access_mixed(sector, mix, true) {
@@ -668,15 +611,6 @@ impl CoreSim {
         }
     }
 
-    fn issue_prefetches(&mut self, req: &PrefetchRequest) {
-        if !self.policy.hw_prefetch {
-            return;
-        }
-        for &p in &req.sectors {
-            self.prefetch_sector(p);
-        }
-    }
-
     /// Issue one hardware prefetch for sector `p`.
     #[inline]
     fn prefetch_sector(&mut self, p: u64) {
@@ -691,7 +625,7 @@ impl CoreSim {
             return;
         }
         self.mem_read(p, false);
-        self.fill_mixed(p, mix, false);
+        self.install_l3_then_l1(p, mix, false);
     }
 
     /// Put `sector` into L1. Clean victims are dropped (their L3 copy, if
@@ -887,45 +821,6 @@ mod tests {
         core.load_seq(0, 64 * 1024);
         let warm = core.cycles() - start;
         assert!(cold > warm, "cold {cold} <= warm {warm}");
-    }
-
-    #[test]
-    fn fast_path_is_observationally_identical() {
-        // Drive two cores — fast path on vs. reference — through the same
-        // mixed workload. Stats, cycles and per-channel counters must be
-        // bit-identical.
-        let run = |fast: bool| {
-            let (mut core, counters) = test_core(256 * 1024);
-            core.set_fast_path(fast);
-            // Sequential reads/writes (bulk + element-wise), strided reads
-            // (the GEMM B pattern), strided stores, reuse, and a second
-            // sweep over partially evicted data.
-            core.load_seq(0, 96 * 1024);
-            for i in 0..4096u64 {
-                core.store((1 << 22) + i * 8, 8);
-            }
-            for k in 0..2048u64 {
-                core.load((1 << 24) + k * 3 * SECTOR_BYTES, 8);
-            }
-            for i in 0..2048u64 {
-                core.store((1 << 26) + i * 256, 8);
-            }
-            core.load_seq(0, 96 * 1024);
-            core.set_software_prefetch(true);
-            for i in 0..2048u64 {
-                core.store((1 << 27) + i * 8, 8);
-            }
-            core.set_software_prefetch(false);
-            core.store_seq(1 << 28, 64 * 1024);
-            core.fence();
-            core.flush_caches();
-            (core.stats(), core.cycles(), counters.snapshot())
-        };
-        let (s_fast, c_fast, n_fast) = run(true);
-        let (s_slow, c_slow, n_slow) = run(false);
-        assert_eq!(s_fast, s_slow, "core stats diverge");
-        assert_eq!(c_fast, c_slow, "cycle counts diverge");
-        assert_eq!(n_fast, n_slow, "nest counters diverge");
     }
 
     #[test]

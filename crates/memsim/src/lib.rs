@@ -71,9 +71,7 @@ pub use noise::NoiseConfig;
 pub use prefetch::PrefetchEngine;
 pub use privilege::{PrivilegeError, PrivilegeLevel, PrivilegeToken};
 pub use store::StoreEngine;
-#[cfg(feature = "verify")]
-pub use verify::BulkSnapshot;
-pub use verify::{ConservationError, ShadowLedger};
+pub use verify::{BulkSnapshot, ConservationError, ShadowLedger};
 
 /// Bytes per memory transaction / cache sector (half of a 128 B line).
 pub const SECTOR_BYTES: u64 = p9_arch::MEM_TRANSACTION_BYTES;

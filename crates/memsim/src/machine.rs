@@ -101,8 +101,7 @@ pub struct SocketShared {
     time_cycles: AtomicU64,
     clock_hz: f64,
     /// Last counter snapshot seen by the conservation checker, for the
-    /// monotonicity invariant (`verify` feature).
-    #[cfg(feature = "verify")]
+    /// monotonicity invariant.
     last_verified: Mutex<crate::CounterSnapshot>,
 }
 
@@ -125,14 +124,12 @@ impl SocketShared {
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
             time_cycles: AtomicU64::new(0),
             clock_hz,
-            #[cfg(feature = "verify")]
             last_verified: Mutex::new(crate::CounterSnapshot::default()),
         }
     }
 
     /// Check that no channel counter moved backwards since the previous
     /// verification sample, then remember `snap` as the new baseline.
-    #[cfg(feature = "verify")]
     fn check_monotonic(
         &self,
         snap: &crate::CounterSnapshot,
@@ -376,18 +373,6 @@ impl SimMachine {
         }
     }
 
-    /// Toggle the simulator's hot-path shortcuts on every core of every
-    /// socket (see [`CoreSim::set_fast_path`]). Either setting yields
-    /// bit-identical simulation output; the reference path exists so the
-    /// equivalence can be asserted by tests.
-    pub fn set_fast_path(&mut self, enabled: bool) {
-        for socket in &mut self.sockets {
-            for core in &mut socket.cores {
-                core.set_fast_path(enabled);
-            }
-        }
-    }
-
     /// Run `f(thread_index, core)` on `nthreads` cores of `socket`
     /// concurrently, then advance the socket clock by the slowest thread's
     /// cycle delta (plus background noise for the window).
@@ -425,7 +410,6 @@ impl SimMachine {
             .max()
             .unwrap_or(0);
         sock.shared.advance_cycles(dmax);
-        #[cfg(feature = "verify")]
         self.assert_conservation(socket);
     }
 
@@ -442,18 +426,16 @@ impl SimMachine {
         sock.cores[0].fence();
         let delta = sock.cores[0].cycles() - before;
         sock.shared.advance_cycles(delta);
-        #[cfg(feature = "verify")]
         self.assert_conservation(socket);
     }
 
-    /// Full conservation check of `socket` (`verify` feature): per-core
-    /// stats identities, the `record_bulk` split, per-channel byte
-    /// equality against the shadow books, and counter monotonicity.
+    /// Full conservation check of `socket`: per-core stats identities, the
+    /// `record_bulk` split, per-channel byte equality against the shadow
+    /// books, and counter monotonicity.
     ///
     /// ```text
     /// MBA bytes[ch] == SECTOR_BYTES x shadow transactions[ch] + bulk bytes[ch]
     /// ```
-    #[cfg(feature = "verify")]
     pub fn verify_socket_conservation(
         &self,
         socket: usize,
@@ -503,8 +485,7 @@ impl SimMachine {
     }
 
     /// Panic with the conservation report if `socket`'s books disagree.
-    /// Called automatically after every kernel when `verify` is on.
-    #[cfg(feature = "verify")]
+    /// Called after every kernel.
     fn assert_conservation(&self, socket: usize) {
         if let Err(e) = self.verify_socket_conservation(socket) {
             panic!("counter conservation violated on socket {socket}: {e}");

@@ -69,11 +69,34 @@ impl Stream {
     }
 }
 
-/// What the engine asks the hierarchy to do after observing a load.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct PrefetchRequest {
-    /// Sectors to prefetch (fetch into the cache if absent).
-    pub sectors: Vec<u64>,
+/// What the engine asks the hierarchy to prefetch after one access: the
+/// uncovered tail of a confirmed stream's window, i.e. the sectors
+/// `from + stride * k` for `k` in `first..=PREFETCH_DEPTH` (at most
+/// [`PREFETCH_DEPTH`] of them, exactly one in steady state). Building it
+/// is free, so callers that ignore it (stores) pay nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PrefetchWindow {
+    from: u64,
+    stride: i64,
+    first: u64,
+}
+
+impl PrefetchWindow {
+    const EMPTY: PrefetchWindow = PrefetchWindow {
+        from: 0,
+        stride: 0,
+        first: PREFETCH_DEPTH + 1,
+    };
+
+    /// The sectors to prefetch (fetch into the cache if absent), nearest
+    /// first. Targets below sector 0 do not exist and are skipped.
+    #[inline]
+    pub fn sectors(self) -> impl Iterator<Item = u64> {
+        (self.first..=PREFETCH_DEPTH).filter_map(move |k| {
+            let next = self.from as i64 + self.stride * k as i64;
+            (next >= 0).then_some(next as u64)
+        })
+    }
 }
 
 /// The per-core stream engine.
@@ -107,81 +130,40 @@ impl PrefetchEngine {
         }
     }
 
-    /// Fast path for the bursty common case: the access continues the
-    /// most-recently-matched stream (same sector or exact stride).
+    /// Rules 1 and 2 for one table entry: does `sector` re-touch or
+    /// exactly continue stream `s`? `None` (nothing mutated) if neither.
     #[inline]
-    fn try_fast_path(&mut self, sector: u64, out: &mut PrefetchRequest) -> bool {
-        let i = self.mru;
-        let s = &mut self.table[i];
-        if !s.valid {
-            return false;
-        }
-        if s.last == sector {
-            s.touched = self.clock;
-            return true;
-        }
-        let delta = sector as i64 - s.last as i64;
-        if s.stride != 0 && delta == s.stride {
-            s.last = sector;
-            s.touched = self.clock;
-            s.confirms = s.confirms.saturating_add(1);
-            if s.confirms >= CONFIRMATIONS {
-                let already = u64::from(s.pf_ahead.saturating_sub(1));
-                let stride = s.stride;
-                for k in (already + 1)..=PREFETCH_DEPTH {
-                    let next = sector as i64 + stride * k as i64;
-                    if next >= 0 {
-                        out.sectors.push(next as u64);
-                    }
-                }
-                s.pf_ahead = PREFETCH_DEPTH as u8;
-            }
-            return true;
-        }
-        false
-    }
-
-    /// Steady-state shortcut for the hierarchy's fast path: when the
-    /// access continues the most-recently-matched stream and that stream
-    /// is already confirmed with a saturated prefetch window, the full
-    /// [`Self::observe_load`] bookkeeping reduces to advancing the MRU
-    /// entry and issuing exactly one new tail prefetch.
-    ///
-    /// Returns `None` (with **no state mutated**) when the access is not
-    /// such a continuation — the caller must fall back to
-    /// [`Self::observe_load`], which handles it identically. Returns
-    /// `Some(pf)` when handled, where `pf` is the single prefetch target
-    /// to issue (`None` for same-sector reuse, a just-confirming stream,
-    /// or a negative target).
-    #[inline]
-    pub fn fast_advance(&mut self, sector: u64) -> Option<Option<u64>> {
-        let clock = self.clock + 1;
-        let s = &mut self.table[self.mru];
+    fn continue_stream(s: &mut Stream, sector: u64, clock: u64) -> Option<PrefetchWindow> {
         if !s.valid {
             return None;
         }
         if s.last == sector {
             s.touched = clock;
-            self.clock = clock;
-            return Some(None);
+            return Some(PrefetchWindow::EMPTY);
         }
-        let delta = sector as i64 - s.last as i64;
-        if s.stride == 0
-            || delta != s.stride
-            || s.confirms < CONFIRMATIONS
-            || s.pf_ahead != PREFETCH_DEPTH as u8
-        {
+        if s.stride == 0 || sector as i64 - s.last as i64 != s.stride {
             return None;
         }
         s.last = sector;
         s.touched = clock;
         s.confirms = s.confirms.saturating_add(1);
-        let next = sector as i64 + s.stride * PREFETCH_DEPTH as i64;
-        self.clock = clock;
-        Some((next >= 0).then_some(next as u64))
+        if s.confirms < CONFIRMATIONS {
+            return Some(PrefetchWindow::EMPTY);
+        }
+        // Advance the prefetch window: the stream moved one stride, so
+        // issue only the uncovered tail (one sector per access in steady
+        // state).
+        let already = u64::from(s.pf_ahead.saturating_sub(1));
+        s.pf_ahead = PREFETCH_DEPTH as u8;
+        Some(PrefetchWindow {
+            from: sector,
+            stride: s.stride,
+            first: already + 1,
+        })
     }
 
-    /// Observe a demand load of `sector`; returns prefetches to issue.
+    /// Observe a demand access (load or store) of `sector`; returns the
+    /// prefetches to issue.
     ///
     /// Matching rules, in priority order:
     ///
@@ -197,47 +179,28 @@ impl PrefetchEngine {
     ///    are never destroyed by a non-matching access; interleaved streams
     ///    therefore separate into distinct entries.
     /// 4. Otherwise a fresh candidate entry is allocated.
-    pub fn observe_load(&mut self, sector: u64, out: &mut PrefetchRequest) {
+    ///
+    /// Rules 1 and 2 try the most-recently-matched entry first (streams
+    /// are bursty, so that is the common case and it wins ties), then the
+    /// table in slot order.
+    pub fn observe(&mut self, sector: u64) -> PrefetchWindow {
         self.clock += 1;
-        out.sectors.clear();
+        let clock = self.clock;
 
-        if self.try_fast_path(sector, out) {
-            return;
+        if let Some(window) = Self::continue_stream(&mut self.table[self.mru], sector, clock) {
+            return window;
         }
 
-        // Rules 1 and 2: same-sector reuse / exact continuation.
         let mut closest: Option<(usize, i64)> = None;
         for (i, s) in self.table.iter_mut().enumerate() {
+            if let Some(window) = Self::continue_stream(s, sector, clock) {
+                self.mru = i;
+                return window;
+            }
             if !s.valid {
                 continue;
             }
-            if s.last == sector {
-                s.touched = self.clock;
-                self.mru = i;
-                return;
-            }
             let delta = sector as i64 - s.last as i64;
-            if s.stride != 0 && delta == s.stride {
-                s.last = sector;
-                s.touched = self.clock;
-                s.confirms = s.confirms.saturating_add(1);
-                if s.confirms >= CONFIRMATIONS {
-                    // Advance the prefetch window: the stream moved one
-                    // stride, so issue only the uncovered tail (one sector
-                    // per access in steady state).
-                    let already = u64::from(s.pf_ahead.saturating_sub(1));
-                    let stride = s.stride;
-                    for k in (already + 1)..=PREFETCH_DEPTH {
-                        let next = sector as i64 + stride * k as i64;
-                        if next >= 0 {
-                            out.sectors.push(next as u64);
-                        }
-                    }
-                    s.pf_ahead = PREFETCH_DEPTH as u8;
-                }
-                self.mru = i;
-                return;
-            }
             if delta.unsigned_abs() as i64 <= self.max_stride {
                 let better = match closest {
                     None => true,
@@ -258,10 +221,10 @@ impl PrefetchEngine {
                 s.stride = delta;
                 s.confirms = 1;
                 s.last = sector;
-                s.touched = self.clock;
+                s.touched = clock;
                 s.pf_ahead = 0;
                 self.mru = i;
-                return;
+                return PrefetchWindow::EMPTY;
             }
         }
 
@@ -271,11 +234,12 @@ impl PrefetchEngine {
             last: sector,
             stride: 0,
             confirms: 0,
-            touched: self.clock,
+            touched: clock,
             valid: true,
             pf_ahead: 0,
         };
         self.mru = slot;
+        PrefetchWindow::EMPTY
     }
 
     fn victim_slot(&self) -> usize {
@@ -324,13 +288,10 @@ mod tests {
     use super::*;
 
     fn drive(engine: &mut PrefetchEngine, sectors: &[u64]) -> Vec<Vec<u64>> {
-        let mut req = PrefetchRequest::default();
-        let mut all = Vec::new();
-        for &s in sectors {
-            engine.observe_load(s, &mut req);
-            all.push(req.sectors.clone());
-        }
-        all
+        sectors
+            .iter()
+            .map(|&s| engine.observe(s).sectors().collect())
+            .collect()
     }
 
     #[test]
@@ -358,9 +319,7 @@ mod tests {
         drive(&mut e, &[10, 10, 10, 11, 11, 12, 12, 13, 14]);
         // Stream should confirm as sequential despite intra-sector repeats.
         assert!(!e.stride_stream_active());
-        let mut req = PrefetchRequest::default();
-        e.observe_load(15, &mut req);
-        assert!(!req.sectors.is_empty());
+        assert!(e.observe(15).sectors().next().is_some());
     }
 
     #[test]
@@ -383,57 +342,6 @@ mod tests {
         drive(&mut e, &[0, 64, 128, 192, 256]);
         e.reset();
         assert!(!e.stride_stream_active());
-    }
-
-    #[test]
-    fn fast_advance_is_equivalent_to_observe_load() {
-        // Drive two engines through an identical access pattern; one takes
-        // fast_advance whenever it applies. Per-access prefetch decisions
-        // and queryable stream state must match exactly.
-        let mut pat: Vec<u64> = Vec::new();
-        for i in 0..40 {
-            pat.push(1_000 + i); // sequential stream
-        }
-        for i in 0..40 {
-            pat.push((1 << 16) + i * 9); // stride-9 stream
-        }
-        for i in 0..10 {
-            pat.push(2_000 + i / 3); // same-sector repeats
-        }
-        for i in 0..30 {
-            pat.push(3_000 + i); // interleaved with...
-            pat.push((1 << 18) + i * 5); // ...a stride-5 stream
-        }
-        let mut x = 9_u64;
-        for _ in 0..200 {
-            x = x.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17);
-            pat.push(x >> 40); // pseudo-random noise
-        }
-        let mut slow = PrefetchEngine::new();
-        let mut fast = PrefetchEngine::new();
-        let mut req = PrefetchRequest::default();
-        for (i, &s) in pat.iter().enumerate() {
-            slow.observe_load(s, &mut req);
-            let expect = req.sectors.clone();
-            let got = match fast.fast_advance(s) {
-                Some(pf) => pf.into_iter().collect(),
-                None => {
-                    fast.observe_load(s, &mut req);
-                    req.sectors.clone()
-                }
-            };
-            assert_eq!(expect, got, "prefetches diverge at access {i} ({s})");
-            assert_eq!(
-                slow.stride_stream_active(),
-                fast.stride_stream_active(),
-                "stride-active diverges at access {i}"
-            );
-            assert_eq!(
-                slow.sequential_stream_at(s + 1),
-                fast.sequential_stream_at(s + 1),
-                "sequential-at diverges at access {i}"
-            );
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Shadow-accounting conservation checker (the `verify` cargo feature).
+//! Shadow-accounting conservation checker, always on.
 //!
 //! The paper's argument rests on trusting the MBA byte counters, so the
 //! simulator carries a *second*, independently maintained set of books and
@@ -28,12 +28,12 @@
 //! `writebacks + bypass_writes + rmw_partials`) and counter monotonicity
 //! across successive verification samples.
 //!
-//! With the feature disabled every hook compiles to a no-op; the hot path
-//! pays nothing.
+//! The check runs after every simulated kernel in every build (one exact
+//! pass over 8 channels x the socket's cores); the hot path pays one
+//! array increment per memory-level transaction.
 
 use core::fmt;
 
-#[cfg(feature = "verify")]
 use p9_arch::MBA_CHANNELS;
 
 /// Why a conservation check failed.
@@ -117,9 +117,7 @@ impl std::error::Error for ConservationError {}
 /// reset (the live counters are free-running too).
 #[derive(Debug, Default, Clone)]
 pub struct ShadowLedger {
-    #[cfg(feature = "verify")]
     reads: [u64; MBA_CHANNELS],
-    #[cfg(feature = "verify")]
     writes: [u64; MBA_CHANNELS],
 }
 
@@ -127,33 +125,25 @@ impl ShadowLedger {
     /// Count one 64-byte transaction on `sector`'s channel.
     #[inline(always)]
     pub(crate) fn record(&mut self, sector: u64, dir: crate::Direction) {
-        #[cfg(not(feature = "verify"))]
-        let _ = (sector, dir);
-        #[cfg(feature = "verify")]
-        {
-            let ch = crate::NestCounters::channel_of(sector);
-            match dir {
-                crate::Direction::Read => self.reads[ch] += 1,
-                crate::Direction::Write => self.writes[ch] += 1,
-            }
+        let ch = crate::NestCounters::channel_of(sector);
+        match dir {
+            crate::Direction::Read => self.reads[ch] += 1,
+            crate::Direction::Write => self.writes[ch] += 1,
         }
     }
 
     /// Shadow read-transaction counts per channel.
-    #[cfg(feature = "verify")]
     pub fn reads(&self) -> &[u64; MBA_CHANNELS] {
         &self.reads
     }
 
     /// Shadow write-transaction counts per channel.
-    #[cfg(feature = "verify")]
     pub fn writes(&self) -> &[u64; MBA_CHANNELS] {
         &self.writes
     }
 }
 
 /// Snapshot of the bulk-traffic shadow kept by `NestCounters`.
-#[cfg(feature = "verify")]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BulkSnapshot {
     pub read_bytes: [u64; MBA_CHANNELS],
@@ -162,7 +152,6 @@ pub struct BulkSnapshot {
     pub write_total: u64,
 }
 
-#[cfg(feature = "verify")]
 impl BulkSnapshot {
     /// Check the double-entry invariant of `record_bulk`: the per-channel
     /// split must sum back to the bytes the callers asked to record.
@@ -187,7 +176,7 @@ impl BulkSnapshot {
     }
 }
 
-#[cfg(all(test, feature = "verify"))]
+#[cfg(test)]
 mod tests {
     use crate::counters::{Direction, NestCounters};
     use crate::machine::SimMachine;

@@ -45,6 +45,14 @@ impl fmt::Display for PapiError {
 
 impl std::error::Error for PapiError {}
 
+/// A measurement window whose counters broke conservation is a failed
+/// backend: the bytes it would report cannot be trusted.
+impl From<p9_memsim::ConservationError> for PapiError {
+    fn from(e: p9_memsim::ConservationError) -> Self {
+        PapiError::System(format!("counter conservation violated: {e}"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -61,5 +69,21 @@ mod tests {
             reason: "permission denied".into(),
         };
         assert!(e.to_string().contains("perf_uncore"));
+    }
+
+    #[test]
+    fn conservation_error_keeps_channel_direction_and_bytes() {
+        let e: PapiError = p9_memsim::ConservationError::Channel {
+            channel: 3,
+            dir: "write",
+            counter: 4160,
+            expected: 4096,
+        }
+        .into();
+        assert!(matches!(e, PapiError::System(_)), "{e:?}");
+        let text = e.to_string();
+        for needle in ["ESYS", "channel 3", "write", "4160", "4096"] {
+            assert!(text.contains(needle), "{needle:?} missing from {text:?}");
+        }
     }
 }

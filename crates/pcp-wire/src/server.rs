@@ -9,7 +9,7 @@
 //! * a **bounded worker pool** (default 32 threads) pulls connections off
 //!   the queue. One worker serves one client at a time, request by
 //!   request, so each client has at most one fetch in flight; batch size
-//!   is additionally capped by [`WireConfig::max_fetch_batch`]. That pair
+//!   is additionally capped by [`MAX_FETCH_BATCH`]. That pair
 //!   of bounds is the backpressure story.
 //! * every socket read carries a **timeout tick** so workers notice the
 //!   shutdown flag promptly; [`PmcdServer::shutdown`] stops the accept
@@ -37,8 +37,18 @@ use pcp_sim::pmns::{InstanceId, MetricId, MetricSemantics, Pmns};
 use pcp_sim::FetchCore;
 pub use pcp_sim::StatsSnapshot;
 
-use crate::pdu::{read_pdu, write_pdu, ErrorCode, Pdu, WireError, PROTOCOL_VERSION};
+use crate::pdu::{
+    read_pdu, write_pdu, ErrorCode, Pdu, WireError, DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION,
+};
 use crate::pool::{BoundedQueue, Pop, PushError};
+
+/// Per-write timeout; a client that stops draining its socket is
+/// disconnected rather than wedging a worker.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Largest number of `(metric, instance)` pairs in one fetch; a bigger
+/// batch is answered `Error{TooLarge}` and the connection stays up.
+pub const MAX_FETCH_BATCH: usize = 1024;
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
@@ -52,16 +62,6 @@ pub struct WireConfig {
     /// Per-read timeout tick. Bounds how long a worker can ignore the
     /// shutdown flag; not an idle-disconnect timeout.
     pub read_timeout: Duration,
-    /// Per-write timeout; a client that stops draining its socket is
-    /// disconnected rather than wedging a worker.
-    pub write_timeout: Duration,
-    /// Largest PDU payload accepted from a client.
-    pub max_payload: u32,
-    /// Largest number of `(metric, instance)` pairs in one fetch.
-    pub max_fetch_batch: usize,
-    /// Inject daemon memory traffic on each nest-counter fetch (the
-    /// observer-effect knob, as in `pcp_sim::PmcdConfig`).
-    pub fetch_touch: bool,
 }
 
 impl Default for WireConfig {
@@ -70,10 +70,6 @@ impl Default for WireConfig {
             workers: 32,
             pending: 64,
             read_timeout: Duration::from_millis(100),
-            write_timeout: Duration::from_secs(2),
-            max_payload: crate::pdu::DEFAULT_MAX_PAYLOAD,
-            max_fetch_batch: 1024,
-            fetch_touch: false,
         }
     }
 }
@@ -177,14 +173,15 @@ impl PmcdServer {
     ) -> Result<Self, ServerError> {
         token.require_elevated()?;
         assert!(config.workers >= 1, "server needs at least one worker");
-        assert!(config.max_fetch_batch >= 1);
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         let queue = Arc::new(BoundedQueue::new(config.pending));
         let shared = Arc::new(Shared {
-            core: FetchCore::new(pmns, sockets, config.fetch_touch, registry),
+            // The wire daemon never injects its own fetch traffic (the
+            // observer-effect knob lives on `pcp_sim::PmcdConfig`).
+            core: FetchCore::new(pmns, sockets, false, registry),
             config: config.clone(),
             queue: Arc::clone(&queue),
             shutdown: AtomicBool::new(false),
@@ -327,7 +324,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>, queue: Arc<BoundedQue
 fn reject_busy(shared: &Shared, mut stream: TcpStream) {
     shared.core.stats().count_client_rejected();
     obs::instant!("pmcd.shed", shared.queue.len() as u64);
-    let _ = stream.set_write_timeout(Some(shared.config.write_timeout));
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let frame = Pdu::Error {
         code: ErrorCode::Busy,
         detail: "server at capacity".into(),
@@ -361,10 +358,11 @@ fn serve_client(shared: &Shared, stream: TcpStream) {
 }
 
 fn serve_client_inner(shared: &Shared, mut stream: TcpStream, client_id: u64) {
-    let cfg = &shared.config;
     let stats = shared.core.stats();
-    if stream.set_read_timeout(Some(cfg.read_timeout)).is_err()
-        || stream.set_write_timeout(Some(cfg.write_timeout)).is_err()
+    if stream
+        .set_read_timeout(Some(shared.config.read_timeout))
+        .is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
         || stream.set_nodelay(true).is_err()
     {
         return;
@@ -372,7 +370,7 @@ fn serve_client_inner(shared: &Shared, mut stream: TcpStream, client_id: u64) {
 
     let mut handshaken = false;
     loop {
-        let pdu = match read_pdu(&mut stream, cfg.max_payload) {
+        let pdu = match read_pdu(&mut stream, DEFAULT_MAX_PAYLOAD) {
             Ok(pdu) => pdu,
             Err(WireError::Io(e))
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -497,13 +495,12 @@ fn handle_request(shared: &Shared, pdu: Pdu) -> Pdu {
             // drained rings stitch into one cross-process critical path
             // (obs::stitch matches client/server spans by this arg).
             let _server_span = obs::span!(obs::stitch::SERVER_FETCH_SPAN, trace_id);
-            if requests.len() > shared.config.max_fetch_batch {
+            if requests.len() > MAX_FETCH_BATCH {
                 return Pdu::Error {
                     code: ErrorCode::TooLarge,
                     detail: format!(
-                        "fetch batch of {} exceeds limit {}",
-                        requests.len(),
-                        shared.config.max_fetch_batch
+                        "fetch batch of {} exceeds limit {MAX_FETCH_BATCH}",
+                        requests.len()
                     ),
                 };
             }

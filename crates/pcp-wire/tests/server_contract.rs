@@ -8,6 +8,7 @@ use std::sync::Arc;
 use p9_memsim::SimMachine;
 use pcp_sim::{InstanceId, PcpError, PmApi, Pmns};
 use pcp_wire::pdu::{read_pdu, write_pdu, DEFAULT_MAX_PAYLOAD};
+use pcp_wire::server::MAX_FETCH_BATCH;
 use pcp_wire::{ErrorCode, Pdu, PmcdServer, WireClient, WireConfig, PROTOCOL_VERSION};
 
 fn bind(registry: Option<Arc<obs::Registry>>) -> PmcdServer {
@@ -77,4 +78,37 @@ fn creds_handshake_rejects_both_neighbours_of_the_protocol_version() {
     }
     // The one supported version still shakes hands.
     assert!(WireClient::connect(server.local_addr()).is_ok());
+}
+
+/// The fetch-batch cap over a real socket: one pair too many is answered
+/// `Error{TooLarge}` and counted, and the connection survives to serve a
+/// batch of exactly the cap.
+#[test]
+fn oversized_fetch_batch_is_refused_and_the_connection_lives_on() {
+    let server = bind(None);
+    let client = WireClient::connect(server.local_addr()).expect("connect");
+    let id = client
+        .pm_lookup_name("pmcd.pdu.error")
+        .expect("self-metric resolves");
+    let batch = |n: usize| vec![(id, InstanceId(0)); n];
+
+    let errors_before = server.stats().pdu_error;
+    match client.pm_fetch(&batch(MAX_FETCH_BATCH + 1)) {
+        Err(PcpError::Protocol(detail)) => {
+            assert!(detail.contains("TooLarge"), "{detail}");
+            assert!(
+                detail.contains(&(MAX_FETCH_BATCH + 1).to_string()),
+                "{detail}"
+            );
+        }
+        other => panic!("oversized batch answered with {other:?}"),
+    }
+    assert_eq!(server.stats().pdu_error, errors_before + 1);
+
+    // Same connection, batch at the cap: served, and the refusal above is
+    // visible through the metric it was counted in.
+    let values = client
+        .pm_fetch(&batch(MAX_FETCH_BATCH))
+        .expect("fetch at the cap");
+    assert_eq!(values, vec![errors_before + 1; MAX_FETCH_BATCH]);
 }

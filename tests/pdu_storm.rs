@@ -22,7 +22,7 @@ use obs::openmetrics::{parse, strip_timestamp, Value};
 use papi_repro::arch::Machine;
 use papi_repro::memsim::SimMachine;
 use papi_repro::pcp::{PmApi, Pmns};
-use papi_repro::wire::pdu::{Pdu, HEADER_LEN};
+use papi_repro::wire::pdu::{Pdu, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
 use papi_repro::wire::{PmcdServer, ScrapeListener, WireClient, WireConfig};
 
 const HOSTILE_THREADS: usize = 3;
@@ -169,10 +169,9 @@ fn malformed_pdu_storm_does_not_perturb_a_live_scrape() {
     let sockets: Vec<_> = (0..machine.num_sockets())
         .map(|s| machine.socket_shared(s))
         .collect();
-    let config = WireConfig::default();
-    let max_payload = config.max_payload;
-    let mut server = PmcdServer::bind_system("127.0.0.1:0", pmns.clone(), sockets, config)
-        .expect("bind pmcd server");
+    let mut server =
+        PmcdServer::bind_system("127.0.0.1:0", pmns.clone(), sockets, WireConfig::default())
+            .expect("bind pmcd server");
     let http = ScrapeListener::bind("127.0.0.1:0", &server).expect("bind scrape listener");
 
     let metric = pmns
@@ -214,7 +213,7 @@ fn malformed_pdu_storm_does_not_perturb_a_live_scrape() {
             texts
         })
     };
-    let frames = mangled_frames(max_payload);
+    let frames = mangled_frames(DEFAULT_MAX_PAYLOAD);
     let hostiles: Vec<_> = (0..HOSTILE_THREADS)
         .map(|_| {
             let frames = frames.clone();

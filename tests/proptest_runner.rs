@@ -1,20 +1,12 @@
 //! Property tests for the parallel reproduction engine.
 //!
-//! 1. **Scheduling determinism** — for random experiment subsets, seeds
-//!    and worker counts, the composed outputs of an N-worker pool are
-//!    byte-identical to the 1-worker reference. Every point builds its
-//!    own seeded machine, so this must hold for *any* interleaving.
-//! 2. **Fast-path equivalence** — the memory-hierarchy fast path
-//!    (sector-mix hoisting, prefetch shortcut, batched MBA accounting)
-//!    is an optimisation, not a model change: on randomized GEMM, GEMV
-//!    and re-sort shapes it must produce exactly the counters and cycle
-//!    counts of the reference path.
+//! **Scheduling determinism** — for random experiment subsets, seeds
+//! and worker counts, the composed outputs of an N-worker pool are
+//! byte-identical to the 1-worker reference. Every point builds its
+//! own seeded machine, so this must hold for *any* interleaving.
 
 use proptest::prelude::*;
 
-use papi_repro::fft3d::resort::{LocalDims, ResortTrace, S1cfNest1, S2cf};
-use papi_repro::kernels::{CappedGemvTrace, GemmTrace};
-use papi_repro::memsim::{CoreSim, CounterSnapshot, SimMachine};
 use repro_bench::runner::{run_experiments, Experiment, Point, PointOutput, RunnerError};
 use repro_bench::{experiments, figures, point_seed, Args, Mode, System};
 
@@ -89,26 +81,6 @@ fn run_twice(
     (outputs(1), outputs(workers))
 }
 
-/// Run a kernel on a fresh machine with the given fast-path setting;
-/// return the socket counter snapshot and the core's cycle count.
-fn run_with_fast_path(
-    setup: impl FnOnce(&mut SimMachine) -> Box<dyn Fn(&mut CoreSim)>,
-    seed: u64,
-    fast: bool,
-) -> (CounterSnapshot, u64) {
-    let mut m = SimMachine::quiet(papi_repro::arch::Machine::summit(), seed);
-    m.set_fast_path(fast);
-    let kernel = setup(&mut m);
-    let mut cycles = 0;
-    m.run_single(0, |core| {
-        kernel(core);
-        cycles = core.cycles();
-    });
-    m.flush_socket(0);
-    let snap = m.socket_shared(0).counters().snapshot();
-    (snap, cycles)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -125,64 +97,5 @@ proptest! {
         let (serial, parallel) =
             run_twice(&subset, &gemm_sizes, &gemv_sizes, seed, workers);
         prop_assert_eq!(serial, parallel);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Fast path vs reference path: identical counters and cycles on a
-    /// randomized single-threaded GEMM.
-    #[test]
-    fn fast_path_matches_reference_gemm(n in 8u64..96, seed in any::<u64>()) {
-        let make = move |m: &mut SimMachine| -> Box<dyn Fn(&mut CoreSim)> {
-            let t = GemmTrace::allocate(m, n);
-            Box::new(move |core| t.run(core))
-        };
-        prop_assert_eq!(
-            run_with_fast_path(make, seed, true),
-            run_with_fast_path(make, seed, false)
-        );
-    }
-
-    /// Fast path vs reference path on a randomized capped GEMV.
-    #[test]
-    fn fast_path_matches_reference_gemv(
-        rows in 32u64..512,
-        cols in 16u64..256,
-        seed in any::<u64>(),
-    ) {
-        let make = move |m: &mut SimMachine| -> Box<dyn Fn(&mut CoreSim)> {
-            let t = CappedGemvTrace::allocate(m, rows, cols);
-            Box::new(move |core| t.run(core))
-        };
-        prop_assert_eq!(
-            run_with_fast_path(make, seed, true),
-            run_with_fast_path(make, seed, false)
-        );
-    }
-
-    /// Fast path vs reference path on randomized re-sort shapes (the
-    /// strided S1CF nest and the locality-friendly S2CF merge).
-    #[test]
-    fn fast_path_matches_reference_resort(
-        n in 2usize..12,
-        s2 in any::<bool>(),
-        seed in any::<u64>(),
-    ) {
-        let n = n * 8; // grid-compatible local dims for a 2x4 grid
-        let make = move |m: &mut SimMachine| -> Box<dyn Fn(&mut CoreSim)> {
-            if s2 {
-                let t = S2cf::for_grid(m, n, 2, 4);
-                Box::new(move |core| t.run(core))
-            } else {
-                let t = S1cfNest1::allocate(m, LocalDims::for_grid(n, 2, 4));
-                Box::new(move |core| t.run(core))
-            }
-        };
-        prop_assert_eq!(
-            run_with_fast_path(make, seed, true),
-            run_with_fast_path(make, seed, false)
-        );
     }
 }

@@ -6,13 +6,12 @@
 //!    every non-decreasing counter column and pinpoint the first dip in any
 //!    column that goes backwards (a free-running hardware counter never
 //!    does; a dip in an archive means the recorder is broken).
-//! 2. **Counter conservation** (`--features verify`) — for arbitrary
-//!    GEMM/GEMV/FFT-resort shapes, the per-channel MBA byte counters must
-//!    exactly equal the shadow transaction ledger the `verify` feature
-//!    keeps alongside the real accounting. `run_single`/`run_parallel`
-//!    already assert this after every kernel; the explicit
-//!    `verify_socket_conservation` calls here exercise the `Result` path
-//!    the assertions are built on.
+//! 2. **Counter conservation** — for arbitrary GEMM/GEMV/FFT-resort
+//!    shapes, the per-channel MBA byte counters must exactly equal the
+//!    shadow transaction ledger the simulator keeps alongside the real
+//!    accounting. `run_single`/`run_parallel` already assert this after
+//!    every kernel; the explicit `verify_socket_conservation` calls here
+//!    exercise the `Result` path the assertions are built on.
 
 use proptest::prelude::*;
 
@@ -70,7 +69,6 @@ proptest! {
     }
 }
 
-#[cfg(feature = "verify")]
 mod conservation {
     use super::*;
     use papi_repro::arch::Machine;
