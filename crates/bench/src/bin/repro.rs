@@ -26,6 +26,19 @@
 //! committed references the golden-figure regression suite
 //! (`tests/golden_figures.rs`) replays.
 
+// The no-panic gate (DESIGN.md §8.1), as on the library.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::fs;
 use std::path::Path;
 use std::process::ExitCode;

@@ -4,6 +4,20 @@
 //! whose rows correspond to the series of one paper figure. `EXPERIMENTS.md` at
 //! the repository root records the paper-vs-measured comparison for each.
 
+// The no-panic gate (DESIGN.md §8.1): CI's clippy step fails on any of
+// these outside test code.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use p9_memsim::SimMachine;
 use papi_sim::papi::{setup_node, NodeSetup};
 

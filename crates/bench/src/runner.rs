@@ -22,7 +22,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use obs::sync::{Mutex, Rank};
 
 /// Typed failure of a reproduction run.
 #[derive(Debug, Clone)]
@@ -256,7 +256,7 @@ pub fn run_experiments(experiments: Vec<Experiment>, workers: usize) -> RunRepor
                     let job = jobs.len();
                     meta.push((ei, pi));
                     labels.push((exp.tag.to_owned(), point.label));
-                    jobs.push(Mutex::new(Some(f)));
+                    jobs.push(Mutex::new(Rank::BENCH_JOBS, Some(f)));
                     skeleton[ei].1.push(PointRender::Job(job));
                 }
             }
@@ -265,10 +265,13 @@ pub fn run_experiments(experiments: Vec<Experiment>, workers: usize) -> RunRepor
 
     let slots: Vec<Mutex<Slot>> = (0..jobs.len())
         .map(|_| {
-            Mutex::new(Slot {
-                result: None,
-                seconds: 0.0,
-            })
+            Mutex::new(
+                Rank::BENCH_SLOTS,
+                Slot {
+                    result: None,
+                    seconds: 0.0,
+                },
+            )
         })
         .collect();
 

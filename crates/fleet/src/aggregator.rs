@@ -13,12 +13,13 @@
 //! `alert.fleet.straggler_skew` rule.
 
 use std::net::SocketAddr;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use obs::derive::{Monitor, Predicate, Rule};
 use obs::openmetrics::{from_exported, render, MetricKind, Value};
 use obs::stitch::{self, FanoutTrace};
+use obs::sync::{Mutex, Rank};
 use pcp_wire::pool::{BoundedQueue, Pop};
 use pcp_wire::scrape::{HttpResponse, RequestHandler, CONTENT_TYPE};
 use pcp_wire::{ScrapeListener, WireClient};
@@ -120,9 +121,8 @@ pub struct Aggregator {
     monitor: Monitor,
     store: Arc<Store>,
     debug: Arc<DebugPlane>,
-    // lock-rank: fleet.1 — the published fleet document; a leaf, written
-    // at the end of a pass and read by the scrape provider. Nothing else
-    // is ever acquired while it is held.
+    /// The fleet document: written at the end of a pass, cloned out by
+    /// the scrape provider.
     published: Arc<Mutex<String>>,
     listener: Option<ScrapeListener>,
 }
@@ -207,7 +207,7 @@ impl Aggregator {
             prev_sim_bytes: 0,
             store,
             debug,
-            published: Arc::new(Mutex::new(String::from("# EOF\n"))),
+            published: Arc::new(Mutex::new(Rank::FLEET_PUBLISHED, String::from("# EOF\n"))),
             listener: None,
         }
     }
@@ -472,7 +472,7 @@ impl Aggregator {
         let fleet_section = render(&from_exported(&snap.scalars), None);
         doc.push_str(&fleet_section);
         {
-            let mut published = self.published.lock().unwrap_or_else(|e| e.into_inner());
+            let mut published = self.published.lock();
             *published = doc;
         }
 
@@ -504,10 +504,7 @@ impl Aggregator {
 
     /// The currently published fleet document (what `/metrics` serves).
     pub fn published(&self) -> String {
-        self.published
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.published.lock().clone()
     }
 
     /// Expose the fleet document on `/metrics` (and `/`) plus the
@@ -522,7 +519,7 @@ impl Aggregator {
         let debug = Arc::clone(&self.debug);
         let handler: RequestHandler = Arc::new(move |path: &str, query: &str| {
             if path == "/metrics" || path == "/" {
-                let doc = published.lock().unwrap_or_else(|e| e.into_inner()).clone();
+                let doc = published.lock().clone();
                 return Some(HttpResponse::ok(CONTENT_TYPE, doc));
             }
             debug.handle(path, query)

@@ -21,9 +21,10 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use obs::stitch::FanoutTrace;
+use obs::sync::{Mutex, Rank};
 use obs::trace::SpanEvent;
 use pcp_wire::scrape::HttpResponse;
 use store::{Derivation, Selector, SeriesData, Store};
@@ -61,9 +62,8 @@ pub struct PassRecord {
 /// Bounded diagnostics state + the `/debug/*` route table.
 pub struct DebugPlane {
     capacity: usize,
-    // lock-rank: fleet.2 — the pass-record ring; a leaf. Renders copy
-    // what they need out under the lock and never touch the store (or
-    // any other lock) while holding it.
+    /// Renders copy what they need out under the lock and never touch
+    /// the store while holding it.
     ring: Mutex<VecDeque<PassRecord>>,
     store: Arc<Store>,
 }
@@ -74,7 +74,10 @@ impl DebugPlane {
     pub fn new(capacity: usize, store: Arc<Store>) -> Self {
         DebugPlane {
             capacity,
-            ring: Mutex::new(VecDeque::with_capacity(capacity.min(64))),
+            ring: Mutex::new(
+                Rank::FLEET_DEBUG_RING,
+                VecDeque::with_capacity(capacity.min(64)),
+            ),
             store,
         }
     }
@@ -86,7 +89,7 @@ impl DebugPlane {
 
     /// Passes currently retained.
     pub fn len(&self) -> usize {
-        self.ring.lock().unwrap_or_else(|e| e.into_inner()).len()
+        self.ring.lock().len()
     }
 
     /// True when no pass has been recorded yet.
@@ -97,7 +100,7 @@ impl DebugPlane {
     /// Record one pass, evicting the oldest beyond the capacity.
     pub fn record_pass(&self, mut record: PassRecord) {
         record.events.truncate(MAX_EVENTS_PER_PASS);
-        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
+        let mut ring = self.ring.lock();
         ring.push_back(record);
         while ring.len() > self.capacity {
             ring.pop_front();
@@ -136,7 +139,7 @@ impl DebugPlane {
     /// stitched per-host decomposition of each. Deterministic: no
     /// clocks, no thread ids, no hash-order iteration.
     pub fn render_passes(&self) -> String {
-        let ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
+        let ring = self.ring.lock();
         let mut out = String::with_capacity(256 * ring.len().max(1));
         out.push_str("# fleet passes (last ");
         out.push_str(&ring.len().to_string());
@@ -223,7 +226,7 @@ impl DebugPlane {
         // simulated clock the same ring state answers identically
         // forever.
         let t_to = {
-            let ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
+            let ring = self.ring.lock();
             ring.back().map_or(u64::MAX, |r| r.t_ns)
         };
         let t_from = t_to.saturating_sub(window_ns);
@@ -236,7 +239,7 @@ impl DebugPlane {
     /// All retained events, pass order, with the child-id → pid lane
     /// map from the stitched traces.
     fn collect_events(&self) -> (Vec<SpanEvent>, HashMap<u64, u64>) {
-        let ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
+        let ring = self.ring.lock();
         let mut events = Vec::new();
         let mut lane_of = HashMap::new();
         for r in ring.iter() {

@@ -39,6 +39,20 @@
 //! clients stays a named follow-up (ROADMAP item 1); this tier fixes
 //! the federation *semantics* that refactor will scale.
 
+// The no-panic gate (DESIGN.md §8.1): CI's clippy step fails on any of
+// these outside test code.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 mod aggregator;
 pub mod debug;
 mod host;

@@ -22,9 +22,12 @@
 //!
 //! The same factoring handles batched kernels (`threads` identical
 //! instances on disjoint operands): thread 0 is simulated with the
-//! batch's L3 share and scaled by `threads`. `tests` (and the
-//! `factoring_equivalence` integration test) verify both reductions
-//! against full simulation at small sizes.
+//! batch's L3 share and scaled by `threads`. One test checks both
+//! reductions against full simulation, at one small size:
+//! `quiet_factored_matches_full_simulation` below (GEMM N = 64, 3
+//! threads, 4 repetitions; 5 % read / 25 % write tolerance). Nothing
+//! checks the factoring at the cache bound, where one core with a
+//! share and 21 contending cores could differ (ROADMAP item 6).
 
 use p9_memsim::{CoreSim, Direction, SimMachine};
 use papi_sim::{EventSet, Papi, PapiError};

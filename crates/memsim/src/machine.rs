@@ -19,7 +19,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use obs::sync::{Mutex, Rank};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -121,10 +121,13 @@ impl SocketShared {
             counters: Arc::new(NestCounters::new()),
             core_events: Arc::new(CoreEventCounters::default()),
             noise,
-            rng: Mutex::new(StdRng::seed_from_u64(seed)),
+            rng: Mutex::new(Rank::MEMSIM_RNG, StdRng::seed_from_u64(seed)),
             time_cycles: AtomicU64::new(0),
             clock_hz,
-            last_verified: Mutex::new(crate::CounterSnapshot::default()),
+            last_verified: Mutex::new(
+                Rank::MEMSIM_LAST_VERIFIED,
+                crate::CounterSnapshot::default(),
+            ),
         }
     }
 

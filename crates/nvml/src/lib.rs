@@ -21,7 +21,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 use p9_memsim::machine::SocketShared;
 use p9_memsim::Direction;
@@ -114,10 +114,15 @@ pub struct GpuDevice {
     params: GpuParams,
     index: usize,
     host: Arc<SocketShared>,
-    timeline: Mutex<PowerTimeline>,
+    state: Mutex<DeviceState>,
+}
+
+#[derive(Default)]
+struct DeviceState {
+    timeline: PowerTimeline,
     /// Device-local clock: the device may run ahead of the host between
     /// synchronizations; ops are serialized on the device.
-    busy_until: Mutex<f64>,
+    busy_until: f64,
 }
 
 impl GpuDevice {
@@ -127,9 +132,14 @@ impl GpuDevice {
             params,
             index,
             host,
-            timeline: Mutex::new(PowerTimeline::default()),
-            busy_until: Mutex::new(0.0),
+            state: Mutex::new(DeviceState::default()),
         }
+    }
+
+    /// A holder that panicked left a whole number of segments behind, so
+    /// a poisoned lock is recovered.
+    fn state(&self) -> MutexGuard<'_, DeviceState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Device parameters.
@@ -146,10 +156,7 @@ impl GpuDevice {
     /// uses synchronous `cudaMemcpy` / `cufftExec` + sync). Advances both
     /// device timeline and host clock; host copies inject nest traffic.
     pub fn submit_sync(&self, op: GpuOp) {
-        let start = {
-            let busy = self.busy_until.lock();
-            self.host.now_seconds().max(*busy)
-        };
+        let start = self.host.now_seconds().max(self.state().busy_until);
         let (duration, watts) = match op {
             GpuOp::H2D { bytes } => {
                 self.host.record_dma(bytes, Direction::Read);
@@ -166,8 +173,11 @@ impl GpuDevice {
             }
         };
         let end = start + duration;
-        self.timeline.lock().push(start, end, watts);
-        *self.busy_until.lock() = end;
+        {
+            let mut state = self.state();
+            state.timeline.push(start, end, watts);
+            state.busy_until = end;
+        }
         // Synchronous call: the host waits for completion.
         let now = self.host.now_seconds();
         if end > now {
@@ -177,7 +187,7 @@ impl GpuDevice {
 
     /// Instantaneous power in milliwatts at host time `t` (the NVML unit).
     pub fn power_mw_at(&self, t: f64) -> u64 {
-        (self.timeline.lock().power_at(t, self.params.idle_w) * 1000.0) as u64
+        (self.state().timeline.power_at(t, self.params.idle_w) * 1000.0) as u64
     }
 
     /// Instantaneous power now, in milliwatts (`nvmlDeviceGetPowerUsage`).
@@ -190,7 +200,7 @@ impl GpuDevice {
 
     /// Total active energy in joules (diagnostics).
     pub fn active_energy_j(&self) -> f64 {
-        self.timeline.lock().active_energy()
+        self.state().timeline.active_energy()
     }
 }
 

@@ -36,6 +36,20 @@
 //! # drop(obs::trace::drain());
 //! ```
 
+// The no-panic gate (DESIGN.md §8.1): CI's clippy step fails on any of
+// these outside test code.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod chrome;
 pub mod clock;
 pub mod derive;
@@ -45,6 +59,7 @@ pub mod openmetrics;
 pub mod series;
 pub mod snapshot;
 pub mod stitch;
+pub mod sync;
 pub mod trace;
 
 pub use derive::{Alert, Monitor, Predicate, Rule};

@@ -14,7 +14,9 @@
 //! metric id — never changes once registered.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use crate::sync::{Mutex, Rank};
 
 /// Number of log2 buckets: bucket 0 holds the value 0, bucket `i ≥ 1`
 /// holds values in `[2^(i-1), 2^i - 1]`, bucket 64 tops out at
@@ -309,8 +311,6 @@ fn hist_scalar(snap: &HistSnapshot, idx: usize) -> u64 {
 
 /// An append-only name → metric registry.
 pub struct Registry {
-    // lock-rank: obs.1 — registry entry list; a leaf: nothing else is
-    // ever acquired while it is held.
     entries: Mutex<Vec<(&'static str, Slot)>>,
 }
 
@@ -324,12 +324,12 @@ impl Registry {
     /// An empty registry.
     pub const fn new() -> Self {
         Registry {
-            entries: Mutex::new(Vec::new()),
+            entries: Mutex::new(Rank::OBS_ENTRIES, Vec::new()),
         }
     }
 
     fn get_or_insert(&self, name: &'static str, make: impl FnOnce() -> Slot) -> Slot {
-        let mut entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let mut entries = self.entries.lock();
         if let Some((_, slot)) = entries.iter().find(|(n, _)| *n == name) {
             return slot.clone();
         }
@@ -366,7 +366,7 @@ impl Registry {
 
     /// Owned snapshots of every entry, in registration order.
     pub fn entries(&self) -> Vec<(&'static str, EntrySnapshot)> {
-        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let entries = self.entries.lock();
         entries
             .iter()
             .map(|(name, slot)| {
@@ -384,7 +384,7 @@ impl Registry {
     /// for the lifetime of the process: the registry is append-only and
     /// each entry kind contributes a fixed number of scalars.
     pub fn export(&self) -> Vec<Exported> {
-        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let entries = self.entries.lock();
         let mut out = Vec::new();
         for (name, slot) in entries.iter() {
             match slot {
@@ -415,7 +415,7 @@ impl Registry {
 
     /// Number of scalars [`Registry::export`] currently yields.
     pub fn flattened_len(&self) -> usize {
-        let entries = self.entries.lock().unwrap_or_else(|e| e.into_inner());
+        let entries = self.entries.lock();
         entries.iter().map(|(_, s)| flattened_width(s)).sum()
     }
 }

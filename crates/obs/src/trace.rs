@@ -21,9 +21,10 @@
 
 use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use crate::clock;
+use crate::sync::{Mutex, Rank};
 
 /// Records in a ring's first block: 64 × 48-byte records = 3 KiB, what
 /// a thread that records a handful of spans between drains (a fleet
@@ -170,7 +171,7 @@ impl Ring {
     /// log2(`RING_CAPACITY` / `FIRST_BLOCK`) times per ring.
     #[cold]
     fn grow(&self, head: u64) -> &[UnsafeCell<Record>] {
-        let _no_drain = registry().lock().unwrap_or_else(|e| e.into_inner());
+        let _no_drain = RINGS.lock();
         let tail = self.tail.load(Ordering::Acquire);
         self.cached_tail.set(tail);
         // SAFETY: this is the producer thread, which holds no other
@@ -208,22 +209,13 @@ impl Ring {
     }
 }
 
-// lock-rank: obs.2 — free-ring pool; held only for a Vec push/pop.
-// Ranked below the ring registry: a pool miss registers a fresh ring.
-fn ring_pool() -> &'static Mutex<Vec<Arc<Ring>>> {
-    // lock-rank: obs.2 — same lock as the fn above returns.
-    static POOL: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(Vec::new()))
-}
+/// Free rings, returned by exited threads.
+static RING_POOL: Mutex<Vec<Arc<Ring>>> = Mutex::new(Rank::OBS_RING_POOL, Vec::new());
 
-// lock-rank: obs.3 — ring-registration list; a leaf, held for a Vec
-// push (registration), a walk of the rings (drain) or one ring's block
-// swap (growth) — which is what keeps drains and growth apart.
-fn registry() -> &'static Mutex<Vec<Arc<Ring>>> {
-    // lock-rank: obs.3 — same lock as the fn above returns.
-    static RINGS: OnceLock<Mutex<Vec<Arc<Ring>>>> = OnceLock::new();
-    RINGS.get_or_init(|| Mutex::new(Vec::new()))
-}
+/// Every ring ever created. Held for a push (registration), a walk of
+/// the rings (drain) or one ring's block swap (growth) — which is what
+/// keeps drains and growth apart.
+static RINGS: Mutex<Vec<Arc<Ring>>> = Mutex::new(Rank::OBS_RINGS, Vec::new());
 
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
 
@@ -254,10 +246,7 @@ impl Drop for RingLease {
         // The cell is const-init without a destructor, so it is still
         // accessible while other TLS destructors (this one) run.
         let _ = TL_RING.try_with(|cell| cell.set(std::ptr::null()));
-        ring_pool()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Arc::clone(&self.0));
+        RING_POOL.lock().push(Arc::clone(&self.0));
     }
 }
 
@@ -267,14 +256,11 @@ impl Drop for RingLease {
 #[cold]
 fn register_ring(cell: &Cell<*const Ring>) -> *const Ring {
     clock::ensure_epoch();
-    let pooled = ring_pool().lock().unwrap_or_else(|e| e.into_inner()).pop();
+    let pooled = RING_POOL.lock().pop();
     let ring = pooled.unwrap_or_else(|| {
         // relaxed-ok: unique-id handout, no ordering with other data.
         let ring = Arc::new(Ring::new(NEXT_TID.fetch_add(1, Ordering::Relaxed)));
-        registry()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Arc::clone(&ring));
+        RINGS.lock().push(Arc::clone(&ring));
         ring
     });
     let ptr = Arc::as_ptr(&ring);
@@ -376,7 +362,7 @@ pub fn drain() -> Vec<SpanEvent> {
     let cal = clock::calibration();
     let mut raw: Vec<(u64, Record)> = Vec::new();
     {
-        let rings = registry().lock().unwrap_or_else(|e| e.into_inner());
+        let rings = RINGS.lock();
         for ring in rings.iter() {
             ring.drain_into(&mut raw);
         }
@@ -398,7 +384,7 @@ pub fn drain() -> Vec<SpanEvent> {
 
 /// Total records dropped (rings full) since startup, across all threads.
 pub fn dropped_records() -> u64 {
-    let rings = registry().lock().unwrap_or_else(|e| e.into_inner());
+    let rings = RINGS.lock();
     rings
         .iter()
         // relaxed-ok: monotonic tally read for reporting only.
@@ -408,12 +394,15 @@ pub fn dropped_records() -> u64 {
 
 /// Number of threads that have recorded at least once.
 pub fn ring_count() -> usize {
-    registry().lock().unwrap_or_else(|e| e.into_inner()).len()
+    RINGS.lock().len()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    // Test-private locks (serialising tests, parking the drainer) sit
+    // outside the ranked order.
+    use std::sync::Mutex;
 
     /// The rings and drain are process-global; tests that record and
     /// then drain must not interleave or they steal each other's events.
@@ -428,7 +417,7 @@ mod tests {
         /// What [`drain`] does to one ring: `drain_into` under the
         /// registry lock.
         fn drain_locked(&self, out: &mut Vec<(u64, Record)>) {
-            let _rings = registry().lock().unwrap_or_else(|e| e.into_inner());
+            let _rings = RINGS.lock();
             self.drain_into(out);
         }
     }

@@ -11,9 +11,9 @@
 
 use std::io::Write as _;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
-use std::sync::Mutex;
 use std::time::Duration;
 
+use obs::sync::{Mutex, Rank};
 use pcp_sim::pmns::{InstanceId, MetricDesc, MetricId};
 use pcp_sim::{PcpError, PmApi};
 
@@ -27,8 +27,9 @@ pub const DEFAULT_IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// An unprivileged TCP connection to a networked PMCD.
 pub struct WireClient {
-    // lock-rank: wire.2 — serialises whole PDU exchanges on the socket;
-    // may record obs metrics (obs.*) but never takes wire.1 or store.*.
+    /// Serialises whole PDU exchanges on the socket; both directions run
+    /// under the connection's read/write timeouts, so a dead peer errors
+    /// out instead of wedging whoever waits for the lock.
     stream: Mutex<TcpStream>,
     max_payload: u32,
     client_id: u64,
@@ -52,7 +53,7 @@ impl WireClient {
         stream.set_write_timeout(Some(io_timeout)).map_err(io_err)?;
         let peer = stream.peer_addr().map_err(io_err)?;
         let client = WireClient {
-            stream: Mutex::new(stream),
+            stream: Mutex::new(Rank::WIRE_STREAM, stream),
             max_payload: crate::pdu::DEFAULT_MAX_PAYLOAD,
             client_id: 0,
             peer,
@@ -86,14 +87,8 @@ impl WireClient {
 
     /// One request/response round trip.
     fn call(&self, request: &Pdu) -> Result<Pdu, PcpError> {
-        let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        // blocking-ok: the stream mutex exists precisely to serialise whole
-        // PDU exchanges on this socket; both directions run under the
-        // connection's read/write timeouts, so a dead peer errors out
-        // instead of wedging other locks (wire.2 is below wire.1 and
-        // nothing else is held here).
+        let mut stream = self.stream.lock();
         write_pdu(&mut *stream, request).map_err(wire_err)?;
-        // blocking-ok: second half of the same serialised exchange.
         read_pdu(&mut *stream, self.max_payload).map_err(wire_err)
     }
 
@@ -101,20 +96,15 @@ impl WireClient {
     /// for robustness tests that must send deliberately malformed frames;
     /// a correct client never needs it.
     pub fn send_raw(&self, bytes: &[u8]) -> std::io::Result<()> {
-        let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        // blocking-ok: test-only raw frame write under the per-exchange
-        // stream mutex; socket write timeout bounds the stall.
+        let mut stream = self.stream.lock();
         stream.write_all(bytes)?;
-        // blocking-ok: flush of the same timeout-bounded raw write.
         stream.flush()
     }
 
     /// Read one PDU off the connection, bypassing the request path. Pairs
     /// with [`WireClient::send_raw`] in tests.
     pub fn recv_pdu(&self) -> Result<Pdu, PcpError> {
-        let mut stream = self.stream.lock().unwrap_or_else(|e| e.into_inner());
-        // blocking-ok: test-only receive half of a serialised exchange;
-        // bounded by the connection read timeout.
+        let mut stream = self.stream.lock();
         read_pdu(&mut *stream, self.max_payload).map_err(wire_err)
     }
 

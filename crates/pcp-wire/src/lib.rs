@@ -33,6 +33,20 @@
 //! Everything is `std`-only (threads + `std::net`); the crate builds and
 //! tests hermetically with no external dependencies and no tokio.
 
+// The no-panic gate (DESIGN.md §8.1): CI's clippy step fails on any of
+// these outside test code.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod client;
 pub mod logger;
 pub mod pdu;

@@ -9,10 +9,11 @@
 //! exactly like one `pmlogger` process recording several logging groups.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use obs::sync::{Mutex, Rank};
 use pcp_sim::pmns::{InstanceId, MetricId};
 use pcp_sim::{Archive, ArchiveRecord, PcpError, PmApi};
 use store::{Selector, SeriesKey, Store, StoreError};
@@ -43,8 +44,7 @@ struct Group {
 /// [`stop`]: SamplingScheduler::stop
 pub struct SamplingScheduler {
     stop: Arc<AtomicBool>,
-    // lock-rank: wire.1 — sampler group list, the outermost lock: the
-    // sample loop fetches and ingests (store.*, obs.*) while holding it.
+    /// The sample loop fetches and ingests while holding it.
     groups: Arc<Mutex<Vec<Group>>>,
     thread: Option<JoinHandle<()>>,
 }
@@ -96,7 +96,7 @@ impl SamplingScheduler {
                 error: None,
             })
             .collect();
-        let groups = Arc::new(Mutex::new(groups));
+        let groups = Arc::new(Mutex::new(Rank::WIRE_GROUPS, groups));
         let stop = Arc::new(AtomicBool::new(false));
 
         let t_groups = Arc::clone(&groups);
@@ -120,7 +120,7 @@ impl SamplingScheduler {
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
-        let mut groups = self.groups.lock().unwrap_or_else(|e| e.into_inner());
+        let mut groups = self.groups.lock();
         groups
             .drain(..)
             .map(|g| (g.name, g.archive, g.error))
@@ -130,7 +130,7 @@ impl SamplingScheduler {
     /// Number of samples recorded so far per group (for progress checks
     /// while the sampler runs).
     pub fn sample_counts(&self) -> Vec<(String, usize)> {
-        let groups = self.groups.lock().unwrap_or_else(|e| e.into_inner());
+        let groups = self.groups.lock();
         groups
             .iter()
             .map(|g| (g.name.clone(), g.archive.len()))
@@ -157,7 +157,6 @@ fn series_key(group: &str, id: MetricId, inst: InstanceId) -> SeriesKey {
 
 fn sample_loop(
     ctx: Box<dyn PmApi>,
-    // lock-rank: wire.1 — the SamplingScheduler group list.
     groups: Arc<Mutex<Vec<Group>>>,
     stop: Arc<AtomicBool>,
     store: Option<Arc<Store>>,
@@ -167,7 +166,7 @@ fn sample_loop(
         let now = epoch.elapsed();
         let mut next_wake = now + Duration::from_millis(50);
         {
-            let mut groups = groups.lock().unwrap_or_else(|e| e.into_inner());
+            let mut groups = groups.lock();
             for g in groups.iter_mut() {
                 if g.error.is_some() {
                     continue;
@@ -214,6 +213,7 @@ fn sample_loop(
         let now = epoch.elapsed();
         if next_wake > now {
             // Short bounded sleeps keep stop() responsive.
+            obs::sync::about_to_block("sample_loop sleep");
             std::thread::sleep((next_wake - now).min(Duration::from_millis(20)));
         }
     }

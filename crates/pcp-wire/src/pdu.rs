@@ -641,6 +641,7 @@ impl From<PduError> for WireError {
 
 /// Write one frame.
 pub fn write_pdu<W: Write>(w: &mut W, pdu: &Pdu) -> Result<(), WireError> {
+    obs::sync::about_to_block("write_pdu");
     w.write_all(&pdu.encode())?;
     w.flush()?;
     Ok(())
@@ -701,6 +702,7 @@ fn read_full<R: Read>(r: &mut R, buf: &mut [u8], mut started: bool) -> Result<()
 /// header byte; EOF mid-frame is a protocol error, and a peer that stalls
 /// mid-frame for too long earns [`WireError::Stalled`].
 pub fn read_pdu<R: Read>(r: &mut R, max_payload: u32) -> Result<Pdu, WireError> {
+    obs::sync::about_to_block("read_pdu");
     let mut header = [0u8; HEADER_LEN];
     read_full(r, &mut header, false)?;
     let h = decode_header(&header, max_payload)?;

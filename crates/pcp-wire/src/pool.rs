@@ -53,8 +53,8 @@ struct State<T> {
 
 /// A bounded multi-producer multi-consumer queue.
 pub struct BoundedQueue<T> {
-    // lock-rank: wire.3 — queue state; a leaf guarding only the VecDeque
-    // and the condvar protocol.
+    /// Outside the ranked order (`obs::sync`): the loom lane must model
+    /// this lock, and its critical sections call nothing.
     state: Mutex<State<T>>,
     cond: Condvar,
     capacity: usize,
@@ -91,6 +91,7 @@ impl<T> BoundedQueue<T> {
     /// Dequeue, waiting up to `timeout` for an item. A closed queue still
     /// yields its remaining items before reporting [`Pop::Closed`].
     pub fn pop_timeout(&self, timeout: Duration) -> Pop<T> {
+        obs::sync::about_to_block("BoundedQueue::pop_timeout");
         let mut s = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if let Some(item) = s.items.pop_front() {

@@ -197,6 +197,7 @@ impl Drop for ScrapeListener {
 
 fn accept_loop(listener: TcpListener, queue: &BoundedQueue<TcpStream>, shutdown: &AtomicBool) {
     while !shutdown.load(Ordering::SeqCst) {
+        obs::sync::about_to_block("ScrapeListener accept");
         match listener.accept() {
             Ok((stream, _peer)) => {
                 obs::counter!("wire.scrape.requests").inc();

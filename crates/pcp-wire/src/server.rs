@@ -306,6 +306,7 @@ impl Drop for PmcdServer {
 
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>, queue: Arc<BoundedQueue<TcpStream>>) {
     while !shared.shutdown.load(Ordering::SeqCst) {
+        obs::sync::about_to_block("PmcdServer accept");
         match listener.accept() {
             Ok((stream, _peer)) => match queue.try_push(stream) {
                 Ok(()) => {}

@@ -31,6 +31,20 @@
 //! and here it holds by construction *plus* whatever indirection costs the
 //! model adds (fetch latency, per-fetch daemon work).
 
+// The no-panic gate (DESIGN.md §8.1): CI's clippy step fails on any of
+// these outside test code.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 pub mod archive;
 pub mod client;
 pub mod daemon;

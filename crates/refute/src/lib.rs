@@ -18,6 +18,20 @@
 //!
 //! See DESIGN.md §15 for the prediction models and band rationale.
 
+// The no-panic gate (DESIGN.md §8.1): CI's clippy step fails on any of
+// these outside test code.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+
 use std::fmt;
 
 use p9_memsim::{SimMachine, SECTOR_BYTES};

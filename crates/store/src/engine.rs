@@ -29,10 +29,11 @@
 //! starts on a chunk boundary.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use obs::metrics::ExportSemantics;
 use obs::series::Sample;
+use obs::sync::{Mutex, Rank};
 
 use crate::chunk::{self, Chunk, RAW_SAMPLE_BYTES};
 use crate::index::{Selector, SeriesKey};
@@ -148,17 +149,14 @@ pub struct StoreStats {
 pub struct Store {
     cfg: StoreConfig,
     fs: MemFs,
-    // lock-rank: store.2 — staging buffers; flushing seals chunks into
-    // files (store.4) and publishes the list (store.3) while held.
+    /// Staging buffers; flushing seals chunks into files and publishes
+    /// the list while it is held.
     ingest: Mutex<Ingest>,
     /// The published immutable segment list. Readers clone the `Arc`
     /// and drop the lock; writers replace the whole list.
-    // lock-rank: store.3 — held only to clone or swap the Arc list.
     sealed: Mutex<Arc<Vec<Arc<Segment>>>>,
     /// Serialises compaction passes (ingest and queries never wait on
-    /// this).
-    // lock-rank: store.1 — outermost: a compaction pass flushes ingest
-    // (store.2) and republishes (store.3, store.4) while held.
+    /// this); a pass flushes ingest and republishes while it is held.
     compacting: Mutex<()>,
 }
 
@@ -187,9 +185,9 @@ impl Store {
                 retention_ns: cfg.retention_ns,
             },
             fs: MemFs::new(),
-            ingest: Mutex::new(Ingest::default()),
-            sealed: Mutex::new(Arc::new(Vec::new())),
-            compacting: Mutex::new(()),
+            ingest: Mutex::new(Rank::STORE_INGEST, Ingest::default()),
+            sealed: Mutex::new(Rank::STORE_SEALED, Arc::new(Vec::new())),
+            compacting: Mutex::new(Rank::STORE_COMPACTING, ()),
         }
     }
 
@@ -213,7 +211,7 @@ impl Store {
         t_ns: u64,
         value: u64,
     ) -> Result<(), StoreError> {
-        let mut ingest = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
+        let mut ingest = self.ingest.lock();
         let ingest = &mut *ingest;
         if !ingest.heads.contains_key(key) {
             ingest.heads.insert(
@@ -280,7 +278,7 @@ impl Store {
     /// chunks out as a segment, making the whole store content
     /// cold-readable. Idempotent when nothing is pending.
     pub fn flush(&self) -> Result<(), StoreError> {
-        let mut ingest = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
+        let mut ingest = self.ingest.lock();
         let ingest = &mut *ingest;
         for head in ingest.heads.values_mut() {
             if !head.samples.is_empty() {
@@ -315,7 +313,7 @@ impl Store {
         let len = bytes.len();
         self.fs.create(&name, bytes)?;
         let seg = Arc::new(Segment::new(name, len, entries));
-        let mut sealed = self.sealed.lock().unwrap_or_else(|e| e.into_inner());
+        let mut sealed = self.sealed.lock();
         let mut list = Vec::with_capacity(sealed.len() + 1);
         list.extend(sealed.iter().cloned());
         list.push(seg);
@@ -329,14 +327,14 @@ impl Store {
 
     /// The published segment list (a consistent point-in-time view).
     pub fn segments(&self) -> Arc<Vec<Arc<Segment>>> {
-        let sealed = self.sealed.lock().unwrap_or_else(|e| e.into_inner());
+        let sealed = self.sealed.lock();
         Arc::clone(&sealed)
     }
 
     /// Cumulative ingest/storage totals.
     pub fn stats(&self) -> StoreStats {
         let segments = self.segments();
-        let ingest = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
+        let ingest = self.ingest.lock();
         let head_samples: u64 = ingest.heads.values().map(|h| h.samples.len() as u64).sum();
         let sealed_samples: u64 = segments.iter().map(|s| s.samples()).sum();
         let staged = || ingest.staged.iter().flatten();
@@ -390,7 +388,7 @@ impl Store {
         // into a new segment, so tail-then-list can only double-see
         // samples (deduped below), never miss them.
         let tails: Vec<Tail> = {
-            let ingest = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
+            let ingest = self.ingest.lock();
             ingest
                 .heads
                 .iter()
@@ -488,7 +486,7 @@ impl Store {
     /// and ingest continues concurrently; segments flushed while the
     /// pass runs are preserved verbatim.
     pub fn compact(&self, now_ns: u64) -> Result<CompactStats, StoreError> {
-        let _serialize = self.compacting.lock().unwrap_or_else(|e| e.into_inner());
+        let _serialize = self.compacting.lock();
         obs::counter!("store.compact.runs").inc();
         let before = self.segments();
         let cutoff = self
@@ -527,7 +525,7 @@ impl Store {
         let mut pending: Vec<Entry> = Vec::new();
         let mut pending_bytes = 0usize;
         let mut next_seq = {
-            let ingest = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
+            let ingest = self.ingest.lock();
             ingest.next_seq
         };
         let flush_pending = |pending: &mut Vec<Entry>,
@@ -582,10 +580,10 @@ impl Store {
         {
             // Bump the shared sequence past what compaction consumed so
             // future ingest flushes never collide with rewrite names.
-            let mut ingest = self.ingest.lock().unwrap_or_else(|e| e.into_inner());
+            let mut ingest = self.ingest.lock();
             ingest.next_seq = ingest.next_seq.max(next_seq);
         }
-        let mut sealed = self.sealed.lock().unwrap_or_else(|e| e.into_inner());
+        let mut sealed = self.sealed.lock();
         let mut list = new_segments;
         for seg in sealed.iter() {
             if !snapshot_files.contains(seg.file.as_str()) {

@@ -24,8 +24,22 @@
 //!   math cannot diverge.
 //!
 //! The engine reports itself through `store.*` obs metrics (METRICS.md)
-//! and is held to the workspace no-panic lint: every fallible path
+//! and carries the no-panic deny list below: every fallible path
 //! returns a [`StoreError`].
+
+// The no-panic gate (DESIGN.md §8.1): CI's clippy step fails on any of
+// these outside test code.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
 
 pub mod chunk;
 pub mod engine;
@@ -38,8 +52,8 @@ pub use engine::{CompactStats, Store, StoreConfig, StoreStats};
 pub use index::{glob_match, Selector, SeriesKey};
 pub use query::{Derivation, SeriesData};
 
-/// Typed errors for every fallible store path (the crate is covered by
-/// the workspace no-panic lint, like the wire crates).
+/// Typed errors for every fallible store path (the crate carries the
+/// no-panic deny list, like the wire crates).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum StoreError {
     /// A sample's timestamp did not advance past the series' newest.

@@ -14,29 +14,39 @@
 //! are still reading them.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
+
+use obs::sync::{Mutex, Rank};
 
 use crate::StoreError;
 
 /// A deterministic in-memory file system of immutable files.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct MemFs {
-    // lock-rank: store.4 — file-name map; a leaf held only for map ops
-    // (file contents are immutable Arc<[u8]> handed out by clone).
+    /// Held only for map operations: file contents are immutable
+    /// `Arc<[u8]>` handed out by clone.
     files: Mutex<BTreeMap<String, Arc<[u8]>>>,
+}
+
+impl Default for MemFs {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl MemFs {
     /// An empty filesystem.
     pub fn new() -> Self {
-        Self::default()
+        MemFs {
+            files: Mutex::new(Rank::STORE_FILES, BTreeMap::new()),
+        }
     }
 
     /// Atomically create `name` with `bytes`. Files are write-once:
     /// creating an existing name is an error, so a segment can never be
     /// silently overwritten.
     pub fn create(&self, name: &str, bytes: Vec<u8>) -> Result<Arc<[u8]>, StoreError> {
-        let mut files = self.files.lock().unwrap_or_else(|e| e.into_inner());
+        let mut files = self.files.lock();
         if files.contains_key(name) {
             return Err(StoreError::FileExists(name.to_owned()));
         }
@@ -48,7 +58,7 @@ impl MemFs {
     /// Open `name` for reading. The handle stays valid across a later
     /// [`MemFs::remove`] of the same name.
     pub fn read(&self, name: &str) -> Result<Arc<[u8]>, StoreError> {
-        let files = self.files.lock().unwrap_or_else(|e| e.into_inner());
+        let files = self.files.lock();
         files
             .get(name)
             .cloned()
@@ -57,7 +67,7 @@ impl MemFs {
 
     /// Unlink `name`. Open handles keep their bytes.
     pub fn remove(&self, name: &str) -> Result<(), StoreError> {
-        let mut files = self.files.lock().unwrap_or_else(|e| e.into_inner());
+        let mut files = self.files.lock();
         files
             .remove(name)
             .map(|_| ())
@@ -66,13 +76,13 @@ impl MemFs {
 
     /// File names in lexicographic order.
     pub fn list(&self) -> Vec<String> {
-        let files = self.files.lock().unwrap_or_else(|e| e.into_inner());
+        let files = self.files.lock();
         files.keys().cloned().collect()
     }
 
     /// Total bytes across live (non-removed) files.
     pub fn live_bytes(&self) -> u64 {
-        let files = self.files.lock().unwrap_or_else(|e| e.into_inner());
+        let files = self.files.lock();
         files.values().map(|f| f.len() as u64).sum()
     }
 }

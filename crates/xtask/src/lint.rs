@@ -1,28 +1,23 @@
 //! `papi-verify` static-analysis pass.
 //!
-//! Six repo-specific rules, enforced over every non-test source line of
+//! Three repo-specific rules, enforced over every non-test source line of
 //! the workspace (vendored shims excluded):
 //!
-//! 1. **no-panic** — the server and codec crates (`pcp-wire`, `pcp`) must
-//!    not contain `.unwrap()`, `.expect(…)` or `panic!` outside test code.
-//!    Request paths run on daemon threads; a panic there kills a worker and
-//!    silently degrades the pool, so fallible paths must return typed
-//!    errors (`PduError`, `ServerError`, `PmcdError`).
-//! 2. **relaxed-ok** — every `Ordering::Relaxed` must carry a
+//! 1. **relaxed-ok** — every `Ordering::Relaxed` must carry a
 //!    `// relaxed-ok: <why>` justification on the same line or in the
 //!    comment block directly above it (multi-line justifications carry the
 //!    tag on their first line). The simulator is deliberately lock-free
 //!    around the nest counters; the annotation forces each site to argue
 //!    why relaxed ordering cannot lose or reorder anything the readers
 //!    care about.
-//! 3. **privilege-taint** — outside `memsim` and `pcp` (the two crates that
+//! 2. **privilege-taint** — outside `memsim` and `pcp` (the two crates that
 //!    *implement* the privilege boundary), any `pub fn` whose body reads
 //!    `NestCounters` (via `.counters()` / `.counters_arc()`) must either
 //!    take a `&PrivilegeToken` in its signature or waive the rule with a
 //!    `// privilege-ok: <why>` comment at the access site. This is a taint
 //!    check: socket-wide counters are privileged state, and every public
 //!    door to them must show its capability.
-//! 4. **metric-catalog** — the metric name at every `counter!` / `gauge!` /
+//! 3. **metric-catalog** — the metric name at every `counter!` / `gauge!` /
 //!    `histogram!` call site in non-test code must be a string literal
 //!    that appears (backtick-quoted) in the checked-in `METRICS.md`, or
 //!    waive the rule with a `// metric-ok: <why>` comment. Exported
@@ -30,61 +25,31 @@
 //!    PMNS `pmcd.obs.*` subtree all key on them, so an uncatalogued name
 //!    is an undocumented interface and a typo is a silently dead series.
 //!    The `obs` crate (which implements the macros) is exempt.
-//! 5. **lock-order** — every `Mutex`/`RwLock` declaration in the
-//!    concurrent-core crates (`pcp-wire`, `store`, `obs`, `pcp`) must
-//!    carry a `// lock-rank: <ns>.<N>` annotation; the analyzer tracks
-//!    guard lifetimes, builds the workspace-wide static lock-acquisition
-//!    graph (including across direct intra-workspace calls) and fails on
-//!    same-namespace rank inversions or any cycle, rendering the graph in
-//!    the error. Unresolvable `.lock()` receivers need `// lock-ok: <why>`.
-//!    See [`crate::conc`] and DESIGN.md §13.
-//! 6. **no-blocking-under-lock** — no guard from a ranked lock may be
-//!    live across a blocking call (`recv*`, `join`, `accept`, stream
-//!    I/O, `sleep`, `connect`, `Condvar::wait*`), directly or through a
-//!    uniquely-resolved workspace call, unless the site carries a
-//!    `// blocking-ok: <why>` waiver. A `Condvar::wait*` consuming the
-//!    guard ends it (the wait releases the lock atomically).
 //!
-//! Rules 1–4 run on a lightweight lexer (comments, strings and char
-//! literals stripped; `#[cfg(test)]` items brace-matched and skipped);
-//! rules 5–6 run on a delimiter-matched token stream built over the same
-//! scrubbed view ([`crate::tokens`]). Not a full parser — deliberately
-//! dependency-free so `cargo xtask lint` works offline.
+//! What is *not* here, because a standard tool or the code itself does
+//! it: no-panic in the daemon crates is a clippy deny list on their
+//! `lib.rs` (DESIGN.md §8.1), and lock order / blocking under a lock is
+//! asserted by the locks themselves in every test (`obs::sync`,
+//! DESIGN.md §13).
+//!
+//! The rules run on a lightweight lexer (comments, strings and char
+//! literals stripped; `#[cfg(test)]` items brace-matched and skipped).
+//! Not a full parser — deliberately dependency-free so `cargo xtask lint`
+//! works offline.
 
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-/// Crates whose non-test code must be panic-free (rule 1). `bench` is
-/// held to the same bar as the daemons: a failed sweep point must
-/// surface as a typed `RunnerError` that fails its experiment, never as
-/// a panic that kills the whole reproduction run. `store` holds whole
-/// archived runs — a panic there loses history, so every fallible path
-/// must return a typed `StoreError`. `obs` runs on every hot path of
-/// every instrumented binary — a panic in the tracer takes the host
-/// process down with it, so it too must stay typed-error-only. `fleet`
-/// federates every host's data: a panic in the aggregator blinds the
-/// whole fleet at once, so scrape/merge failures must degrade to
-/// per-host staleness instead. `refute` renders verdicts inside the
-/// repro runner — a panic there would take the whole refutation sweep
-/// down instead of failing one mechanism with a typed `RefuteError`.
-const NO_PANIC_CRATES: &[&str] = &[
-    "pcp-wire", "pcp", "bench", "store", "obs", "fleet", "refute",
-];
-
-/// Crates allowed to read `NestCounters` without a token (rule 3): they
+/// Crates allowed to read `NestCounters` without a token (rule 2): they
 /// implement the privilege boundary rather than crossing it.
 const TAINT_EXEMPT_CRATES: &[&str] = &["memsim", "pcp"];
 
 /// Metric-registration macros whose name argument must be catalogued
-/// (rule 4).
+/// (rule 3).
 const METRIC_NEEDLES: &[&str] = &["counter!(", "gauge!(", "histogram!("];
 
-/// Crates exempt from rule 4: the metrics crate itself.
+/// Crates exempt from rule 3: the metrics crate itself.
 const METRIC_EXEMPT_CRATES: &[&str] = &["obs"];
-
-/// Crates whose locks fall under rules 5–6: the concurrent measurement
-/// core whose deadlock-freedom the paper's indirection claim rests on.
-pub const LOCK_RANK_CRATES: &[&str] = &["pcp-wire", "store", "obs", "pcp", "fleet", "refute"];
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,50 +63,34 @@ pub struct Violation {
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rule {
-    NoPanic,
     RelaxedOk,
     PrivilegeTaint,
     MetricCatalog,
-    LockOrder,
-    BlockingUnderLock,
 }
 
-/// All rule names, in rule-number order (stable: part of the `--json`
-/// schema).
-pub const RULE_NAMES: &[&str] = &[
-    "no-panic",
-    "relaxed-ok",
-    "privilege-taint",
-    "metric-catalog",
-    "lock-order",
-    "no-blocking-under-lock",
-];
+impl Rule {
+    /// Every rule, in rule-number order.
+    pub const ALL: [Rule; 3] = [Rule::RelaxedOk, Rule::PrivilegeTaint, Rule::MetricCatalog];
 
-impl fmt::Display for Rule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// The comment tag that justifies (rule 1) or waives (rules 2–3) a
+    /// site under this rule.
+    fn waiver_tag(self) -> &'static str {
         match self {
-            Rule::NoPanic => write!(f, "no-panic"),
-            Rule::RelaxedOk => write!(f, "relaxed-ok"),
-            Rule::PrivilegeTaint => write!(f, "privilege-taint"),
-            Rule::MetricCatalog => write!(f, "metric-catalog"),
-            Rule::LockOrder => write!(f, "lock-order"),
-            Rule::BlockingUnderLock => write!(f, "no-blocking-under-lock"),
+            Rule::RelaxedOk => "relaxed-ok:",
+            Rule::PrivilegeTaint => "privilege-ok:",
+            Rule::MetricCatalog => "metric-ok:",
         }
     }
 }
 
-/// A waiver annotation found in the workspace (`relaxed-ok:`,
-/// `privilege-ok:`, `metric-ok:`, `blocking-ok:`, `lock-ok:`):
-/// surfaced in the `--json` report so suppressions are auditable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Waiver {
-    pub file: String,
-    /// 1-based line number of the annotation.
-    pub line: usize,
-    /// Tag without the trailing colon, e.g. `blocking-ok`.
-    pub tag: String,
-    /// The justification text following the tag.
-    pub why: String,
+impl fmt::Display for Rule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Rule::RelaxedOk => "relaxed-ok",
+            Rule::PrivilegeTaint => "privilege-taint",
+            Rule::MetricCatalog => "metric-catalog",
+        })
+    }
 }
 
 /// The set of documented metric names, parsed from `METRICS.md`: every
@@ -197,20 +146,20 @@ impl fmt::Display for Violation {
 /// same number of lines and — because the scrubber blanks characters
 /// one-for-one — identical per-line character counts, so a character
 /// position is meaningful across views.
-pub(crate) struct Scrubbed {
+struct Scrubbed {
     /// Code with comments, string contents and char literals blanked.
-    pub(crate) code: Vec<String>,
+    code: Vec<String>,
     /// Comment text per line (line + block comments).
-    pub(crate) comment: Vec<String>,
+    comment: Vec<String>,
     /// The unmodified source lines — for checks that must see string
     /// literals, like the metric name at a `counter!` call site.
-    pub(crate) raw: Vec<String>,
+    raw: Vec<String>,
     /// Whether the line sits inside a `#[cfg(test)]` item.
-    pub(crate) is_test: Vec<bool>,
+    is_test: Vec<bool>,
 }
 
 /// Lex `source` into code/comment line views.
-pub(crate) fn scrub(source: &str) -> Scrubbed {
+fn scrub(source: &str) -> Scrubbed {
     #[derive(PartialEq)]
     enum State {
         Code,
@@ -541,46 +490,34 @@ fn mark_test_lines(code: &[String]) -> Vec<bool> {
 
 /// Scrubbed views of `source` for external property tests: the code
 /// lines (comments, string contents, and char literals blanked — what
-/// rules 2–6 match against) and the comment lines.
+/// the rules match against) and the comment lines.
 pub fn scrub_lines(source: &str) -> (Vec<String>, Vec<String>) {
     let s = scrub(source);
     (s.code, s.comment)
 }
 
-/// True when `line`'s or the previous line's comment carries `tag`.
-pub(crate) fn annotated(s: &Scrubbed, ln: usize, tag: &str) -> bool {
-    annotation_text(s, ln, tag).is_some()
-}
-
-/// The text following `tag` in the comment on line `ln` or in the
-/// contiguous comment block directly above; returns `(text, tag line)`.
-/// Shares `annotated`'s placement rules: same line, or a comment block
-/// above that is not broken by code or blank lines (the line directly
-/// above may carry code with a trailing comment, matching the one-line
-/// form).
-pub(crate) fn annotation_text(s: &Scrubbed, ln: usize, tag: &str) -> Option<(String, usize)> {
-    let grab = |i: usize| {
-        s.comment[i]
-            .find(tag)
-            .map(|p| (s.comment[i][p + tag.len()..].trim().to_owned(), i))
-    };
-    if let Some(hit) = grab(ln) {
-        return Some(hit);
+/// True when the comment on line `ln`, or the contiguous comment block
+/// directly above it, carries `tag`. The block above may not be broken
+/// by code or blank lines (the line directly above may carry code with a
+/// trailing comment, matching the one-line form).
+fn annotated(s: &Scrubbed, ln: usize, tag: &str) -> bool {
+    if s.comment[ln].contains(tag) {
+        return true;
     }
     let mut i = ln;
     while i > 0 {
         i -= 1;
-        if let Some(hit) = grab(i) {
-            return Some(hit);
+        if s.comment[i].contains(tag) {
+            return true;
         }
         if !s.code[i].trim().is_empty() || s.comment[i].trim().is_empty() {
             break;
         }
     }
-    None
+    false
 }
 
-/// Lint one file's source with rules 1–3 only (no metric catalog; rule 4
+/// Lint one file's source with rules 1–2 only (no metric catalog; rule 3
 /// needs the workspace's `METRICS.md` and runs via
 /// [`lint_source_with_catalog`]).
 pub fn lint_source(crate_name: &str, file: &str, source: &str) -> Vec<Violation> {
@@ -588,7 +525,7 @@ pub fn lint_source(crate_name: &str, file: &str, source: &str) -> Vec<Violation>
 }
 
 /// Lint one file's source. `crate_name` is the directory name under
-/// `crates/` (the root package lints as `papi-repro`). Rule 4 runs only
+/// `crates/` (the root package lints as `papi-repro`). Rule 3 runs only
 /// when a parsed [`MetricCatalog`] is supplied.
 pub fn lint_source_with_catalog(
     crate_name: &str,
@@ -596,36 +533,23 @@ pub fn lint_source_with_catalog(
     source: &str,
     catalog: Option<&MetricCatalog>,
 ) -> Vec<Violation> {
-    let s = scrub(source);
+    lint_scrubbed(crate_name, file, &scrub(source), catalog)
+}
+
+fn lint_scrubbed(
+    crate_name: &str,
+    file: &str,
+    s: &Scrubbed,
+    catalog: Option<&MetricCatalog>,
+) -> Vec<Violation> {
     let mut out = Vec::new();
 
-    // Rule 1: no-panic in server/codec crates.
-    if NO_PANIC_CRATES.contains(&crate_name) {
-        for (ln, code) in s.code.iter().enumerate() {
-            if s.is_test[ln] {
-                continue;
-            }
-            for needle in [".unwrap()", ".expect(", "panic!"] {
-                if code.contains(needle) {
-                    out.push(Violation {
-                        file: file.to_owned(),
-                        line: ln + 1,
-                        rule: Rule::NoPanic,
-                        msg: format!(
-                            "`{needle}` in non-test {crate_name} code; return a typed error instead"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-
-    // Rule 2: relaxed-ok justifications.
+    // Rule 1: relaxed-ok justifications.
     for (ln, code) in s.code.iter().enumerate() {
         if s.is_test[ln] || !code.contains("Ordering::Relaxed") {
             continue;
         }
-        if !annotated(&s, ln, "relaxed-ok:") {
+        if !annotated(s, ln, Rule::RelaxedOk.waiver_tag()) {
             out.push(Violation {
                 file: file.to_owned(),
                 line: ln + 1,
@@ -635,15 +559,15 @@ pub fn lint_source_with_catalog(
         }
     }
 
-    // Rule 3: privilege taint.
+    // Rule 2: privilege taint.
     if !TAINT_EXEMPT_CRATES.contains(&crate_name) {
-        taint_check(&s, file, &mut out);
+        taint_check(s, file, &mut out);
     }
 
-    // Rule 4: metric names must be catalogued in METRICS.md.
+    // Rule 3: metric names must be catalogued in METRICS.md.
     if let Some(catalog) = catalog {
         if !METRIC_EXEMPT_CRATES.contains(&crate_name) {
-            metric_catalog_check(&s, file, catalog, &mut out);
+            metric_catalog_check(s, file, catalog, &mut out);
         }
     }
 
@@ -651,7 +575,7 @@ pub fn lint_source_with_catalog(
     out
 }
 
-/// Rule 4 body: find every metric-macro call site in non-test code,
+/// Rule 3 body: find every metric-macro call site in non-test code,
 /// extract its name literal from the raw view (the scrubber blanks
 /// string contents out of the code view) and require it to appear in
 /// the catalog — or carry a `// metric-ok:` waiver.
@@ -679,7 +603,7 @@ fn metric_catalog_check(
                 {
                     continue;
                 }
-                if annotated(s, ln, "metric-ok:") {
+                if annotated(s, ln, Rule::MetricCatalog.waiver_tag()) {
                     continue;
                 }
                 match metric_name_at(&s.raw, ln, needle) {
@@ -784,7 +708,7 @@ fn taint_check(s: &Scrubbed, file: &str, out: &mut Vec<Violation>) {
                 let abs = body_open + pos + p;
                 pos += p + needle.len();
                 let ln = line_of(abs);
-                if !annotated(s, ln, "privilege-ok:") {
+                if !annotated(s, ln, Rule::PrivilegeTaint.waiver_tag()) {
                     out.push(Violation {
                         file: file.to_owned(),
                         line: ln + 1,
@@ -857,58 +781,23 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
+/// What one lint pass over the workspace produced.
+pub struct Report {
+    /// Files scanned.
+    pub nfiles: usize,
+    pub violations: Vec<Violation>,
+    /// Comment lines carrying each rule's `*-ok:` tag, in [`Rule::ALL`]
+    /// order — the suppressions ROADMAP tracks.
+    pub waivers: [usize; 3],
+}
+
 /// Lint the whole workspace rooted at `root`. Walks the root package's
 /// `src/` and `examples/` plus every `crates/*/src` (vendored shims and
 /// `tests/` trees are out of scope: the former are stand-ins, the latter
-/// are test code by definition). Rule 4 reads the workspace `METRICS.md`;
+/// are test code by definition). Rule 3 reads the workspace `METRICS.md`;
 /// a missing catalog is itself a violation, so the rule cannot silently
 /// disappear.
-pub fn lint_workspace(root: &Path) -> std::io::Result<(usize, Vec<Violation>)> {
-    let report = lint_workspace_full(root)?;
-    Ok((report.nfiles, report.violations))
-}
-
-/// Everything one lint pass over the workspace produced: the file count,
-/// all violations (rules 1–6, sorted per rule group), and the waiver
-/// inventory (every `*-ok:` annotation found, whether or not anything
-/// matched it) for the `--json` report.
-pub struct WorkspaceReport {
-    pub nfiles: usize,
-    pub violations: Vec<Violation>,
-    pub waivers: Vec<Waiver>,
-}
-
-/// The annotation tags whose uses are inventoried as [`Waiver`]s.
-const WAIVER_TAGS: &[&str] = &[
-    "relaxed-ok:",
-    "privilege-ok:",
-    "metric-ok:",
-    "blocking-ok:",
-    "lock-ok:",
-];
-
-/// Collect every waiver annotation in `s` into [`Waiver`] records.
-fn collect_waivers(file: &str, s: &Scrubbed) -> Vec<Waiver> {
-    let mut out = Vec::new();
-    for (ln, comment) in s.comment.iter().enumerate() {
-        for tag in WAIVER_TAGS {
-            if let Some(p) = comment.find(tag) {
-                out.push(Waiver {
-                    file: file.to_owned(),
-                    line: ln + 1,
-                    tag: tag.trim_end_matches(':').to_owned(),
-                    why: comment[p + tag.len()..].trim().to_owned(),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// Full workspace lint: rules 1–4 per file, then the cross-file
-/// concurrency rules 5–6 over the [`LOCK_RANK_CRATES`] sources, plus the
-/// waiver inventory.
-pub fn lint_workspace_full(root: &Path) -> std::io::Result<WorkspaceReport> {
+pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     let mut files = Vec::new();
     walk(&root.join("src"), &mut files)?;
     walk(&root.join("examples"), &mut files)?;
@@ -939,119 +828,31 @@ pub fn lint_workspace_full(root: &Path) -> std::io::Result<WorkspaceReport> {
             msg: "METRICS.md is missing; the metric-name catalog is required".to_owned(),
         });
     }
-    let nfiles = files.len();
-    let mut waivers = Vec::new();
-    let mut conc_files: Vec<(String, String)> = Vec::new();
-    for path in files {
-        let rel = path.strip_prefix(root).unwrap_or(&path);
+    let mut waivers = [0; 3];
+    for path in &files {
+        let rel = path.strip_prefix(root).unwrap_or(path);
         let crate_name = crate_of(rel);
-        let rel_str = rel.display().to_string();
-        let source = std::fs::read_to_string(&path)?;
-        waivers.extend(collect_waivers(&rel_str, &scrub(&source)));
-        violations.extend(lint_source_with_catalog(
+        let scrubbed = scrub(&std::fs::read_to_string(path)?);
+        // This crate's own sources quote the tags in prose.
+        if crate_name != "xtask" {
+            for comment in &scrubbed.comment {
+                for (count, rule) in waivers.iter_mut().zip(Rule::ALL) {
+                    *count += usize::from(comment.contains(rule.waiver_tag()));
+                }
+            }
+        }
+        violations.extend(lint_scrubbed(
             &crate_name,
-            &rel_str,
-            &source,
+            &rel.display().to_string(),
+            &scrubbed,
             catalog.as_ref(),
         ));
-        if LOCK_RANK_CRATES.contains(&crate_name.as_str()) {
-            conc_files.push((rel_str, source));
-        }
     }
-    let (conc_violations, _) = crate::conc::check(&conc_files);
-    violations.extend(conc_violations);
-    waivers.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    Ok(WorkspaceReport {
-        nfiles,
+    Ok(Report {
+        nfiles: files.len(),
         violations,
         waivers,
     })
-}
-
-/// Run only the concurrency rules (6–7) over in-memory `(path, source)`
-/// pairs — the fixture-test entry point.
-pub fn lint_concurrency(files: &[(String, String)]) -> Vec<Violation> {
-    crate::conc::check(files).0
-}
-
-/// Like [`lint_concurrency`] but also returns the `lock-ok`/`blocking-ok`
-/// waivers the pass honoured.
-pub fn lint_concurrency_full(files: &[(String, String)]) -> (Vec<Violation>, Vec<Waiver>) {
-    crate::conc::check(files)
-}
-
-/// Escape `s` for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a [`WorkspaceReport`] as the stable `papi-lint/1` JSON schema:
-/// `schema`, `files`, `rules` (the six rule names in order), a
-/// `violations` array (`rule`, `file`, `line`, `msg`, `waiver` — the
-/// last reserved, always `null` today: a reported violation is by
-/// definition unwaived) and a `waivers` inventory (`tag`, `file`,
-/// `line`, `why`).
-pub fn render_json(report: &WorkspaceReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"papi-lint/1\",\n");
-    out.push_str(&format!("  \"files\": {},\n", report.nfiles));
-    out.push_str("  \"rules\": [");
-    for (i, name) in RULE_NAMES.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!("\"{name}\""));
-    }
-    out.push_str("],\n  \"violations\": [");
-    for (i, v) in report.violations.iter().enumerate() {
-        out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-        out.push_str(&format!(
-            "{{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"msg\": \"{}\", \"waiver\": null}}",
-            v.rule,
-            json_escape(&v.file),
-            v.line,
-            json_escape(&v.msg)
-        ));
-    }
-    if !report.violations.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"waivers\": [");
-    for (i, w) in report.waivers.iter().enumerate() {
-        out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-        out.push_str(&format!(
-            "{{\"tag\": \"{}\", \"file\": \"{}\", \"line\": {}, \"why\": \"{}\"}}",
-            json_escape(&w.tag),
-            json_escape(&w.file),
-            w.line,
-            json_escape(&w.why)
-        ));
-    }
-    if !report.waivers.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("]\n}\n");
-    out
-}
-
-/// Entry point for `cargo xtask lint --json`: prints the machine-readable
-/// report to stdout, returns the violation count.
-pub fn run_json(root: &Path) -> std::io::Result<usize> {
-    let report = lint_workspace_full(root)?;
-    print!("{}", render_json(&report));
-    Ok(report.violations.len())
 }
 
 /// Crate name of a workspace-relative path (`crates/<name>/…` or the root
@@ -1068,18 +869,27 @@ fn crate_of(rel: &Path) -> String {
     }
 }
 
-/// Entry point for `cargo xtask lint`: prints findings, returns the count.
+/// Entry point for `cargo xtask lint`: prints findings and one summary
+/// line, returns the violation count.
 pub fn run(root: &Path) -> std::io::Result<usize> {
-    let (nfiles, violations) = lint_workspace(root)?;
-    for v in &violations {
+    let report = lint_workspace(root)?;
+    for v in &report.violations {
         eprintln!("{v}");
     }
-    if violations.is_empty() {
-        eprintln!("lint clean: {nfiles} files, {} rules", RULE_NAMES.len());
-    } else {
-        eprintln!("{} violation(s) in {nfiles} files", violations.len());
-    }
-    Ok(violations.len())
+    let by_tag: Vec<String> = Rule::ALL
+        .iter()
+        .zip(report.waivers)
+        .map(|(rule, n)| format!("{} {n}", rule.waiver_tag().trim_end_matches(':')))
+        .collect();
+    eprintln!(
+        "lint: {} rules, {} files, {} violation(s), {} waivers ({})",
+        Rule::ALL.len(),
+        report.nfiles,
+        report.violations.len(),
+        report.waivers.iter().sum::<usize>(),
+        by_tag.join(", ")
+    );
+    Ok(report.violations.len())
 }
 
 #[cfg(test)]

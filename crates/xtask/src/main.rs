@@ -14,25 +14,17 @@ fn workspace_root() -> PathBuf {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("lint") => {
-            let json = args.iter().skip(1).any(|a| a == "--json");
-            let result = if json {
-                xtask::lint::run_json(&workspace_root())
-            } else {
-                xtask::lint::run(&workspace_root())
-            };
-            match result {
-                Ok(0) => ExitCode::SUCCESS,
-                Ok(_) => ExitCode::FAILURE,
-                Err(e) => {
-                    eprintln!("xtask lint: io error: {e}");
-                    ExitCode::FAILURE
-                }
+    match args.as_slice() {
+        [task] if task == "lint" => match xtask::lint::run(&workspace_root()) {
+            Ok(0) => ExitCode::SUCCESS,
+            Ok(_) => ExitCode::FAILURE,
+            Err(e) => {
+                eprintln!("xtask lint: io error: {e}");
+                ExitCode::FAILURE
             }
-        }
+        },
         _ => {
-            eprintln!("usage: cargo xtask lint [--json]");
+            eprintln!("usage: cargo xtask lint");
             ExitCode::FAILURE
         }
     }

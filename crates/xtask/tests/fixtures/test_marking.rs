@@ -1,10 +1,10 @@
-//! Scrubber/test-marking fixture: every unwrap below except the one in
-//! `real_code` sits in `#[cfg(test)]`-gated code that line-based
-//! detection used to miss — a multi-line attribute, nested test
-//! modules, and an attribute sharing its line with the item.
+//! Scrubber/test-marking fixture: every unjustified `Ordering::Relaxed`
+//! below except the one in `real_code` sits in `#[cfg(test)]`-gated code
+//! that line-based detection used to miss — a multi-line attribute,
+//! nested test modules, and an attribute sharing its line with the item.
 
-pub fn real_code(v: Option<u32>) -> u32 {
-    v.unwrap()
+pub fn real_code(c: &AtomicU64) -> u64 {
+    c.load(Ordering::Relaxed)
 }
 
 #[cfg(all(
@@ -12,22 +12,22 @@ pub fn real_code(v: Option<u32>) -> u32 {
     feature = "extra"
 ))]
 mod gated_multiline {
-    pub fn helper(v: Option<u32>) -> u32 {
-        v.unwrap()
+    pub fn helper(c: &AtomicU64) -> u64 {
+        c.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod outer {
-    fn a(v: Option<u32>) -> u32 {
-        v.unwrap()
+    fn a(c: &AtomicU64) -> u64 {
+        c.load(Ordering::Relaxed)
     }
 
     mod nested {
-        fn b(v: Option<u32>) -> u32 {
-            v.unwrap()
+        fn b(c: &AtomicU64) -> u64 {
+            c.load(Ordering::Relaxed)
         }
     }
 }
 
-#[cfg(test)] mod same_line { pub fn c(v: Option<u32>) -> u32 { v.unwrap() } }
+#[cfg(test)] mod same_line { pub fn c(c: &AtomicU64) -> u64 { c.load(Ordering::Relaxed) } }

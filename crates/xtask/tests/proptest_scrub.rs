@@ -1,6 +1,6 @@
 //! Scrubber property tests: whatever text sits inside string literals,
 //! raw strings, char literals, or comments must never appear in the
-//! scrubbed *code* view — so rules 2–6 can never match inside a
+//! scrubbed *code* view — so the rules can never match inside a
 //! literal — and the scrub must preserve the line structure exactly.
 
 use proptest::prelude::*;
