@@ -20,11 +20,17 @@ use std::sync::Arc;
 use crate::cache::{sector_mix, Evicted, SetAssocCache};
 use crate::counters::{Direction, NestCounters};
 use crate::machine::{CoreEvent, CoreEventCounters};
-use crate::prefetch::PrefetchEngine;
+use crate::prefetch::{PrefetchEngine, PREFETCH_DEPTH};
 use crate::store::{StoreEngine, StoreOutcome};
 use crate::verify::ShadowLedger;
 use crate::SECTOR_BYTES;
 use p9_arch::MBA_CHANNELS;
+
+/// How many accesses of a confirmed stream ahead of the L3 probe the host
+/// is told which tag set that probe will scan. Not a tuning knob: 6 to
+/// 32 measured the same (DESIGN.md §10.1); it only has to be more than a
+/// host miss and less than the host L1's patience.
+const HOST_PREFETCH_AHEAD: u64 = 12;
 
 /// Cycle costs of the timing model. The numbers are round POWER9-flavoured
 /// figures; the reproduction depends on their order of magnitude (runtime
@@ -480,6 +486,12 @@ impl CoreSim {
 
     fn load_sector(&mut self, sector: u64) {
         let window = self.prefetch.observe(sector);
+        // Tell the host's prefetcher what the simulated one just said. The
+        // L3 probe that will miss the host's caches is the prefetch
+        // tail's, `PREFETCH_DEPTH` strides out.
+        if let Some(ahead) = window.look_ahead(PREFETCH_DEPTH + HOST_PREFETCH_AHEAD) {
+            self.l3.host_prefetch(ahead);
+        }
         self.demand_load_probe(sector);
         if self.policy.hw_prefetch {
             for p in window.sectors() {
@@ -531,8 +543,13 @@ impl CoreSim {
         // detects store streams too, and a strided *store* stream also
         // suppresses bypass (Listing 8's `out` incurs a read per write).
         // Store streams do not issue read prefetch (the allocate path
-        // below performs its own fills), so the window is discarded.
-        self.prefetch.observe(sector);
+        // below performs its own fills); the window only says where the
+        // stream goes. Every store miss scans the stored sector's own L3
+        // set, bypassed or not.
+        let window = self.prefetch.observe(sector);
+        if let Some(ahead) = window.look_ahead(HOST_PREFETCH_AHEAD) {
+            self.l3.host_prefetch(ahead);
+        }
 
         let mix = sector_mix(sector);
         if self.l1.access_mixed(sector, mix, true) {

@@ -51,6 +51,9 @@
 //! executes them on real OS threads with the socket counters updated
 //! atomically.
 
+// The crate's one `unsafe` block is the host prefetch hint in `cache`.
+#![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod addr;
 pub mod cache;
 pub mod counters;

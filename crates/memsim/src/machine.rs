@@ -496,7 +496,9 @@ impl SimMachine {
     }
 
     /// Size the L3 share of the cores for an `active`-core workload (the
-    /// slice-borrowing model). No-op when unchanged.
+    /// slice-borrowing model). No-op when unchanged; otherwise O(cores
+    /// ever used), not O(socket): a core that never ran has nothing to
+    /// flush, and its new share owns no memory until it inserts.
     fn configure_active(&mut self, socket: usize, active: usize) {
         if self.sockets[socket].configured_active == active {
             return;

@@ -73,7 +73,7 @@ impl Stream {
 /// uncovered tail of a confirmed stream's window, i.e. the sectors
 /// `from + stride * k` for `k` in `first..=PREFETCH_DEPTH` (at most
 /// [`PREFETCH_DEPTH`] of them, exactly one in steady state). Building it
-/// is free, so callers that ignore it (stores) pay nothing.
+/// is free; stores take only its [`PrefetchWindow::look_ahead`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PrefetchWindow {
     from: u64,
@@ -92,10 +92,26 @@ impl PrefetchWindow {
     /// first. Targets below sector 0 do not exist and are skipped.
     #[inline]
     pub fn sectors(self) -> impl Iterator<Item = u64> {
-        (self.first..=PREFETCH_DEPTH).filter_map(move |k| {
-            let next = self.from as i64 + self.stride * k as i64;
-            (next >= 0).then_some(next as u64)
-        })
+        (self.first..=PREFETCH_DEPTH).filter_map(move |k| self.at(k))
+    }
+
+    /// Where the stream that produced this window will be `k` strides
+    /// past the access that advanced it; `None` when the access advanced
+    /// no confirmed stream or the stream runs out below sector 0. The
+    /// hierarchy asks beyond [`PREFETCH_DEPTH`] to learn which tag set it
+    /// will probe a few accesses from now.
+    #[inline]
+    pub fn look_ahead(self, k: u64) -> Option<u64> {
+        if self.stride == 0 {
+            return None;
+        }
+        self.at(k)
+    }
+
+    #[inline]
+    fn at(self, k: u64) -> Option<u64> {
+        let next = self.from as i64 + self.stride * k as i64;
+        (next >= 0).then_some(next as u64)
     }
 }
 
@@ -294,6 +310,11 @@ mod tests {
             .collect()
     }
 
+    fn drive_last(engine: &mut PrefetchEngine, sectors: &[u64]) -> PrefetchWindow {
+        let windows = sectors.iter().map(|&s| engine.observe(s));
+        windows.last().expect("at least one access")
+    }
+
     #[test]
     fn sequential_stream_confirms_and_prefetches() {
         let mut e = PrefetchEngine::new();
@@ -342,6 +363,20 @@ mod tests {
         drive(&mut e, &[0, 64, 128, 192, 256]);
         e.reset();
         assert!(!e.stride_stream_active());
+    }
+
+    #[test]
+    fn look_ahead_follows_the_confirmed_stream_only() {
+        let mut e = PrefetchEngine::new();
+        assert_eq!(PrefetchWindow::EMPTY.look_ahead(20), None);
+        assert_eq!(e.observe(100).look_ahead(20), None, "unconfirmed");
+        let up = drive_last(&mut e, &[101, 102, 103]);
+        assert_eq!(up.look_ahead(20), Some(103 + 20));
+        assert_eq!(e.observe(103).look_ahead(20), None, "re-touch");
+        let down = drive_last(&mut e, &[9_000, 8_996, 8_992, 8_988]);
+        assert_eq!(down.look_ahead(12), Some(8_988 - 4 * 12));
+        assert_eq!(down.look_ahead(2_247), Some(0));
+        assert_eq!(down.look_ahead(2_248), None, "below sector 0");
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! Using a single-set configuration (capacity = ways × 64 B), every
 //! sector maps to the same set, so the packed/rotating implementation can
 //! be compared operation-by-operation against an obviously correct
-//! `Vec`-based LRU list with dirty flags.
+//! `Vec`-based LRU list with dirty flags. The op alphabet includes the
+//! states lazy allocation adds: every probe runs on a cache that was
+//! never inserted into, and on one that was flushed and is reused.
 
 use proptest::prelude::*;
 
@@ -83,6 +85,13 @@ impl RefLru {
         Some(self.list.remove(pos).1)
     }
 
+    /// Drop everything, returning the dirty sectors (sorted).
+    fn flush(&mut self) -> Vec<u64> {
+        let dirty = self.dirty_set();
+        self.list.clear();
+        dirty
+    }
+
     fn dirty_set(&self) -> Vec<u64> {
         let mut v: Vec<u64> = self
             .list
@@ -102,6 +111,11 @@ enum Op {
     InsertMid(u64, bool),
     TouchDirty(u64),
     Remove(u64),
+    Contains(u64),
+    /// Re-access whatever is most recent (the way-0 fast path, which must
+    /// still set the dirty bit).
+    AccessMru(bool),
+    Flush,
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
@@ -112,7 +126,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (sec.clone(), any::<bool>()).prop_map(|(s, d)| Op::Insert(s, d)),
         (sec.clone(), any::<bool>()).prop_map(|(s, d)| Op::InsertMid(s, d)),
         sec.clone().prop_map(Op::TouchDirty),
-        sec.prop_map(Op::Remove),
+        sec.clone().prop_map(Op::Remove),
+        any::<bool>().prop_map(Op::AccessMru),
+        // A flush now and then — about every other case, so LRU depth
+        // still builds up — and a probe otherwise.
+        sec.prop_map(|s| if s == 0 { Op::Flush } else { Op::Contains(s) }),
     ]
 }
 
@@ -154,6 +172,21 @@ proptest! {
                 }
                 Op::Remove(s) => {
                     prop_assert_eq!(cache.remove(s), oracle.remove(s));
+                }
+                Op::Contains(s) => {
+                    let present = oracle.list.iter().any(|&(r, _)| r == s);
+                    prop_assert_eq!(cache.contains(s), present);
+                }
+                Op::AccessMru(d) => {
+                    let Some(&(mru, _)) = oracle.list.first() else { continue };
+                    prop_assert_eq!(cache.access(mru, d), oracle.access(mru, d));
+                }
+                Op::Flush => {
+                    let mut dirty = Vec::new();
+                    cache.flush(|s| dirty.push(s));
+                    dirty.sort_unstable();
+                    prop_assert_eq!(dirty, oracle.flush());
+                    prop_assert_eq!(cache.resident(), 0);
                 }
             }
         }
