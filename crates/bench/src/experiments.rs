@@ -561,26 +561,26 @@ fn profile_columns() -> Vec<Column> {
 
 /// Wire a cluster's PAPI stack: PCP over the instrumented node's
 /// sockets, NVML over the pipeline's GPU, InfiniBand over node 0's
-/// rails. Returns the stack plus the PMCD whose lifetime bounds it.
+/// rails.
 fn profile_papi(
     tag: &'static str,
     cluster: &ClusterSim,
     gpu: &Arc<GpuDevice>,
-) -> Result<(papi_sim::Papi, Pmcd), RunnerError> {
+) -> Result<papi_sim::Papi, RunnerError> {
     let pmns = Pmns::for_machine(cluster.machine().arch());
     let sockets: Vec<_> = (0..cluster.machine().num_sockets())
         .map(|s| cluster.machine().socket_shared(s))
         .collect();
     let pmcd = Pmcd::spawn_system(pmns.clone(), sockets.clone(), PmcdConfig::default())
         .map_err(|e| perr(tag, "pmcd", e))?;
-    let ctx = PcpContext::connect(pmcd.handle(), Some(cluster.machine().socket_shared(0)));
+    let ctx = PcpContext::connect(pmcd, Some(cluster.machine().socket_shared(0)));
     let mut papi = papi_sim::Papi::new();
     papi.register(Box::new(PcpComponent::new(ctx, pmns, sockets)));
     papi.register(Box::new(NvmlComponent::new(vec![Arc::clone(gpu)])));
     papi.register(Box::new(IbComponent::new(
         cluster.fabric().node(0).hcas.clone(),
     )));
-    Ok((papi, pmcd))
+    Ok(papi)
 }
 
 /// Nest bytes (reads + writes, every socket) `m` has moved since it was
@@ -650,7 +650,7 @@ fn fig11_profile(n: usize, slabs: usize, seed: u64) -> Result<PointOutput, Runne
     ));
     let mut cluster = ClusterSim::new(machine, ProcessGrid::new(8, 8), 2);
     let rank = GpuFft3dRank::new(&mut cluster, Arc::clone(&gpu), n, slabs);
-    let (papi, _pmcd) = profile_papi(tag, &cluster, &gpu)?;
+    let papi = profile_papi(tag, &cluster, &gpu)?;
 
     let mut profiler =
         Profiler::start(&papi, profile_columns()).map_err(|e| perr(tag, "profiler start", e))?;
@@ -720,7 +720,7 @@ fn fig12_profile(cfg: QmcConfig) -> Result<PointOutput, RunnerError> {
     ));
     let mut cluster = ClusterSim::new(machine, ProcessGrid::new(4, 4), 2);
     let app = QmcApp::new(&mut cluster, Arc::clone(&gpu), cfg);
-    let (papi, _pmcd) = profile_papi(tag, &cluster, &gpu)?;
+    let papi = profile_papi(tag, &cluster, &gpu)?;
 
     let mut profiler =
         Profiler::start(&papi, profile_columns()).map_err(|e| perr(tag, "profiler start", e))?;

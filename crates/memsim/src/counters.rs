@@ -8,8 +8,8 @@
 //! systems, and why measurements contain other-process noise.
 //!
 //! Counters are atomics so that concurrently simulated cores, the background
-//! noise process, and the PCP daemon thread can all touch them without
-//! locks. Ordering is `Relaxed` throughout: the counters are statistics, and
+//! noise process, and PCP daemon fetches on any thread can all touch them
+//! without locks. Ordering is `Relaxed` throughout: the counters are statistics, and
 //! every reader tolerates (indeed, models) slightly stale values.
 
 // Under `--cfg loom` the atomics come from the vendored loom shim, whose

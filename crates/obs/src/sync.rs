@@ -21,9 +21,17 @@ use std::ops::{Deref, DerefMut};
 /// A lock's place in the workspace's single total order.
 #[derive(Clone, Copy, Debug)]
 pub struct Rank {
+    #[cfg_attr(
+        not(debug_assertions),
+        expect(dead_code, reason = "read only by the debug-build order check")
+    )]
     level: u8,
     name: &'static str,
     /// May stay held while the thread blocks ([`about_to_block`]).
+    #[cfg_attr(
+        not(debug_assertions),
+        expect(dead_code, reason = "read only by the debug-build order check")
+    )]
     io: bool,
 }
 

@@ -89,11 +89,9 @@ impl Default for Papi {
 }
 
 /// Everything a fully wired node exposes: the PAPI instance plus the
-/// backing daemon and devices (kept alive here).
+/// devices behind it.
 pub struct NodeSetup {
     pub papi: Papi,
-    /// The PMCD daemon (dropping it shuts the daemon down).
-    pub pmcd: Pmcd,
     /// GPUs attached to socket 0, in device order.
     pub gpus: Vec<Arc<GpuDevice>>,
 }
@@ -117,7 +115,7 @@ pub fn setup_node(machine: &SimMachine, hcas: Vec<Arc<ib_sim::Hca>>) -> NodeSetu
     let pmns = Pmns::for_machine(arch);
     let pmcd = Pmcd::spawn_system(pmns.clone(), sockets.clone(), PmcdConfig::default())
         .expect("spawn pmcd");
-    let ctx = PcpContext::connect(pmcd.handle(), Some(machine.socket_shared(0)));
+    let ctx = PcpContext::connect(pmcd, Some(machine.socket_shared(0)));
 
     let mut papi = Papi::new();
     papi.register(Box::new(PcpComponent::new(ctx, pmns, sockets.clone())));
@@ -166,7 +164,7 @@ pub fn setup_node(machine: &SimMachine, hcas: Vec<Arc<ib_sim::Hca>>) -> NodeSetu
         papi.register_disabled("infiniband", "no HCAs configured");
     }
 
-    NodeSetup { papi, pmcd, gpus }
+    NodeSetup { papi, gpus }
 }
 
 #[cfg(test)]

@@ -179,9 +179,7 @@ impl PmcdServer {
 
         let queue = Arc::new(BoundedQueue::new(config.pending));
         let shared = Arc::new(Shared {
-            // The wire daemon never injects its own fetch traffic (the
-            // observer-effect knob lives on `pcp_sim::PmcdConfig`).
-            core: FetchCore::new(pmns, sockets, false, registry),
+            core: FetchCore::new(pmns, sockets, registry),
             config: config.clone(),
             queue: Arc::clone(&queue),
             shutdown: AtomicBool::new(false),

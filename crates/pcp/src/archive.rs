@@ -189,7 +189,6 @@ mod tests {
             sockets,
             PmcdConfig {
                 fetch_latency_s: 0.0,
-                fetch_touch: false,
             },
         )
         .expect("spawn pmcd");

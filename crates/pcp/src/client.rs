@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use crate::daemon::{oneshot, PmcdHandle, Request};
+use crate::daemon::Pmcd;
 use crate::pmns::{InstanceId, MetricDesc, MetricId};
 use p9_memsim::machine::SocketShared;
 
@@ -21,7 +21,8 @@ pub enum PcpError {
     BadMetricId,
     /// The instance is outside the metric's instance domain.
     BadInstance,
-    /// The daemon is gone.
+    /// The connection to the daemon was lost. Produced only by
+    /// networked transports such as `pcp-wire`.
     Disconnected,
     /// The transport misbehaved (malformed PDU, I/O error, timeout).
     /// Produced only by networked transports such as `pcp-wire`.
@@ -44,9 +45,9 @@ impl std::error::Error for PcpError {}
 
 /// The PMAPI operations every transport provides.
 ///
-/// Two implementations exist: [`PcpContext`] (in-process daemon reached
-/// over channels; charges the configured fallback latency to the
-/// simulated clock) and `pcp_wire::WireClient` (a real TCP connection to
+/// Two implementations exist: [`PcpContext`] (in-process daemon called
+/// directly; charges the configured fallback latency to the simulated
+/// clock) and `pcp_wire::WireClient` (a real TCP connection to
 /// a `pcp_wire::PmcdServer`; pays the actual socket round-trip instead).
 /// The PAPI PCP component is written against this trait so either
 /// transport can back it unchanged.
@@ -72,7 +73,7 @@ pub trait PmApi: Send + Sync {
 
 /// An unprivileged connection to the PMCD.
 pub struct PcpContext {
-    handle: PmcdHandle,
+    pmcd: Pmcd,
     /// Socket whose clock pays the fetch latency (the context's host
     /// socket). `None` for latency-free administrative contexts.
     host: Option<Arc<SocketShared>>,
@@ -81,65 +82,39 @@ pub struct PcpContext {
 impl PcpContext {
     /// Connect to a daemon. `host` is the socket the client process runs
     /// on; fetch latency is charged to its clock.
-    pub fn connect(handle: PmcdHandle, host: Option<Arc<SocketShared>>) -> Self {
-        PcpContext { handle, host }
+    pub fn connect(pmcd: Pmcd, host: Option<Arc<SocketShared>>) -> Self {
+        PcpContext { pmcd, host }
     }
 
     /// Resolve a metric name (`pmLookupName`).
     pub fn pm_lookup_name(&self, name: &str) -> Result<MetricId, PcpError> {
-        let (tx, rx) = oneshot();
-        self.handle
-            .sender()
-            .send(Request::LookupName {
-                name: name.to_owned(),
-                reply: tx,
-            })
-            .map_err(|_| PcpError::Disconnected)?;
-        rx.recv()
-            .map_err(|_| PcpError::Disconnected)?
+        self.pmcd
+            .serve(|core| core.lookup(name))
             .ok_or_else(|| PcpError::NoSuchMetric(name.to_owned()))
     }
 
     /// Metric descriptor (`pmLookupDesc`).
     pub fn pm_get_desc(&self, id: MetricId) -> Result<MetricDesc, PcpError> {
-        let (tx, rx) = oneshot();
-        self.handle
-            .sender()
-            .send(Request::Desc { id, reply: tx })
-            .map_err(|_| PcpError::Disconnected)?;
-        rx.recv()
-            .map_err(|_| PcpError::Disconnected)?
+        self.pmcd
+            .serve(|core| core.desc(id))
             .ok_or(PcpError::BadMetricId)
     }
 
     /// Names under a prefix (`pmGetChildren`, flattened).
     pub fn pm_get_children(&self, prefix: &str) -> Result<Vec<String>, PcpError> {
-        let (tx, rx) = oneshot();
-        self.handle
-            .sender()
-            .send(Request::Children {
-                prefix: prefix.to_owned(),
-                reply: tx,
-            })
-            .map_err(|_| PcpError::Disconnected)?;
-        rx.recv().map_err(|_| PcpError::Disconnected)
+        Ok(self.pmcd.serve(|core| core.children(prefix)))
     }
 
     /// Fetch current values (`pmFetch`). One round trip for the whole
     /// group — PAPI batches all PCP events of an event set into a single
     /// fetch, and the round-trip latency is charged once.
     pub fn pm_fetch(&self, requests: &[(MetricId, InstanceId)]) -> Result<Vec<u64>, PcpError> {
-        let (tx, rx) = oneshot();
-        self.handle
-            .sender()
-            .send(Request::Fetch {
-                requests: requests.to_vec(),
-                reply: tx,
-            })
-            .map_err(|_| PcpError::Disconnected)?;
-        let values = rx.recv().map_err(|_| PcpError::Disconnected)?;
+        // No connection queue in front of a function call: depth 0.
+        let values = self
+            .pmcd
+            .serve(|core| core.fetch(requests.iter().copied(), 0));
         if let Some(host) = &self.host {
-            host.advance_seconds(self.handle.config().fetch_latency_s);
+            host.advance_seconds(self.pmcd.fetch_latency_s());
         }
         values
             .into_iter()
@@ -166,14 +141,14 @@ impl PmApi for PcpContext {
     }
 
     fn fetch_latency_s(&self) -> f64 {
-        self.handle.config().fetch_latency_s
+        self.pmcd.fetch_latency_s()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::daemon::{Pmcd, PmcdConfig};
+    use crate::daemon::PmcdConfig;
     use crate::pmns::Pmns;
     use p9_arch::Machine;
     use p9_memsim::{Direction, SimMachine};
@@ -187,7 +162,6 @@ mod tests {
             sockets,
             PmcdConfig {
                 fetch_latency_s: latency,
-                fetch_touch: false,
             },
         )
         .expect("spawn pmcd");
@@ -209,6 +183,31 @@ mod tests {
             .record_sector(2, Direction::Read);
         let vals = ctx.pm_fetch(&[(id, InstanceId(87))]).unwrap();
         assert_eq!(vals, vec![64]);
+    }
+
+    /// Every PMAPI call is one request and one reply in the daemon's
+    /// `pmcd.pdu.*` counters, failed lookups included.
+    #[test]
+    fn each_call_counts_one_pdu_each_way() {
+        let (_m, d, ctx) = setup(0.0);
+        let mut last = d.stats();
+        let mut one_each_way = |what: &str| {
+            let now = d.stats();
+            assert_eq!(now.pdu_in - last.pdu_in, 1, "{what}: pdu.in");
+            assert_eq!(now.pdu_out - last.pdu_out, 1, "{what}: pdu.out");
+            last = now;
+        };
+        let name = "perfevent.hwcounters.nest_mba0_imc.PM_MBA0_READ_BYTES.value";
+        let id = ctx.pm_lookup_name(name).unwrap();
+        one_each_way("pm_lookup_name");
+        assert!(ctx.pm_lookup_name("nope").is_err());
+        one_each_way("pm_lookup_name (miss)");
+        ctx.pm_get_desc(id).unwrap();
+        one_each_way("pm_get_desc");
+        ctx.pm_get_children("perfevent").unwrap();
+        one_each_way("pm_get_children");
+        ctx.pm_fetch(&[(id, InstanceId(87))]).unwrap();
+        one_each_way("pm_fetch");
     }
 
     #[test]

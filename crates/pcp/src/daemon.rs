@@ -1,31 +1,18 @@
-//! The Performance Metrics Collector Daemon (PMCD).
+//! The Performance Metrics Collector Daemon (PMCD), in process.
 //!
-//! The daemon is a real OS thread. It is the *only* component on a Summit
-//! node holding an elevated privilege token, and therefore the only path by
-//! which an unprivileged client can observe the nest counters. Requests
-//! arrive over a `std::sync::mpsc` channel; each request carries its own
-//! response channel (a bounded rendezvous), mirroring PCP's PDU exchange.
-//! (A *real* networked PMCD over TCP lives in the `pcp-wire` crate; this
-//! in-process daemon remains the zero-infrastructure fallback.) What
-//! the daemon answers is defined by [`FetchCore`]; the service loop here
-//! is only the channel transport in front of it.
-//!
-//! Two fidelity knobs model the indirection the paper evaluates:
-//!
-//! * `fetch_latency_s` — wall time one fetch round-trip adds to the
-//!   *requesting context's* measured window (daemon scheduling + PDU
-//!   encode/decode). The PAPI PCP component accounts this when it reads.
-//! * `fetch_touch` — when set, every fetch injects the daemon's own memory
-//!   traffic into the socket counters (the daemon runs *on* the measured
-//!   socket). Off by default; the PAPI layer injects start/stop overhead
-//!   itself.
+//! The daemon is the *only* component on a Summit node holding an
+//! elevated privilege token, so it is the only path by which an
+//! unprivileged client sees the nest counters. Here that boundary is a
+//! type: a [`Pmcd`] is built only with an elevated [`PrivilegeToken`].
+//! It is then a `Clone` handle on the [`FetchCore`] that defines every
+//! answer, which [`crate::client::PcpContext`] calls directly; the
+//! indirection cost the paper evaluates is `fetch_latency_s`, charged to
+//! the client's simulated clock per fetch. (`pcp-wire` is the TCP PMCD.)
 
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use crate::fetchcore::FetchCore;
-use crate::pmns::{InstanceId, MetricDesc, MetricId, Pmns};
+use crate::pmns::Pmns;
 use p9_memsim::machine::SocketShared;
 use p9_memsim::{PrivilegeError, PrivilegeToken};
 
@@ -39,8 +26,6 @@ pub struct PmcdConfig {
     /// network hop to measure. The wire transport (`pcp-wire`) pays the
     /// actual socket round-trip instead and ignores this knob.
     pub fetch_latency_s: f64,
-    /// Inject daemon memory traffic on each fetch.
-    pub fetch_touch: bool,
 }
 
 impl Default for PmcdConfig {
@@ -48,60 +33,7 @@ impl Default for PmcdConfig {
         PmcdConfig {
             // ~80 µs: a local-socket PDU round trip plus PMDA work.
             fetch_latency_s: 80e-6,
-            fetch_touch: false,
         }
-    }
-}
-
-impl PmcdConfig {
-    /// Panic on configurations that would silently corrupt every
-    /// measurement window (negative or NaN latency).
-    pub fn validate(&self) {
-        assert!(
-            self.fetch_latency_s.is_finite() && self.fetch_latency_s >= 0.0,
-            "PmcdConfig::fetch_latency_s must be finite and non-negative, got {}",
-            self.fetch_latency_s
-        );
-    }
-}
-
-/// Requests a client can send (a trimmed PCP PDU set).
-#[derive(Debug)]
-pub enum Request {
-    LookupName {
-        name: String,
-        reply: SyncSender<Option<MetricId>>,
-    },
-    Desc {
-        id: MetricId,
-        reply: SyncSender<Option<MetricDesc>>,
-    },
-    Children {
-        prefix: String,
-        reply: SyncSender<Vec<String>>,
-    },
-    Fetch {
-        requests: Vec<(MetricId, InstanceId)>,
-        reply: SyncSender<Vec<Option<u64>>>,
-    },
-    Shutdown,
-}
-
-/// A handle for connecting clients and shutting the daemon down.
-#[derive(Clone)]
-pub struct PmcdHandle {
-    tx: Sender<Request>,
-    config: PmcdConfig,
-}
-
-impl PmcdHandle {
-    pub(crate) fn sender(&self) -> Sender<Request> {
-        self.tx.clone()
-    }
-
-    /// The daemon's configuration (clients read the fetch latency).
-    pub fn config(&self) -> &PmcdConfig {
-        &self.config
     }
 }
 
@@ -110,15 +42,18 @@ impl PmcdHandle {
 pub enum PmcdError {
     /// The caller's token lacks elevation.
     Privilege(PrivilegeError),
-    /// The OS refused to spawn the service thread.
-    Spawn(std::io::Error),
+    /// `fetch_latency_s` is negative or not finite: it would silently
+    /// corrupt every measurement window.
+    BadLatency(f64),
 }
 
 impl std::fmt::Display for PmcdError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PmcdError::Privilege(e) => write!(f, "privilege: {e}"),
-            PmcdError::Spawn(e) => write!(f, "spawn pmcd thread: {e}"),
+            PmcdError::BadLatency(s) => {
+                write!(f, "fetch_latency_s must be finite and >= 0, got {s}")
+            }
         }
     }
 }
@@ -127,7 +62,7 @@ impl std::error::Error for PmcdError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             PmcdError::Privilege(e) => Some(e),
-            PmcdError::Spawn(e) => Some(e),
+            PmcdError::BadLatency(_) => None,
         }
     }
 }
@@ -138,10 +73,12 @@ impl From<PrivilegeError> for PmcdError {
     }
 }
 
-/// The daemon itself (owns the service thread).
+/// The daemon: a handle on its [`FetchCore`]. Clones share the core, so
+/// the daemon lives as long as any handle or connected client does.
+#[derive(Clone)]
 pub struct Pmcd {
-    handle: PmcdHandle,
-    thread: Option<JoinHandle<()>>,
+    core: Arc<FetchCore>,
+    fetch_latency_s: f64,
 }
 
 impl Pmcd {
@@ -155,23 +92,20 @@ impl Pmcd {
         config: PmcdConfig,
     ) -> Result<Self, PmcdError> {
         token.require_elevated()?;
-        config.validate();
-        let (tx, rx) = channel::<Request>();
-        let core = FetchCore::new(pmns, sockets, config.fetch_touch, None);
-        let thread = std::thread::Builder::new()
-            .name("pmcd".into())
-            .spawn(move || service_loop(&core, &rx))
-            .map_err(PmcdError::Spawn)?;
+        let latency = config.fetch_latency_s;
+        if !(latency.is_finite() && latency >= 0.0) {
+            return Err(PmcdError::BadLatency(latency));
+        }
         Ok(Pmcd {
-            handle: PmcdHandle { tx, config },
-            thread: Some(thread),
+            core: Arc::new(FetchCore::new(pmns, sockets, None)),
+            fetch_latency_s: latency,
         })
     }
 
     /// Start a PMCD as the *system* would: the system boot path mints the
     /// elevated token itself, so this succeeds even on machines where users
     /// are unprivileged. This is how Summit exposes nest counters to
-    /// everyone. Privilege cannot fail here; thread spawning still can.
+    /// everyone. Privilege cannot fail here; a bad config still can.
     pub fn spawn_system(
         pmns: Pmns,
         sockets: Vec<Arc<SocketShared>>,
@@ -180,57 +114,37 @@ impl Pmcd {
         Self::spawn(pmns, sockets, &PrivilegeToken::elevated(), config)
     }
 
-    /// Handle for connecting clients.
-    pub fn handle(&self) -> PmcdHandle {
-        self.handle.clone()
+    /// Handle for connecting clients: a clone sharing this daemon's core.
+    pub fn handle(&self) -> Pmcd {
+        self.clone()
     }
-}
 
-impl Drop for Pmcd {
-    fn drop(&mut self) {
-        let _ = self.handle.tx.send(Request::Shutdown);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    /// Simulated seconds a client charges per fetch round-trip.
+    pub(crate) fn fetch_latency_s(&self) -> f64 {
+        self.fetch_latency_s
     }
-}
 
-/// The channel transport: one [`FetchCore`] call per request. Replies
-/// go out on the request's own rendezvous channel; a client that hung
-/// up before its reply is not an error.
-fn service_loop(core: &FetchCore, rx: &Receiver<Request>) {
-    let stats = core.stats();
-    while let Ok(req) = rx.recv() {
+    /// One request/reply exchange: `request` runs on the core, counted
+    /// as one PDU in and one out, as a wire request is.
+    pub(crate) fn serve<T>(&self, request: impl FnOnce(&FetchCore) -> T) -> T {
+        let stats = self.core.stats();
         stats.count_pdu_in();
-        match req {
-            Request::LookupName { name, reply } => {
-                let _ = reply.send(core.lookup(&name));
-            }
-            Request::Desc { id, reply } => {
-                let _ = reply.send(core.desc(id));
-            }
-            Request::Children { prefix, reply } => {
-                let _ = reply.send(core.children(&prefix));
-            }
-            Request::Fetch { requests, reply } => {
-                // No connection queue in front of a channel: depth 0.
-                let _ = reply.send(core.fetch(requests.into_iter(), 0));
-            }
-            Request::Shutdown => break,
-        }
+        let reply = request(&self.core);
         stats.count_pdu_out();
+        reply
     }
-}
 
-/// Create a rendezvous channel for one request/response exchange.
-pub(crate) fn oneshot<T>() -> (SyncSender<T>, Receiver<T>) {
-    sync_channel(1)
+    #[cfg(test)]
+    pub(crate) fn stats(&self) -> crate::fetchcore::StatsSnapshot {
+        self.core.stats().snapshot()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fetchcore::{OBS_METRIC_BASE, SELF_METRIC_BASE};
+    use crate::pmns::{InstanceId, MetricId};
     use p9_arch::Machine;
     use p9_memsim::{Direction, SimMachine};
 
@@ -243,15 +157,7 @@ mod tests {
     }
 
     fn roundtrip_fetch(d: &Pmcd, id: MetricId, inst: InstanceId) -> Option<u64> {
-        let (tx, rx) = oneshot();
-        d.handle()
-            .sender()
-            .send(Request::Fetch {
-                requests: vec![(id, inst)],
-                reply: tx,
-            })
-            .unwrap();
-        rx.recv().unwrap()[0]
+        d.serve(|core| core.fetch([(id, inst)].into_iter(), 0))[0]
     }
 
     #[test]
@@ -265,62 +171,38 @@ mod tests {
             &PrivilegeToken::user(),
             PmcdConfig::default(),
         );
-        assert!(err.is_err());
+        assert!(matches!(err, Err(PmcdError::Privilege(_))));
     }
 
+    /// Nest values appear live on each socket's publisher CPU only:
+    /// sockets do not mix, other valid CPUs read 0, invalid ones `None`.
     #[test]
-    fn fetch_returns_live_counter_values() {
+    fn fetch_reads_live_counters_per_socket() {
         let (m, d) = setup();
         let pmns = Pmns::for_machine(m.arch());
-        let id = pmns
+        let read = pmns
             .lookup("perfevent.hwcounters.nest_mba0_imc.PM_MBA0_READ_BYTES.value")
             .unwrap();
-        let inst = pmns.instance_of_socket(0);
-        assert_eq!(roundtrip_fetch(&d, id, inst), Some(0));
-        // Generate traffic on channel 0 (sector 0 -> channel 0).
-        m.socket_shared(0)
-            .counters()
-            .record_sector(0, Direction::Read);
-        assert_eq!(roundtrip_fetch(&d, id, inst), Some(64));
-    }
-
-    #[test]
-    fn wrong_instance_reads_zero_and_invalid_is_none() {
-        let (m, d) = setup();
-        let pmns = Pmns::for_machine(m.arch());
-        let id = pmns
-            .lookup("perfevent.hwcounters.nest_mba0_imc.PM_MBA0_READ_BYTES.value")
-            .unwrap();
-        m.socket_shared(0)
-            .counters()
-            .record_sector(0, Direction::Read);
-        // CPU 3 is a valid instance but not a nest publisher -> 0.
-        assert_eq!(roundtrip_fetch(&d, id, InstanceId(3)), Some(0));
-        // CPU 500 is not a valid instance -> None.
-        assert_eq!(roundtrip_fetch(&d, id, InstanceId(500)), None);
-    }
-
-    #[test]
-    fn sockets_are_independent() {
-        let (m, d) = setup();
-        let pmns = Pmns::for_machine(m.arch());
-        let id = pmns
+        let write = pmns
             .lookup("perfevent.hwcounters.nest_mba0_imc.PM_MBA0_WRITE_BYTES.value")
             .unwrap();
+        let (s0, s1) = (pmns.instance_of_socket(0), pmns.instance_of_socket(1));
+        assert_eq!(roundtrip_fetch(&d, read, s0), Some(0));
+        // Sector 0 -> channel 0: a read on socket 0, a write on socket 1.
+        m.socket_shared(0)
+            .counters()
+            .record_sector(0, Direction::Read);
         m.socket_shared(1)
             .counters()
             .record_sector(0, Direction::Write);
-        assert_eq!(roundtrip_fetch(&d, id, pmns.instance_of_socket(0)), Some(0));
-        assert_eq!(
-            roundtrip_fetch(&d, id, pmns.instance_of_socket(1)),
-            Some(64)
-        );
-    }
-
-    #[test]
-    fn shutdown_on_drop_joins_thread() {
-        let (_m, d) = setup();
-        drop(d); // must not hang
+        assert_eq!(roundtrip_fetch(&d, read, s0), Some(64));
+        assert_eq!(roundtrip_fetch(&d, read, s1), Some(0));
+        assert_eq!(roundtrip_fetch(&d, write, s0), Some(0));
+        assert_eq!(roundtrip_fetch(&d, write, s1), Some(64));
+        // CPU 3 is a valid instance but not a nest publisher -> 0.
+        assert_eq!(roundtrip_fetch(&d, read, InstanceId(3)), Some(0));
+        // CPU 500 is not a valid instance -> None.
+        assert_eq!(roundtrip_fetch(&d, read, InstanceId(500)), None);
     }
 
     /// Self-metrics are registered at daemon construction, so a logger's
@@ -366,80 +248,28 @@ mod tests {
     fn obs_registry_fetchable_through_daemon() {
         let (_m, d) = setup();
         obs::registry().counter("daemon.test_counter").add(5);
-        let (tx, rx) = oneshot();
-        d.handle()
-            .sender()
-            .send(Request::LookupName {
-                name: "pmcd.obs.daemon.test_counter".into(),
-                reply: tx,
-            })
-            .unwrap();
-        let id = rx.recv().unwrap().expect("obs metric resolves");
+        let id = d
+            .serve(|core| core.lookup("pmcd.obs.daemon.test_counter"))
+            .expect("obs metric resolves");
         assert!(id.0 >= OBS_METRIC_BASE);
         assert_eq!(roundtrip_fetch(&d, id, InstanceId(0)), Some(5));
     }
 
     #[test]
-    #[should_panic(expected = "fetch_latency_s")]
-    fn negative_latency_rejected_at_construction() {
+    fn bad_latency_is_a_typed_error() {
         let m = SimMachine::quiet(Machine::summit(), 1);
-        let pmns = Pmns::for_machine(m.arch());
-        let _ = Pmcd::spawn_system(
-            pmns,
-            vec![m.socket_shared(0)],
-            PmcdConfig {
-                fetch_latency_s: -1e-6,
-                fetch_touch: false,
-            },
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "fetch_latency_s")]
-    fn nan_latency_rejected_at_construction() {
-        let m = SimMachine::quiet(Machine::summit(), 1);
-        let pmns = Pmns::for_machine(m.arch());
-        let _ = Pmcd::spawn_system(
-            pmns,
-            vec![m.socket_shared(0)],
-            PmcdConfig {
-                fetch_latency_s: f64::NAN,
-                fetch_touch: false,
-            },
-        );
-    }
-}
-
-#[cfg(test)]
-mod touch_tests {
-    use super::*;
-    use crate::client::PcpContext;
-    use p9_arch::Machine;
-    use p9_memsim::{NoiseConfig, SimMachine};
-
-    /// With `fetch_touch` enabled, each fetch injects the daemon's own
-    /// memory footprint into the measured socket — the "observer effect"
-    /// knob of the indirection model.
-    #[test]
-    fn fetch_touch_injects_daemon_traffic() {
-        let m = SimMachine::new(Machine::summit(), NoiseConfig::summit(), 55);
-        let pmns = Pmns::for_machine(m.arch());
-        let d = Pmcd::spawn_system(
-            pmns.clone(),
-            vec![m.socket_shared(0)],
-            PmcdConfig {
-                fetch_latency_s: 0.0,
-                fetch_touch: true,
-            },
-        )
-        .expect("spawn pmcd");
-        let ctx = PcpContext::connect(d.handle(), None);
-        let id = pmns
-            .lookup("perfevent.hwcounters.nest_mba0_imc.PM_MBA0_READ_BYTES.value")
-            .unwrap();
-        let inst = pmns.instance_of_socket(0);
-        let v1 = ctx.pm_fetch(&[(id, inst)]).unwrap()[0];
-        let v2 = ctx.pm_fetch(&[(id, inst)]).unwrap()[0];
-        assert!(v2 > v1, "each fetch must add daemon traffic: {v1} vs {v2}");
+        for bad in [-1e-6, f64::NAN, f64::INFINITY] {
+            let got = Pmcd::spawn_system(
+                Pmns::for_machine(m.arch()),
+                vec![m.socket_shared(0)],
+                PmcdConfig {
+                    fetch_latency_s: bad,
+                },
+            );
+            assert!(
+                matches!(got, Err(PmcdError::BadLatency(s)) if s.to_bits() == bad.to_bits()),
+                "fetch_latency_s = {bad} must be refused"
+            );
+        }
     }
 }

@@ -3,12 +3,12 @@
 //! The paper's claim is that a nest counter read *through the daemon*
 //! equals a direct read, so what the daemon answers has exactly one
 //! definition: [`FetchCore`]. It owns the PMNS, the socket handles, the
-//! `fetch_touch` knob, the obs registry it exports and the daemon's
-//! operational counters, and is the only implementation of `lookup`,
-//! `desc`, `children` and batch `fetch`. The channel-driven
-//! [`crate::daemon::Pmcd`] and the TCP `pcp_wire::PmcdServer` are thin
-//! transports that translate their requests into those four calls, so
-//! they agree on every id, descriptor and value by construction.
+//! obs registry it exports and the daemon's operational counters, and is
+//! the only implementation of `lookup`, `desc`, `children` and batch
+//! `fetch`. The in-process [`crate::daemon::Pmcd`] calls those four
+//! directly and the TCP `pcp_wire::PmcdServer` translates its PDUs into
+//! them, so the two agree on every id, descriptor and value by
+//! construction.
 //!
 //! Besides the hardware metrics of the [`Pmns`] the core serves two
 //! reserved id ranges through the same paths:
@@ -235,9 +235,6 @@ fn operational_desc(
 pub struct FetchCore {
     pmns: Pmns,
     sockets: Vec<Arc<SocketShared>>,
-    /// Inject daemon memory traffic on each nest-counter fetch (the
-    /// observer-effect knob: the daemon runs *on* the measured socket).
-    fetch_touch: bool,
     /// Registry exported as `pmcd.obs.*`; `None` = the process-global
     /// one.
     registry: Option<Arc<obs::Registry>>,
@@ -251,13 +248,11 @@ impl FetchCore {
     pub fn new(
         pmns: Pmns,
         sockets: Vec<Arc<SocketShared>>,
-        fetch_touch: bool,
         registry: Option<Arc<obs::Registry>>,
     ) -> Self {
         FetchCore {
             pmns,
             sockets,
-            fetch_touch,
             registry,
             stats: PmcdStats::default(),
         }
@@ -392,13 +387,10 @@ impl FetchCore {
             return None;
         }
         match self.pmns.socket_of_instance(inst) {
-            Some(socket) => {
-                let shared = self.sockets.get(socket)?;
-                if self.fetch_touch {
-                    shared.measurement_touch();
-                }
-                Some(shared.counters().channel(desc.channel, desc.direction))
-            }
+            Some(socket) => self
+                .sockets
+                .get(socket)
+                .map(|shared| shared.counters().channel(desc.channel, desc.direction)),
             None => Some(0),
         }
     }
@@ -445,7 +437,7 @@ mod tests {
     fn core_with(registry: Option<Arc<obs::Registry>>) -> FetchCore {
         let m = SimMachine::quiet(Machine::summit(), 1);
         let sockets = (0..m.num_sockets()).map(|s| m.socket_shared(s)).collect();
-        FetchCore::new(Pmns::for_machine(m.arch()), sockets, false, registry)
+        FetchCore::new(Pmns::for_machine(m.arch()), sockets, registry)
     }
 
     /// The one table: names and order are wire API, bucket names state

@@ -13,10 +13,10 @@
 //!   _BYTES.value`, exactly the names the paper's Table I lists, with a
 //!   per-CPU instance domain (the nest metrics are exported on the last
 //!   hardware thread of each socket: `cpu87` / `cpu175` on Summit).
-//! * [`daemon`] — the PMCD: a real OS thread owning an elevated
-//!   [`p9_memsim::PrivilegeToken`] and handles to every socket's counters,
-//!   servicing lookup/describe/fetch requests over `std::sync::mpsc`
-//!   channels. (The `pcp-wire` crate provides the networked equivalent.)
+//! * [`daemon`] — the PMCD: built only with an elevated
+//!   [`p9_memsim::PrivilegeToken`], a `Clone` handle on the [`FetchCore`]
+//!   over every socket's counters that clients call directly. (The
+//!   `pcp-wire` crate provides the networked equivalent.)
 //! * [`fetchcore`] — [`FetchCore`], the one definition of what a PMCD
 //!   answers (lookup, desc, children, fetch, the `pmcd.*` self-metrics
 //!   and the `pmcd.obs.*` registry export) behind both transports.
@@ -28,8 +28,8 @@
 //! Because the daemon reads the very same [`p9_memsim::NestCounters`] the
 //! direct `perf_uncore` path reads, measurements taken via PCP are exactly
 //! as accurate as direct ones — which is the paper's headline conclusion,
-//! and here it holds by construction *plus* whatever indirection costs the
-//! model adds (fetch latency, per-fetch daemon work).
+//! and here it holds by construction *plus* the indirection cost the
+//! model adds (the per-fetch latency charge).
 
 // The no-panic gate (DESIGN.md §8.1): CI's clippy step fails on any of
 // these outside test code.
@@ -53,6 +53,6 @@ pub mod pmns;
 
 pub use archive::{Archive, ArchiveRecord, PmLogger};
 pub use client::{PcpContext, PcpError, PmApi};
-pub use daemon::{Pmcd, PmcdConfig, PmcdError, PmcdHandle};
+pub use daemon::{Pmcd, PmcdConfig, PmcdError};
 pub use fetchcore::{FetchCore, StatsSnapshot, OBS_METRIC_BASE, SELF_METRIC_BASE};
 pub use pmns::{InstanceId, MetricDesc, MetricId, MetricSemantics, Pmns};

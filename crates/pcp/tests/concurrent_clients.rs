@@ -1,12 +1,10 @@
 //! The PMCD serves many unprivileged clients concurrently — on a real
 //! system every monitoring tool on the node talks to the same daemon.
 //!
-//! Two daemons are exercised: the in-process channel daemon (`Pmcd`) and
+//! Two daemons are exercised: the in-process daemon (`Pmcd`) and
 //! the networked TCP server (`pcp_wire::PmcdServer`), including hostile
 //! clients — malformed frames and mid-fetch disconnects must cost the
 //! offender its connection and nobody else anything.
-
-use std::sync::Arc;
 
 use p9_memsim::{Direction, SimMachine};
 use pcp_sim::{InstanceId, PcpContext, PmApi, Pmcd, PmcdConfig, Pmns};
@@ -78,7 +76,18 @@ fn clients_can_outlive_each_other() {
         .pm_lookup_name("perfevent.hwcounters.nest_mba7_imc.PM_MBA7_WRITE_BYTES.value")
         .unwrap();
     assert_eq!(c1.pm_fetch(&[(id, InstanceId(87))]).unwrap(), vec![0]);
-    let _ = Arc::strong_count(&machine.socket_shared(0));
+
+    // ...and after the daemon handle it connected through is dropped:
+    // a client keeps the daemon alive.
+    drop(daemon);
+    let id = c1
+        .pm_lookup_name("perfevent.hwcounters.nest_mba6_imc.PM_MBA6_WRITE_BYTES.value")
+        .unwrap();
+    machine
+        .socket_shared(0)
+        .counters()
+        .record_sector(6, Direction::Write);
+    assert_eq!(c1.pm_fetch(&[(id, InstanceId(87))]).unwrap(), vec![64]);
 }
 
 /// 16 concurrent TCP clients hammer the wire server while one client

@@ -274,10 +274,11 @@ pub fn refute_mechanism(mech: &Mechanism, seed: u64) -> Result<Verdict, RefuteEr
 /// Run one mechanism on an existing machine through the full
 /// PAPI → PCP → TCP wire measurement path and judge the result.
 ///
-/// The machine should be quiet (no background noise) — the prediction
-/// covers only the kernel's own traffic. `WireConfig::default()` has
-/// `fetch_touch: false`, so the measurement path itself contributes zero
-/// bytes and exactness is meaningful.
+/// The machine should be quiet (no background noise and no PAPI
+/// start/stop footprint) — the prediction covers only the kernel's own
+/// traffic. A daemon fetch reads the counters without touching memory,
+/// so the measurement path itself contributes zero bytes and exactness
+/// is meaningful.
 pub fn refute_on(machine: &mut SimMachine, mech: &Mechanism) -> Result<Verdict, RefuteError> {
     let pmns = Pmns::for_machine(machine.arch());
     let sockets: Vec<_> = (0..machine.num_sockets())

@@ -7,8 +7,9 @@
 //! - regions are 64 KiB aligned, so every region starts on channel 0;
 //! - the stream prefetcher needs 3 confirmations, runs 8 sectors ahead,
 //!   and never adopts deltas beyond 1 MiB (16384 sectors);
-//! - a quiet machine plus `fetch_touch: false` means the measurement
-//!   window contains *only* the kernel's traffic.
+//! - a quiet machine means the measurement window contains *only* the
+//!   kernel's traffic (no noise, no measurement footprint, and a daemon
+//!   fetch touches no memory).
 
 use p9_memsim::counters::Direction;
 use p9_memsim::{ModelPolicy, SimMachine, SECTOR_BYTES};

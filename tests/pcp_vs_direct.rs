@@ -138,7 +138,6 @@ fn wire_and_inprocess_transports_report_identical_byte_counts() {
         sockets.clone(),
         PmcdConfig {
             fetch_latency_s: 0.0,
-            fetch_touch: false,
         },
     )
     .expect("spawn pmcd");
