@@ -9,15 +9,12 @@
 //!
 //! Counters are atomics so that concurrently simulated cores, the background
 //! noise process, and PCP daemon fetches on any thread can all touch them
-//! without locks. Ordering is `Relaxed` throughout: the counters are statistics, and
+//! without locks. A simulated core counts its transactions per channel
+//! itself and publishes them here at fence points ([`NestCounters::record_sectors`],
+//! one add per non-zero channel and direction); bulk traffic is added as it
+//! happens. Ordering is `Relaxed` throughout: the counters are statistics, and
 //! every reader tolerates (indeed, models) slightly stale values.
 
-// Under `--cfg loom` the atomics come from the vendored loom shim, whose
-// wrappers inject preemption points so the concurrency models in
-// `tests/loom_counters.rs` explore many interleavings.
-#[cfg(loom)]
-use loom::sync::atomic::{AtomicU64, Ordering};
-#[cfg(not(loom))]
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::SECTOR_BYTES;
@@ -100,23 +97,13 @@ impl NestCounters {
     }
 
     /// Record one 64-byte transaction touching `sector`.
-    #[inline]
     pub fn record_sector(&self, sector: u64, dir: Direction) {
-        let ch = Self::channel_of(sector);
-        match dir {
-            Direction::Read => &self.read_bytes[ch],
-            Direction::Write => &self.write_bytes[ch],
-        }
-        // relaxed-ok: independent monotonic statistic; no reader orders
-        // other memory against it, and the RMW itself cannot lose counts.
-        .fetch_add(SECTOR_BYTES, Ordering::Relaxed);
+        self.record_sectors(Self::channel_of(sector), dir, 1);
     }
 
     /// Record `n` 64-byte transactions on channel `ch` with one atomic
-    /// add — the batched equivalent of `n` [`Self::record_sector`] calls
-    /// whose sectors all map to `ch`. The core hot path accumulates a
-    /// sequential run's per-channel counts locally and flushes them here,
-    /// so a 64 KiB streaming read costs 8 RMWs instead of 1024.
+    /// add. A simulated core publishes its pending per-channel counts
+    /// here, so a 64 KiB streaming read costs 8 RMWs instead of 1024.
     #[inline]
     pub fn record_sectors(&self, ch: usize, dir: Direction, n: u64) {
         if n == 0 {
@@ -126,8 +113,8 @@ impl NestCounters {
             Direction::Read => &self.read_bytes[ch],
             Direction::Write => &self.write_bytes[ch],
         }
-        // relaxed-ok: same independent-monotonic-statistic argument as
-        // record_sector; a batched add cannot lose counts either.
+        // relaxed-ok: independent monotonic statistic; no reader orders
+        // other memory against it, and the RMW itself cannot lose counts.
         .fetch_add(n * SECTOR_BYTES, Ordering::Relaxed);
     }
 
@@ -151,7 +138,7 @@ impl NestCounters {
                     Direction::Write => &self.write_bytes[ch],
                 }
                 // relaxed-ok: same monotonic-statistic argument as
-                // record_sector; per-channel adds are independent.
+                // record_sectors; per-channel adds are independent.
                 .fetch_add(amount, Ordering::Relaxed);
                 match dir {
                     Direction::Read => &self.bulk.read_bytes[ch],

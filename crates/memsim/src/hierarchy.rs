@@ -3,8 +3,10 @@
 //! Each simulated core owns private L1/L2 caches, a share of the socket L3
 //! (sized when a workload starts, from the number of active cores — the
 //! slice-borrowing model), a stream/prefetch engine and a store engine.
-//! Memory-level transactions are recorded on the shared socket
-//! [`NestCounters`].
+//! Memory-level transactions accumulate per channel in the core and are
+//! published to the shared socket [`NestCounters`] at the same points as
+//! its core events: every [`CoreSim::fence`], [`CoreSim::flush_caches`]
+//! and [`CoreSim::configure_l3`].
 //!
 //! The hierarchy is managed (mostly) inclusively: L3 holds every cached
 //! sector, a hit at any level refreshes that level's LRU state and
@@ -118,9 +120,12 @@ pub struct CoreSim {
     prefetch: PrefetchEngine,
     stores: StoreEngine,
     counters: Arc<NestCounters>,
+    /// Memory-level transactions since the last [`CoreSim::publish`], by
+    /// direction (`Direction as usize`) and channel.
+    pending: [[u64; MBA_CHANNELS]; 2],
     /// Socket-level core-event aggregation target (if wired).
     core_events: Option<Arc<CoreEventCounters>>,
-    /// Stats already flushed to `core_events`.
+    /// Stats already published to `core_events`.
     flushed: CoreStats,
     flushed_cycles: u64,
     costs: AccessCosts,
@@ -137,13 +142,6 @@ pub struct CoreSim {
     shadow: ShadowLedger,
     /// Scratch buffer reused across calls to avoid per-access allocation.
     scratch_store: Vec<StoreOutcome>,
-    /// A bulk `load_seq`/`store_seq` call is in flight: memory-level
-    /// transactions accumulate in `batch_read`/`batch_write` and flush to
-    /// the shared [`NestCounters`] with one atomic add per channel at the
-    /// end of the call.
-    batching: bool,
-    batch_read: [u64; MBA_CHANNELS],
-    batch_write: [u64; MBA_CHANNELS],
 }
 
 impl CoreSim {
@@ -163,6 +161,7 @@ impl CoreSim {
             prefetch: PrefetchEngine::new(),
             stores: StoreEngine::new(),
             counters,
+            pending: [[0; MBA_CHANNELS]; 2],
             core_events: None,
             flushed: CoreStats::default(),
             flushed_cycles: 0,
@@ -173,25 +172,14 @@ impl CoreSim {
             stats: CoreStats::default(),
             shadow: ShadowLedger::default(),
             scratch_store: Vec::with_capacity(8),
-            batching: false,
-            batch_read: [0; MBA_CHANNELS],
-            batch_write: [0; MBA_CHANNELS],
         }
     }
 
     /// Re-size this core's L3 share (the slice-borrowing model). Resident
     /// L3 contents are flushed — dirty sectors are written back.
     pub fn configure_l3(&mut self, capacity_bytes: u64, ways: usize) {
-        let counters = Arc::clone(&self.counters);
-        let shadow = &mut self.shadow;
-        let mut wb = 0u64;
-        self.l3.flush(|s| {
-            counters.record_sector(s, Direction::Write);
-            shadow.record(s, Direction::Write);
-            wb += 1;
-        });
-        self.stats.writebacks += wb;
-        self.l3 = SetAssocCache::new(capacity_bytes, ways);
+        self.write_back_l3(SetAssocCache::new(capacity_bytes, ways));
+        self.publish();
     }
 
     /// Enable or disable the `dcbtst` software-prefetch store mode
@@ -206,7 +194,7 @@ impl CoreSim {
     }
 
     /// Wire this core's statistics into a socket-level core-event
-    /// aggregate (flushed at every [`CoreSim::fence`]).
+    /// aggregate (published at every [`CoreSim::fence`]).
     pub fn wire_core_events(&mut self, target: Arc<CoreEventCounters>) {
         self.core_events = Some(target);
     }
@@ -293,12 +281,8 @@ impl CoreSim {
         let first = base / SECTOR_BYTES;
         let last = (base + len - 1) / SECTOR_BYTES;
         self.stats.loads += (last - first) + 1;
-        let own_batch = self.begin_batch();
         for sector in first..=last {
             self.load_sector(sector);
-        }
-        if own_batch {
-            self.flush_batch();
         }
     }
 
@@ -324,7 +308,6 @@ impl CoreSim {
         // Emit chunk stores so the WCB sees full sectors fill up.
         let mut addr = base;
         let end = base + len;
-        let own_batch = self.begin_batch();
         while addr < end {
             let sector_end = (addr / SECTOR_BYTES + 1) * SECTOR_BYTES;
             let hi = end.min(sector_end);
@@ -332,29 +315,36 @@ impl CoreSim {
             self.store_sector(addr / SECTOR_BYTES, addr, hi);
             addr = hi;
         }
-        if own_batch {
-            self.flush_batch();
-        }
     }
 
     /// Flush pending write-combining buffers (end of a kernel region) and
-    /// publish core-event statistics to the socket aggregate.
+    /// publish this core's traffic and statistics to the socket.
     pub fn fence(&mut self) {
         let mut out = std::mem::take(&mut self.scratch_store);
         out.clear();
         self.stores.drain(&mut out);
         self.apply_store_outcomes(&out);
         self.scratch_store = out;
-        self.publish_core_events();
+        self.publish();
     }
 
-    /// Push the statistics delta since the last publish into the socket's
-    /// core-event counters. The mapping is the socket-aggregated view of
-    /// the POWER core PMU: `PM_RUN_CYC` = cycles, `PM_LD_CMPL` /
+    /// Publish everything since the last publish: the pending memory
+    /// transactions to the socket's nest counters (one add per non-zero
+    /// channel and direction), and the statistics delta to its core-event
+    /// counters, whose mapping is the socket-aggregated view of the POWER
+    /// core PMU: `PM_RUN_CYC` = cycles, `PM_LD_CMPL` /
     /// `PM_ST_CMPL` = completed loads/stores, `PM_LD_MISS_L1` = demand
     /// accesses satisfied beyond L1, `PM_DATA_FROM_MEMORY` = fills from
     /// memory (demand + prefetch).
-    fn publish_core_events(&mut self) {
+    fn publish(&mut self) {
+        for (dir, pending) in [Direction::Read, Direction::Write]
+            .into_iter()
+            .zip(&mut self.pending)
+        {
+            for (ch, n) in pending.iter_mut().enumerate() {
+                self.counters.record_sectors(ch, dir, std::mem::take(n));
+            }
+        }
         let Some(target) = &self.core_events else {
             return;
         };
@@ -388,23 +378,15 @@ impl CoreSim {
             if !self.l3.access(s, true) {
                 if let Evicted::Dirty(v) = self.l3.insert(s, true) {
                     self.stats.writebacks += 1;
-                    self.counters.record_sector(v, Direction::Write);
-                    self.shadow.record(v, Direction::Write);
-                    self.cycles += self.costs.mem_bw;
+                    self.mem_write(v);
                 }
             }
         }
-        let counters = Arc::clone(&self.counters);
-        let shadow = &mut self.shadow;
-        let mut wb = 0u64;
-        self.l3.flush(|s| {
-            counters.record_sector(s, Direction::Write);
-            shadow.record(s, Direction::Write);
-            wb += 1;
-        });
-        self.stats.writebacks += wb;
+        let empty = SetAssocCache::new(self.l3.capacity_bytes(), self.l3.ways());
+        let wb = self.write_back_l3(empty);
         self.cycles += wb * self.costs.mem_bw;
         self.prefetch.reset();
+        self.publish();
     }
 
     /// Forget all state without generating traffic (fresh process image).
@@ -423,47 +405,25 @@ impl CoreSim {
     // Internals
     // ------------------------------------------------------------------
 
-    /// Record one memory-level transaction on the nest counters. Inside a
-    /// bulk sequential call the per-channel count accumulates locally and
-    /// flushes in [`CoreSim::flush_batch`] — the deferred adds land on
-    /// exactly the channels [`NestCounters::record_sector`] would have
-    /// hit, so quiescent counter state is identical either way. The
-    /// shadow ledger always records per-sector.
+    /// Record one memory-level transaction: counted in `pending` until the
+    /// next [`CoreSim::publish`], and in the shadow ledger, separately.
     #[inline]
     fn record_tx(&mut self, sector: u64, dir: Direction) {
-        if self.batching {
-            let ch = NestCounters::channel_of(sector);
-            match dir {
-                Direction::Read => self.batch_read[ch] += 1,
-                Direction::Write => self.batch_write[ch] += 1,
-            }
-        } else {
-            self.counters.record_sector(sector, dir);
-        }
+        self.pending[dir as usize][NestCounters::channel_of(sector)] += 1;
         self.shadow.record(sector, dir);
     }
 
-    /// Start batching MBA accounting for a bulk call. Returns whether
-    /// this call owns the batch (nested bulk calls keep the outer batch).
-    #[inline]
-    fn begin_batch(&mut self) -> bool {
-        if self.batching {
-            return false;
-        }
-        self.batching = true;
-        true
-    }
-
-    /// Flush the locally accumulated transaction counts: one atomic add
-    /// per touched channel and direction.
-    fn flush_batch(&mut self) {
-        self.batching = false;
-        for ch in 0..MBA_CHANNELS {
-            let r = std::mem::take(&mut self.batch_read[ch]);
-            self.counters.record_sectors(ch, Direction::Read, r);
-            let w = std::mem::take(&mut self.batch_write[ch]);
-            self.counters.record_sectors(ch, Direction::Write, w);
-        }
+    /// Replace the L3 with `next`, writing the old one's dirty sectors
+    /// back to memory. Returns how many were written.
+    fn write_back_l3(&mut self, next: SetAssocCache) -> u64 {
+        let mut old = std::mem::replace(&mut self.l3, next);
+        let mut wb = 0u64;
+        old.flush(|s| {
+            self.record_tx(s, Direction::Write);
+            wb += 1;
+        });
+        self.stats.writebacks += wb;
+        wb
     }
 
     #[inline]
@@ -694,34 +654,34 @@ mod tests {
     use super::*;
 
     fn test_core(l3_bytes: u64) -> (CoreSim, Arc<NestCounters>) {
-        let counters = Arc::new(NestCounters::new());
+        let nest = Arc::new(NestCounters::new());
         let core = CoreSim::new(
             (4 * 1024, 8),
             (16 * 1024, 8),
             (l3_bytes, 16),
-            Arc::clone(&counters),
+            Arc::clone(&nest),
             AccessCosts::default(),
         );
-        (core, counters)
+        (core, nest)
     }
 
     #[test]
     fn streaming_read_traffic_is_exact() {
-        let (mut core, counters) = test_core(1 << 20);
+        let (mut core, nest) = test_core(1 << 20);
         let bytes = 64 * 1024u64;
         core.load_seq(0, bytes);
         core.fence();
         // Every byte read exactly once; prefetch overshoot past the end is
         // bounded by the prefetch depth.
-        let read = counters.total_read();
+        let read = nest.total_read();
         assert!(read >= bytes, "read {read} < {bytes}");
         assert!(read <= bytes + 16 * SECTOR_BYTES, "read {read} overshoot");
-        assert_eq!(counters.total_write(), 0);
+        assert_eq!(nest.total_write(), 0);
     }
 
     #[test]
     fn streaming_write_bypasses_cache() {
-        let (mut core, counters) = test_core(1 << 20);
+        let (mut core, nest) = test_core(1 << 20);
         let bytes = 64 * 1024u64;
         // 8-byte sequential stores, like `y[i] = sum`. The first few
         // sectors write-allocate while the stream detector confirms the
@@ -732,32 +692,33 @@ mod tests {
         core.fence();
         let startup = 8 * crate::SECTOR_BYTES;
         assert!(
-            counters.total_write() >= bytes - startup,
+            nest.total_write() >= bytes - startup,
             "writes {} too low",
-            counters.total_write()
+            nest.total_write()
         );
         assert!(
-            counters.total_read() <= startup,
+            nest.total_read() <= startup,
             "bypass stores must not read: {}",
-            counters.total_read()
+            nest.total_read()
         );
     }
 
     #[test]
     fn strided_load_stream_forces_read_per_write() {
-        let (mut core, counters) = test_core(1 << 20);
+        let (mut core, nest) = test_core(1 << 20);
         // Establish a strided load stream (stride 4 sectors).
         for k in 0..64u64 {
             core.load(1 << 30 | (k * 4 * SECTOR_BYTES), 8);
         }
         assert!(core.stride_stream_active());
-        let before = counters.snapshot();
+        core.fence();
+        let before = nest.snapshot();
         for i in 0..1024u64 {
             core.store(i * 8, 8);
         }
         core.fence();
         core.flush_caches();
-        let d = counters.snapshot().delta(&before);
+        let d = nest.snapshot().delta(&before);
         // Allocate path: ~8 KiB of RFO reads and ~8 KiB of writebacks.
         assert!(d.total_read() >= 8 * 1024, "reads {}", d.total_read());
         assert!(d.total_write() >= 8 * 1024, "writes {}", d.total_write());
@@ -765,45 +726,49 @@ mod tests {
 
     #[test]
     fn software_prefetch_forces_allocation() {
-        let (mut core, counters) = test_core(1 << 20);
+        let (mut core, nest) = test_core(1 << 20);
         core.set_software_prefetch(true);
         for i in 0..1024u64 {
             core.store(i * 8, 8);
         }
         core.fence();
         core.flush_caches();
-        let reads = counters.total_read();
-        let writes = counters.total_write();
+        let reads = nest.total_read();
+        let writes = nest.total_write();
         assert!(reads >= 8 * 1024, "dcbtst must read the target: {reads}");
         assert!(writes >= 8 * 1024);
     }
 
     #[test]
     fn cache_hit_generates_no_traffic() {
-        let (mut core, counters) = test_core(1 << 20);
+        let (mut core, nest) = test_core(1 << 20);
         core.load_seq(0, 2048);
-        let before = counters.snapshot();
+        core.fence();
+        let before = nest.snapshot();
         core.load_seq(0, 2048); // all hits now
-        let d = counters.snapshot().delta(&before);
+        core.fence();
+        let d = nest.snapshot().delta(&before);
         assert_eq!(d.total_read(), 0);
         assert_eq!(d.total_write(), 0);
     }
 
     #[test]
     fn capacity_exceeded_causes_re_reads() {
-        let (mut core, counters) = test_core(64 * 1024); // small L3
+        let (mut core, nest) = test_core(64 * 1024); // small L3
         let big = 1 << 20; // 1 MiB working set >> caches
         core.load_seq(0, big);
-        let first = counters.total_read();
+        core.fence();
+        let first = nest.total_read();
         core.load_seq(0, big);
-        let second = counters.total_read() - first;
+        core.fence();
+        let second = nest.total_read() - first;
         // Second sweep must re-read nearly everything.
         assert!(second as f64 > 0.9 * big as f64, "second sweep {second}");
     }
 
     #[test]
     fn dirty_data_written_back_on_eviction() {
-        let (mut core, counters) = test_core(64 * 1024);
+        let (mut core, nest) = test_core(64 * 1024);
         // Allocate-mode stores (software prefetch on) over 1 MiB.
         core.set_software_prefetch(true);
         let big = 1 << 20u64;
@@ -812,21 +777,21 @@ mod tests {
         }
         core.fence();
         // Most dirty sectors must already be evicted + written back.
-        let w = counters.total_write();
+        let w = nest.total_write();
         assert!(w as f64 > 0.8 * big as f64, "writebacks {w}");
     }
 
     #[test]
     fn configure_l3_flushes_dirty() {
-        let (mut core, counters) = test_core(1 << 20);
+        let (mut core, nest) = test_core(1 << 20);
         core.set_software_prefetch(true);
         for i in 0..512u64 {
             core.store(i * 8, 8);
         }
         core.fence();
-        let before_w = counters.total_write();
+        let before_w = nest.total_write();
         core.flush_caches();
-        assert!(counters.total_write() > before_w);
+        assert!(nest.total_write() > before_w);
     }
 
     #[test]
@@ -850,6 +815,49 @@ mod tests {
         assert!(s.demand_misses > 0 || s.prefetch_fills > 0);
         assert_eq!(s.loads, 2 * (4096 / SECTOR_BYTES));
     }
+
+    /// Every entry point reaches the nest counters through the one
+    /// publish path: after each call and a fence, every channel holds
+    /// exactly `SECTOR_BYTES x` the core's shadow ledger.
+    #[test]
+    fn every_entry_point_publishes_exactly_its_shadow() {
+        type Step = (&'static str, fn(&mut CoreSim));
+        let (mut core, nest) = test_core(64 * 1024);
+        let steps: [Step; 6] = [
+            ("load", |c| {
+                (0..4096).for_each(|i| c.load(i * 3 * SECTOR_BYTES, 8))
+            }),
+            ("load_seq", |c| c.load_seq(1 << 30, 1 << 20)),
+            ("store_seq", |c| c.store_seq(2 << 30, 1 << 20)),
+            // Strided stores allocate: dirty sectors in every level.
+            ("store", |c| {
+                (0..2048).for_each(|i| c.store(i * 2 * SECTOR_BYTES, 8))
+            }),
+            ("configure_l3", |c| c.configure_l3(32 * 1024, 16)),
+            ("flush_caches", CoreSim::flush_caches),
+        ];
+        let mut before = nest.snapshot();
+        for (name, step) in steps {
+            step(&mut core);
+            core.fence();
+            let now = nest.snapshot();
+            assert_ne!(now, before, "{name} moved nothing");
+            for ch in 0..MBA_CHANNELS {
+                let shadow = core.shadow();
+                assert_eq!(
+                    now.read_bytes[ch],
+                    SECTOR_BYTES * shadow.reads()[ch],
+                    "{name} read"
+                );
+                assert_eq!(
+                    now.write_bytes[ch],
+                    SECTOR_BYTES * shadow.writes()[ch],
+                    "{name} write"
+                );
+            }
+            before = now;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -864,12 +872,12 @@ mod dcbtst_timing_tests {
     #[test]
     fn software_prefetch_hides_allocate_latency() {
         let run = |sw: bool| {
-            let counters = Arc::new(NestCounters::new());
+            let nest = Arc::new(NestCounters::new());
             let mut core = CoreSim::new(
                 (4 * 1024, 8),
                 (16 * 1024, 8),
                 (1 << 20, 16),
-                Arc::clone(&counters),
+                Arc::clone(&nest),
                 AccessCosts::default(),
             );
             core.set_software_prefetch(sw);
@@ -878,7 +886,7 @@ mod dcbtst_timing_tests {
                 core.store(i * 256, 8);
             }
             core.fence();
-            (core.cycles(), counters.total_read(), counters.total_write())
+            (core.cycles(), nest.total_read(), nest.total_write())
         };
         let (cyc_demand, rd_demand, wr_demand) = run(false);
         let (cyc_sw, rd_sw, wr_sw) = run(true);

@@ -48,8 +48,14 @@
 //! the number of active cores), and the workloads in the paper are
 //! embarrassingly parallel with disjoint footprints. Under that model,
 //! per-core simulations are independent, so [`machine::SimMachine::run_parallel`]
-//! executes them on real OS threads with the socket counters updated
-//! atomically.
+//! executes them on real OS threads. A core counts its memory
+//! transactions per channel privately and publishes them to the socket's
+//! atomic nest counters at fence points — every
+//! [`hierarchy::CoreSim::fence`] (which ends each kernel),
+//! `flush_caches` and `configure_l3` — exactly where it publishes its
+//! core events. A concurrent reader therefore sees each core's traffic
+//! in whole per-fence steps, and a quiescent socket holds exactly the
+//! sum of every core's transactions.
 
 // The crate's one `unsafe` block is the host prefetch hint in `cache`.
 #![deny(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]

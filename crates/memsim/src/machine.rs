@@ -6,8 +6,9 @@
 //! execution API:
 //!
 //! * [`SimMachine::run_parallel`] — run one closure per active core, on real
-//!   OS threads. Per-core state is private and counters are atomic, so this
-//!   is exact under the simulator's concurrency model (see crate docs).
+//!   OS threads. Per-core state is private and each core publishes its
+//!   traffic to the atomic counters at its fence, so this is exact under
+//!   the simulator's concurrency model (see crate docs).
 //!   Activating `n` cores sizes each core's L3 share according to the
 //!   slice-borrowing rule.
 //! * [`SimMachine::alloc`] — hand out virtual regions for trace generation.
@@ -598,6 +599,50 @@ mod tests {
             diff / (four_thread as f64) < 0.02,
             "four {four_thread} vs 4x {one_thread}"
         );
+    }
+
+    /// A sampler racing 21 streaming cores only ever sees whole sectors,
+    /// monotonically, and the books balance afterwards.
+    #[test]
+    fn concurrent_reader_sees_whole_sectors_monotonically() {
+        use crate::{CounterSnapshot, SECTOR_BYTES};
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+
+        let mut m = SimMachine::quiet(Machine::summit(), 5);
+        let bytes = 1 << 20;
+        let regions: Vec<Region> = (0..21).map(|_| m.alloc(2 * bytes)).collect();
+        let shared = m.socket_shared(0);
+        let (start, done) = (Barrier::new(2), AtomicBool::new(false));
+        let samples = std::thread::scope(|s| {
+            let reader = s.spawn(|| {
+                start.wait();
+                let (mut prev, mut samples) = (CounterSnapshot::default(), 0u64);
+                while !done.load(Ordering::Acquire) {
+                    let snap = shared.counters().snapshot();
+                    for ch in 0..p9_arch::MBA_CHANNELS {
+                        for dir in [Direction::Read, Direction::Write] {
+                            let now = snap.channel(ch, dir);
+                            assert_eq!(now % SECTOR_BYTES, 0, "torn {dir:?} on channel {ch}");
+                            assert!(now >= prev.channel(ch, dir), "{dir:?} {ch} went back");
+                        }
+                    }
+                    prev = snap;
+                    samples += 1;
+                }
+                samples
+            });
+            start.wait();
+            m.run_parallel(0, 21, |tid, core| {
+                core.load_seq(regions[tid].base(), bytes);
+                core.store_seq(regions[tid].base() + bytes, bytes);
+            });
+            done.store(true, Ordering::Release);
+            reader.join().expect("reader")
+        });
+        assert!(samples > 0);
+        assert!(shared.counters().total_read() >= 21 * bytes);
+        m.verify_socket_conservation(0).expect("conserved");
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! the two must always agree:
 //!
 //! * Every core keeps a [`ShadowLedger`] counting 64-byte transactions per
-//!   MBA channel, incremented beside (not inside) every
-//!   `NestCounters::record_sector` call the hierarchy makes.
+//!   MBA channel, incremented beside (not inside) the core's pending
+//!   per-channel counts, which it publishes to the nest counters at fence
+//!   points. The two are never derived from each other.
 //! * [`NestCounters`](crate::NestCounters) keeps a bulk-traffic shadow
 //!   mirroring `record_bulk` (noise, DMA, measurement overhead) both
 //!   per-channel and in total, which double-checks the channel-split
@@ -30,7 +31,7 @@
 //!
 //! The check runs after every simulated kernel in every build (one exact
 //! pass over 8 channels x the socket's cores); the hot path pays one
-//! array increment per memory-level transaction.
+//! shadow array increment per memory-level transaction.
 
 use core::fmt;
 
@@ -113,8 +114,8 @@ impl fmt::Display for ConservationError {
 impl std::error::Error for ConservationError {}
 
 /// Per-core shadow transaction ledger. One entry per MBA channel and
-/// direction; maintained beside every sector the hierarchy records, never
-/// reset (the live counters are free-running too).
+/// direction; maintained beside every transaction the hierarchy records,
+/// never reset (the live counters are free-running too).
 #[derive(Debug, Default, Clone)]
 pub struct ShadowLedger {
     reads: [u64; MBA_CHANNELS],
@@ -211,14 +212,18 @@ mod tests {
     #[test]
     fn flush_and_reconfigure_traffic_is_conserved() {
         let mut m = quiet_tiny();
-        let r = m.alloc(128 * 1024);
-        m.run_single(0, |core| {
+        let regions: Vec<_> = (0..2).map(|_| m.alloc(128 * 1024)).collect();
+        let dirty = |tid: usize, core: &mut crate::CoreSim| {
             core.set_software_prefetch(true);
-            core.store_seq(r.base(), 128 * 1024);
-        });
+            core.store_seq(regions[tid].base(), 128 * 1024);
+        };
+        m.run_parallel(0, 2, dirty);
         m.flush_socket(0);
-        // Re-sizing the L3 share writes dirty residue back too.
-        m.run_parallel(0, 2, |_, _| {});
+        m.verify_socket_conservation(0).expect("flush conserved");
+        m.run_parallel(0, 2, dirty);
+        // Re-sizing the L3 shares for one active core writes core 1's
+        // dirty residue back, though core 1 does not run (no fence).
+        m.run_single(0, |_| {});
         m.verify_socket_conservation(0).expect("conserved");
     }
 

@@ -3,9 +3,9 @@
 //! checks on each acquisition that the thread takes locks in strictly
 //! increasing rank and blocks only under locks declared for it.
 //!
-//! The check is made by the lock itself, so it sees every path a test,
-//! a seeded schedule or a loom model actually runs — through trait
-//! objects and closures alike — and nothing it does not run. Release
+//! The check is made by the lock itself, so it sees every path a test
+//! or a seeded schedule actually runs — through trait objects and
+//! closures alike — and nothing it does not run. Release
 //! builds compile it out: a [`Mutex`] is then a `std::sync::Mutex`
 //! whose `lock()` recovers poison (every critical section in the tree
 //! leaves its data valid at each step, so a panicked holder loses

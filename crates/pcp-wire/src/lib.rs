@@ -17,10 +17,10 @@
 //!   mid-request disconnects, shuts down gracefully, and exports its own
 //!   operational counters (`pmcd.*`) through the same PMNS it serves —
 //!   the daemon profiles itself.
-//! * [`pool`] — [`BoundedQueue`]: the worker-pool connection queue. Its
-//!   mutex/condvar come from the vendored loom shim under `--cfg loom`,
-//!   so `tests/loom_pool.rs` can model-check the accept/shutdown path
-//!   (bounded Busy rejection, graceful drain-then-join).
+//! * [`pool`] — [`BoundedQueue`]: the worker-pool connection queue, a
+//!   `std` mutex and condvar whose accept/shutdown contract (bounded Busy
+//!   rejection, graceful drain-then-join) its tests run over 256 thread
+//!   schedules each.
 //! * [`scrape`] — [`ScrapeListener`]: an HTTP sidecar serving the same
 //!   OpenMetrics exposition as `Pdu::Exposition`, so `curl` and
 //!   Prometheus can watch the daemon without speaking PDUs.
