@@ -106,6 +106,11 @@ struct Target {
 pub struct Aggregator {
     cfg: AggregatorConfig,
     targets: Vec<Target>,
+    /// One scrape session per target, kept across passes: `None` until
+    /// the first scrape and after any failure, so the next pass
+    /// reconnects. Lent to a fan-out worker for the pass and handed back
+    /// with its result — no lock.
+    sessions: Vec<Option<WireClient>>,
     registry: Arc<obs::Registry>,
     scrape_ok: Arc<obs::Counter>,
     scrape_err: Arc<obs::Counter>,
@@ -192,6 +197,7 @@ impl Aggregator {
         Aggregator {
             monitor: Monitor::new(cfg.monitor_capacity, rules),
             cfg,
+            sessions: targets.iter().map(|_| None).collect(),
             targets,
             registry,
             scrape_ok,
@@ -235,21 +241,35 @@ impl Aggregator {
     /// Point host slot `index` at a different address. A fault-injection
     /// lever: tests retarget a slot at a listener that accepts but never
     /// answers to manufacture a straggler (or at a closed port to kill
-    /// the host) without disturbing the slot's staleness identity.
+    /// the host) without disturbing the slot's staleness identity. The
+    /// slot's session to the old address is dropped.
     pub fn retarget_host(&mut self, index: usize, addr: SocketAddr) {
         if let Some(t) = self.targets.get_mut(index) {
             t.addr = addr;
+            self.sessions[index] = None;
         }
     }
 
-    /// Scrape one host over the wire and parse strictly. Any failure —
-    /// refused connection, protocol error, unparseable document — makes
-    /// the host stale for this pass. `trace_id` (the pass's fan-out
-    /// child id for this slot) rides the Exposition frame so the host's
-    /// own render span joins this pass's trace tree.
-    fn scrape_one(&self, target: &Target, trace_id: u64) -> Result<HostScrape, String> {
-        let client = WireClient::connect_with_timeout(target.addr, self.cfg.io_timeout)
-            .map_err(|e| format!("connect: {e:?}"))?;
+    /// Scrape one host over its session, connecting first if it has
+    /// none, and parse strictly. Any failure — refused connection,
+    /// protocol error, unparseable document — makes the host stale for
+    /// this pass (the caller then drops the session, so the next pass
+    /// reconnects). `trace_id` (the pass's fan-out child id for this
+    /// slot) rides the Exposition frame so the host's own render span
+    /// joins this pass's trace tree.
+    fn scrape_one(
+        &self,
+        target: &Target,
+        session: &mut Option<WireClient>,
+        trace_id: u64,
+    ) -> Result<HostScrape, String> {
+        let client = match session {
+            Some(client) => client,
+            None => session.insert(
+                WireClient::connect_with_timeout(target.addr, self.cfg.io_timeout)
+                    .map_err(|e| format!("connect: {e:?}"))?,
+            ),
+        };
         let text = client
             .scrape_exposition_traced(trace_id)
             .map_err(|e| format!("scrape: {e:?}"))?;
@@ -276,16 +296,17 @@ impl Aggregator {
 
         // --- fan out ----------------------------------------------------
         let fanout_span = obs::span!(stitch::PASS_FANOUT_SPAN);
-        let queue: BoundedQueue<usize> = BoundedQueue::new(self.targets.len().max(1));
-        for i in 0..self.targets.len() {
-            let _ = queue.try_push(i);
+        let queue: BoundedQueue<(usize, Option<WireClient>)> =
+            BoundedQueue::new(self.targets.len().max(1));
+        for (i, session) in self.sessions.iter_mut().enumerate() {
+            let _ = queue.try_push((i, session.take()));
         }
         queue.close();
         let workers = self.cfg.workers.max(1);
         let mut slots: Vec<Option<Result<HostScrape, String>>> =
             (0..self.targets.len()).map(|_| None).collect();
         let mut latencies: Vec<(usize, u64)> = Vec::with_capacity(self.targets.len());
-        std::thread::scope(|scope| {
+        let done: Vec<_> = std::thread::scope(|scope| {
             let queue = &queue;
             let this = &*self;
             let handles: Vec<_> = (0..workers)
@@ -294,18 +315,21 @@ impl Aggregator {
                         let mut done = Vec::new();
                         loop {
                             match queue.pop_timeout(Duration::from_millis(10)) {
-                                Pop::Item(i) => {
+                                Pop::Item((i, mut session)) => {
                                     let child = stitch::fanout_child_id(pass_id, i as u64);
                                     let started = Instant::now();
                                     let result = {
                                         let _host = obs::span!(stitch::HOST_SCRAPE_SPAN, child);
-                                        this.scrape_one(&this.targets[i], child)
+                                        this.scrape_one(&this.targets[i], &mut session, child)
                                     };
                                     if result.is_err() {
                                         obs::instant!(stitch::HOST_FAIL_INSTANT, child);
+                                        // Whatever failed, the session is
+                                        // suspect: the next pass re-dials.
+                                        session = None;
                                     }
                                     let lat = started.elapsed().as_nanos().min(u64::MAX as u128);
-                                    done.push((i, result, lat as u64));
+                                    done.push((i, result, session, lat as u64));
                                 }
                                 Pop::TimedOut => {}
                                 Pop::Closed => return done,
@@ -314,15 +338,17 @@ impl Aggregator {
                     })
                 })
                 .collect();
-            for h in handles {
-                if let Ok(list) = h.join() {
-                    for (i, result, lat) in list {
-                        slots[i] = Some(result);
-                        latencies.push((i, lat));
-                    }
-                }
-            }
+            handles
+                .into_iter()
+                .filter_map(|h| h.join().ok())
+                .flatten()
+                .collect()
         });
+        for (i, result, session, lat) in done {
+            slots[i] = Some(result);
+            latencies.push((i, lat));
+            self.sessions[i] = session;
+        }
         drop(fanout_span);
         // Record latencies in host index order: the histogram is
         // order-insensitive, but deterministic iteration costs nothing.
@@ -412,9 +438,9 @@ impl Aggregator {
             .collect();
         // Keep only this pass's events: the pass span and its child
         // scrapes (matched by id), phase spans from the pass thread
-        // inside the pass window, and codec spans a worker recorded
-        // inside one of its host scrapes (matched by thread + time,
-        // like the stitch does). Anything else in the rings —
+        // inside the pass window, and codec and connect spans a worker
+        // recorded inside one of its host scrapes (matched by thread +
+        // time, like the stitch does). Anything else in the rings —
         // previous-pass leftovers, the host servers' own codec work,
         // unrelated spans from tests sharing the process — is dropped.
         let drained = obs::trace::drain();
@@ -441,7 +467,8 @@ impl Aggregator {
                             | stitch::PASS_MERGE_SPAN
                             | stitch::PASS_INGEST_SPAN
                     ) && pass_ev.is_some_and(|p| inside(&p, e)))
-                    || (stitch::CODEC_SPANS.contains(&e.label)
+                    || ((stitch::CODEC_SPANS.contains(&e.label)
+                        || e.label == stitch::CLIENT_CONNECT_SPAN)
                         && host_evs.iter().any(|h| inside(h, e)))
             })
             .collect();

@@ -79,12 +79,13 @@ impl SimHost {
         let sim_bytes = registry.counter("host.sim.bytes");
         let sim_ticks = registry.counter("host.sim.ticks");
         let config = WireConfig {
-            // One worker per host: the aggregator opens one connection
-            // at a time per host, and 2 threads/host keeps a 256-host
-            // fleet within ordinary process limits.
-            workers: 1,
+            // Two workers per host: one serves the aggregator's session,
+            // which stays open across passes, and the other any other
+            // client (debug tools, tests, probes), which would otherwise
+            // queue behind that session forever. With the acceptor that
+            // is 3 threads/host, ordinary process limits at 256 hosts.
+            workers: 2,
             pending: 4,
-            ..WireConfig::default()
         };
         let server = PmcdServer::bind_system_with_registry(
             "127.0.0.1:0",

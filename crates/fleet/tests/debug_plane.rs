@@ -8,7 +8,6 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use fleet::{host_name, Aggregator, AggregatorConfig, Fleet, DEFAULT_DEBUG_PASSES};
-use obs::stitch::FANOUT_COMPONENTS;
 
 const SEC: u64 = 1_000_000_000;
 
@@ -49,7 +48,7 @@ fn traced_pass_conserves_wall_time_end_to_end() {
             ..AggregatorConfig::default()
         },
     );
-    for pass in 1..=2u64 {
+    for pass in 1..=3u64 {
         fleet.tick_traffic(pass);
         let report = agg.scrape_pass(pass * SEC);
         assert_eq!(report.scraped, 6);
@@ -68,8 +67,16 @@ fn traced_pass_conserves_wall_time_end_to_end() {
             assert!(h.ok, "clean pass: host {} ok", h.host_index);
             // A host that answered is charged its own render and codec
             // time; neither hides in `wire`.
-            for spent in [FANOUT_COMPONENTS[1], FANOUT_COMPONENTS[2]] {
+            for spent in ["server.render", "codec"] {
                 assert!(h.component(spent) > 0, "host {} {spent}", h.host_index);
+            }
+            // Sessions persist: only the first pass opens one per host,
+            // and a warm pass spends exactly nothing on connecting.
+            let connect = h.component("connect");
+            if pass == 1 {
+                assert!(connect > 0, "host {} opened its session", h.host_index);
+            } else {
+                assert_eq!(connect, 0, "pass {pass} host {} reconnected", h.host_index);
             }
         }
         // The straggler is the argmax chain, and skew is >= 1000 by
@@ -115,14 +122,16 @@ fn mid_pass_stall_attributes_straggler_to_exactly_that_host() {
         "victim chain ({} ns) reflects the stall",
         victim.chain_ns
     );
-    // The stall is charged to the wire (no server render ever happened).
-    assert_eq!(victim.component(FANOUT_COMPONENTS[1]), 0);
-    assert!(victim.component(FANOUT_COMPONENTS[3]) >= timeout.as_nanos() as u64 / 2);
+    // The stall is charged to the connect: the retarget dropped the
+    // slot's session, and the stalled read is the CREDS handshake's (no
+    // server render ever happened).
+    assert_eq!(victim.component("server.render"), 0);
+    assert!(victim.component("connect") >= timeout.as_nanos() as u64 / 2);
     for h in trace.hosts.iter().filter(|h| h.host_index != 2) {
         assert!(h.ok);
         assert!(h.chain_ns < victim.chain_ns);
         assert!(
-            h.component(FANOUT_COMPONENTS[1]) > 0,
+            h.component("server.render") > 0,
             "only the victim never rendered"
         );
     }

@@ -4,12 +4,17 @@
 //! fleet-wide HTTP endpoint.
 
 use std::io::{Read as _, Write as _};
+use std::sync::Arc;
 use std::time::Duration;
 
 use fleet::{
     host_name, merge_parallel, merge_reference, Aggregator, AggregatorConfig, Fleet, HostScrape,
 };
 use obs::openmetrics::{render, MetricKind, OmSample, Value};
+use p9_memsim::machine::SocketShared;
+use p9_memsim::NoiseConfig;
+use pcp_sim::pmns::Pmns;
+use pcp_wire::{PmcdServer, WireConfig};
 use proptest::prelude::*;
 
 const SEC: u64 = 1_000_000_000;
@@ -155,6 +160,63 @@ fn killing_one_host_raises_exactly_that_hosts_staleness_alert() {
             assert_eq!(alert.metric, stale_metric);
         }
     }
+}
+
+/// A standalone Tellico-shaped PMCD on `addr`, with a private registry.
+fn standalone_pmcd(addr: std::net::SocketAddr) -> PmcdServer {
+    let machine = p9_arch::Machine::tellico();
+    let sockets = (0..machine.node.num_sockets())
+        .map(|s| SocketShared::standalone(NoiseConfig::none(), s as u64 + 1, machine.clock_hz))
+        .collect();
+    PmcdServer::bind_system_with_registry(
+        addr,
+        Pmns::for_machine(&machine),
+        sockets,
+        WireConfig::default(),
+        Some(Arc::new(obs::Registry::new())),
+    )
+    .expect("bind standalone pmcd")
+}
+
+/// The reconnect rule on real sockets: a session whose server went away
+/// fails exactly its host for one pass, and the next pass re-dials the
+/// address and scrapes over a fresh session.
+#[test]
+fn a_dropped_session_fails_one_pass_and_the_next_pass_reconnects() {
+    let fleet = Fleet::spawn(3, 0x5E55).expect("spawn fleet");
+    let mut agg = aggregator(&fleet, 2);
+    let scrape_err = agg.registry().counter("fleet.scrape.err");
+
+    let mut first = standalone_pmcd("127.0.0.1:0".parse().expect("loopback"));
+    let addr = first.local_addr();
+    agg.retarget_host(1, addr);
+    let ok = agg.scrape_pass(SEC);
+    assert_eq!(ok.scraped, 3);
+    assert_eq!(first.stats().clients_total, 1, "one session opened");
+
+    // Same address, new server: the session held over from the first
+    // one is dead, and nothing has told the aggregator yet.
+    first.shutdown();
+    let second = standalone_pmcd(addr);
+    let errors_before = scrape_err.get();
+    let failed = agg.scrape_pass(2 * SEC);
+    assert_eq!(failed.stale, vec![host_name(1)]);
+    assert_eq!(scrape_err.get(), errors_before + 1);
+    assert_eq!(
+        second.stats().clients_total,
+        0,
+        "the dead session is not re-dialled mid-pass"
+    );
+
+    let back = agg.scrape_pass(3 * SEC);
+    assert!(back.stale.is_empty(), "stale: {:?}", back.stale);
+    assert_eq!(scrape_err.get(), errors_before + 1);
+    assert_eq!(second.stats().clients_total, 1, "a fresh session");
+    assert_eq!(
+        second.stats().clients_current,
+        1,
+        "kept open for the next pass"
+    );
 }
 
 #[test]

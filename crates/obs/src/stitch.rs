@@ -236,13 +236,18 @@ pub const CLIENT_SCRAPE_SPAN: &str = "wire.client.scrape";
 /// scrape; its `arg` echoes the child id from the PDU.
 pub const SERVER_SCRAPE_SPAN: &str = "wire.server.scrape";
 
+/// Client-side span wrapping one `WireClient` connect, CREDS handshake
+/// included (matched like the codec spans, by thread + containment).
+pub const CLIENT_CONNECT_SPAN: &str = "wire.client.connect";
+
 /// Component names of one host chain's decomposition, in attribution
 /// order. `queue` is time spent waiting for a fan-out worker,
 /// `server.render` is the host PMCD's exposition render (matched by
 /// arg, so it survives cross-host clock skew), `codec` is client-side
-/// PDU encode/decode, and `wire` absorbs the remainder (connect,
-/// syscalls, scheduling).
-pub const FANOUT_COMPONENTS: [&str; 4] = ["queue", "server.render", "codec", "wire"];
+/// PDU encode/decode outside a connect, `connect` is opening a session
+/// (0 on a pass that reuses one), and `wire` absorbs the remainder
+/// (syscalls, scheduling).
+pub const FANOUT_COMPONENTS: [&str; 5] = ["queue", "server.render", "codec", "connect", "wire"];
 
 /// Phase names of the pass-level decomposition, in attribution order;
 /// `other` absorbs classification, counter folding and publish time.
@@ -341,9 +346,23 @@ impl FanoutTrace {
                 budget -= got;
                 got
             };
+            // A connect's duration, and the handshake codec inside it,
+            // which is part of the connect rather than of `codec`.
+            let (connect_ns, handshake_codec) = events
+                .iter()
+                .filter(|e| {
+                    e.kind == Kind::Span
+                        && e.label == CLIENT_CONNECT_SPAN
+                        && e.tid == host.tid
+                        && contains(host, e)
+                })
+                .fold((0, 0), |(dur, codec), c| {
+                    (dur + c.dur_ns, codec + codec_ns(events, host.tid, c))
+                });
             let server =
                 take(span_with_arg(events, SERVER_SCRAPE_SPAN, child).map_or(0, |s| s.dur_ns));
-            let codec = take(codec_ns(events, host.tid, host));
+            let codec = take(codec_ns(events, host.tid, host).saturating_sub(handshake_codec));
+            let connect = take(connect_ns);
             let wire = budget;
             hosts.push(HostShare {
                 host_index: i,
@@ -354,7 +373,8 @@ impl FanoutTrace {
                     (FANOUT_COMPONENTS[0], queue),
                     (FANOUT_COMPONENTS[1], server),
                     (FANOUT_COMPONENTS[2], codec),
-                    (FANOUT_COMPONENTS[3], wire),
+                    (FANOUT_COMPONENTS[3], connect),
+                    (FANOUT_COMPONENTS[4], wire),
                 ],
             });
         }
@@ -443,7 +463,7 @@ impl FanoutTrace {
         );
         for h in &self.hosts {
             out.push_str(&format!(
-                "  host {:04}{}: chain {} ns = queue {} + server.render {} + codec {} + wire {}\n",
+                "  host {:04}{}: chain {} ns = queue {} + server.render {} + codec {} + connect {} + wire {}\n",
                 h.host_index,
                 if h.ok { "" } else { " FAILED" },
                 h.chain_ns,
@@ -451,6 +471,7 @@ impl FanoutTrace {
                 h.component(FANOUT_COMPONENTS[1]),
                 h.component(FANOUT_COMPONENTS[2]),
                 h.component(FANOUT_COMPONENTS[3]),
+                h.component(FANOUT_COMPONENTS[4]),
             ));
         }
         match self.straggler_share() {
@@ -664,6 +685,28 @@ mod tests {
         let h1 = &t.hosts[1];
         assert_eq!(h1.component("queue"), 1_000);
         assert_eq!(h1.chain_ns, 6_000);
+    }
+
+    /// A connect span is charged whole to `connect`, the handshake's
+    /// codec spans inside it included, and never a second time to
+    /// `codec`; a host that opened no session has `connect` 0.
+    #[test]
+    fn connect_carries_its_handshake_codec_exactly_once() {
+        let base = 1_000;
+        let mut events = fanout_pass(5, base);
+        // Host 1 (tid 3, [base + 1 000, base + 6 000)) opens a session.
+        events.push(span(CLIENT_CONNECT_SPAN, 3, base + 1_100, 800, 0));
+        events.push(span("wire.pdu.encode", 3, base + 1_200, 60, 0));
+        events.push(span("wire.pdu.decode", 3, base + 2_000, 40, 0));
+        let t = FanoutTrace::stitch(&events, 5, 3).unwrap();
+        let h1 = &t.hosts[1];
+        assert_eq!(h1.component("connect"), 800);
+        assert_eq!(h1.component("codec"), 40);
+        assert_eq!(h1.component("server.render"), 2_000);
+        assert_eq!(h1.component("wire"), 5_000 - 2_000 - 40 - 800);
+        let sum: u64 = h1.components.iter().map(|(_, v)| v).sum();
+        assert_eq!(sum, h1.chain_ns);
+        assert_eq!(t.hosts[0].component("connect"), 0);
     }
 
     #[test]

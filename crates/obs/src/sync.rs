@@ -64,6 +64,9 @@ impl Rank {
     pub const WIRE_GROUPS: Rank = Rank::new(20, "wire.groups").held_across_io();
     /// `WireClient`'s socket: serialises whole request/response exchanges.
     pub const WIRE_STREAM: Rank = Rank::new(21, "wire.stream").held_across_io();
+    /// A `PmcdServer` worker's slot naming the connection it serves;
+    /// `shutdown` closes that connection's read half under it.
+    pub const WIRE_SERVING: Rank = Rank::new(22, "wire.serving");
     /// `Store`: one compaction/retention pass at a time; flushes ingest.
     pub const STORE_COMPACTING: Rank = Rank::new(30, "store.compacting");
     /// `Store`'s staging buffers; flushing seals chunks into `sealed`.

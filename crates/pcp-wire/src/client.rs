@@ -42,11 +42,14 @@ impl WireClient {
         Self::connect_with_timeout(addr, DEFAULT_IO_TIMEOUT)
     }
 
-    /// Connect with a specific per-call read/write timeout.
+    /// Connect with a specific per-call read/write timeout. The whole
+    /// exchange, handshake included, runs under one
+    /// [`obs::stitch::CLIENT_CONNECT_SPAN`].
     pub fn connect_with_timeout<A: ToSocketAddrs>(
         addr: A,
         io_timeout: Duration,
     ) -> Result<Self, PcpError> {
+        let _span = obs::span!(obs::stitch::CLIENT_CONNECT_SPAN);
         let stream = TcpStream::connect(addr).map_err(io_err)?;
         stream.set_nodelay(true).map_err(io_err)?;
         stream.set_read_timeout(Some(io_timeout)).map_err(io_err)?;
@@ -133,9 +136,19 @@ fn io_err(e: std::io::Error) -> PcpError {
 }
 
 fn wire_err(e: WireError) -> PcpError {
+    use std::io::ErrorKind::{BrokenPipe, ConnectionAborted, ConnectionReset, UnexpectedEof};
     match e {
         WireError::Closed => PcpError::Disconnected,
-        WireError::Io(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => PcpError::Disconnected,
+        // A peer that closed (or reset) under a request is gone either
+        // way; which of these the kernel reports depends on timing.
+        WireError::Io(e)
+            if matches!(
+                e.kind(),
+                UnexpectedEof | BrokenPipe | ConnectionReset | ConnectionAborted
+            ) =>
+        {
+            PcpError::Disconnected
+        }
         other => PcpError::Protocol(other.to_string()),
     }
 }

@@ -10,10 +10,11 @@
 //! `GET /metrics` (or `/`) answered with `200` and
 //! `application/openmetrics-text`, unknown paths with `404`, non-GET
 //! methods with `405`, a malformed request line with `400`, always
-//! `Connection: close`. Backpressure reuses the same [`BoundedQueue`]
-//! discipline as the PDU server: accepted sockets queue for a small
-//! worker pool, and when the queue is full the connection is shed at
-//! the door with `503` (counted by `wire.scrape.shed`).
+//! `Connection: close`. The transport is the PDU server's: the same
+//! blocking accept loop feeds the same [`BoundedQueue`] discipline —
+//! accepted sockets queue for a small worker pool, and when the queue
+//! is full the connection is shed at the door with `503` (counted by
+//! `wire.scrape.shed`) — and shutdown wakes the acceptor the same way.
 //!
 //! [`ScrapeListener::bind_handler`] generalises the route table: a
 //! handler maps `(path, query)` to [`HttpResponse`]s, which is how the
@@ -28,8 +29,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::pool::{BoundedQueue, Pop, PushError};
-use crate::server::PmcdServer;
+use crate::pool::BoundedQueue;
+use crate::server::{accept_loop, serve_queue, wake_acceptor, PmcdServer};
 
 /// OpenMetrics content type served with every `200`.
 pub const CONTENT_TYPE: &str = "application/openmetrics-text; version=1.0.0; charset=utf-8";
@@ -136,7 +137,6 @@ impl ScrapeListener {
     ) -> std::io::Result<Self> {
         assert!(workers >= 1, "scrape listener needs at least one worker");
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let queue = Arc::new(BoundedQueue::new(pending.max(1)));
@@ -151,21 +151,18 @@ impl ScrapeListener {
         for i in 0..workers {
             let handler = Arc::clone(&handler);
             let queue = Arc::clone(&queue);
-            let shutdown = Arc::clone(&shutdown);
             let handle = std::thread::Builder::new()
                 .name(format!("pmcd-scrape-{i}"))
-                .spawn(move || worker_loop(&handler, &queue, &shutdown));
+                .spawn(move || serve_queue(&queue, |stream| serve_scrape(&handler, stream)));
             match handle {
                 Ok(h) => out.workers.push(h),
                 Err(e) => return Err(e),
             }
         }
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_queue = Arc::clone(&queue);
         out.accept_thread = Some(
             std::thread::Builder::new()
                 .name("pmcd-scrape-accept".into())
-                .spawn(move || accept_loop(listener, &accept_queue, &accept_shutdown))?,
+                .spawn(move || accept_loop(&listener, &shutdown, &queue, shed))?,
         );
         Ok(out)
     }
@@ -180,6 +177,7 @@ impl ScrapeListener {
     pub fn shutdown(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
+            wake_acceptor(self.local_addr);
             let _ = t.join();
         }
         self.queue.close();
@@ -195,52 +193,20 @@ impl Drop for ScrapeListener {
     }
 }
 
-fn accept_loop(listener: TcpListener, queue: &BoundedQueue<TcpStream>, shutdown: &AtomicBool) {
-    while !shutdown.load(Ordering::SeqCst) {
-        obs::sync::about_to_block("ScrapeListener accept");
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                obs::counter!("wire.scrape.requests").inc();
-                match queue.try_push(stream) {
-                    Ok(()) => {}
-                    Err(PushError::Full(stream)) => shed(stream),
-                    Err(PushError::Closed(_)) => break,
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
-        }
-    }
-}
-
 /// Queue full: answer 503 and close, mirroring the PDU server's
 /// shed-at-the-door policy.
 fn shed(mut stream: TcpStream) {
+    obs::counter!("wire.scrape.requests").inc();
     obs::counter!("wire.scrape.shed").inc();
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let busy = HttpResponse::text(503, "Service Unavailable", "scraper at capacity\n".into());
     let _ = stream.write_all(frame(&busy).as_bytes());
 }
 
-fn worker_loop(handler: &RequestHandler, queue: &BoundedQueue<TcpStream>, shutdown: &AtomicBool) {
-    loop {
-        match queue.pop_timeout(Duration::from_millis(50)) {
-            Pop::Item(stream) => serve_scrape(handler, stream),
-            Pop::TimedOut => {
-                if shutdown.load(Ordering::SeqCst) && queue.is_empty() {
-                    return;
-                }
-            }
-            Pop::Closed => return,
-        }
-    }
-}
-
 /// Read one request head and answer it. Never panics on client
 /// misbehaviour; every path ends with the connection closed.
 fn serve_scrape(handler: &RequestHandler, mut stream: TcpStream) {
+    obs::counter!("wire.scrape.requests").inc();
     if stream.set_read_timeout(Some(IO_TIMEOUT)).is_err()
         || stream.set_write_timeout(Some(IO_TIMEOUT)).is_err()
     {
@@ -476,5 +442,62 @@ mod tests {
         assert_eq!(status, 200);
         let (status, _, _) = http_get(addr, "/debug/unknown");
         assert_eq!(status, 404);
+    }
+
+    /// With the one worker held inside a handler and the one queue slot
+    /// taken, the next connection is shed at the door with `503`; the
+    /// held and the queued request are both answered once released.
+    #[test]
+    fn a_full_queue_sheds_the_next_connection_with_503() {
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel::<()>();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = std::sync::Mutex::new(release_rx);
+        let handler: RequestHandler = Arc::new(move |_path: &str, _query: &str| {
+            let _ = entered_tx.send(());
+            let _ = release_rx.lock().expect("release lock").recv();
+            Some(HttpResponse::ok(CONTENT_TYPE, "# EOF\n".into()))
+        });
+        let listener =
+            ScrapeListener::bind_handler("127.0.0.1:0", handler, 1, 1).expect("bind handler");
+        let addr = listener.local_addr();
+        // Declared after the listener, so a failed assertion drops it
+        // first: that frees the held worker the listener's drop joins.
+        let release_tx = release_tx;
+
+        let held = std::thread::spawn(move || http_get(addr, "/metrics"));
+        entered_rx.recv().expect("worker entered the handler");
+        let mut queued = TcpStream::connect(addr).expect("connect queued");
+        queued
+            .write_all(b"GET /metrics HTTP/1.1\r\nHost: t\r\n\r\n")
+            .expect("send queued request");
+
+        // The shed closes without reading the request; a client that had
+        // sent one could see the close as a reset and lose the 503, so
+        // this one only reads.
+        let mut shed = TcpStream::connect(addr).expect("connect shed");
+        let mut raw = String::new();
+        shed.read_to_string(&mut raw).expect("shed response");
+        assert!(
+            raw.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+            "{raw}"
+        );
+        assert!(raw.ends_with("\r\n\r\nscraper at capacity\n"), "{raw}");
+
+        release_tx.send(()).expect("release held");
+        release_tx.send(()).expect("release queued");
+        assert_eq!(held.join().expect("held request").0, 200);
+        let mut raw = String::new();
+        queued.read_to_string(&mut raw).expect("queued response");
+        assert!(raw.starts_with("HTTP/1.1 200 OK\r\n"), "{raw}");
+    }
+
+    /// The wake-up connect reaches a listener bound to every interface.
+    #[test]
+    fn listener_bound_on_the_unspecified_address_shuts_down() {
+        let provider: ExpositionProvider = Arc::new(|| "# EOF\n".to_string());
+        let mut listener =
+            ScrapeListener::bind_provider("0.0.0.0:0", provider, 1, 4).expect("bind 0.0.0.0");
+        assert!(listener.local_addr().ip().is_unspecified());
+        listener.shutdown();
     }
 }

@@ -2,18 +2,22 @@
 //!
 //! Architecture (std only, no async runtime):
 //!
-//! * an **accept thread** runs a nonblocking `TcpListener` poll loop. New
-//!   connections go into a bounded queue; when every worker is busy and
-//!   the queue is full the server answers `Error{Busy}` and closes — load
-//!   is shed at the door instead of queueing unboundedly.
+//! * an **accept thread** blocks in `accept()` ([`accept_loop`], the one
+//!   accept loop of the crate, shared with [`crate::ScrapeListener`]).
+//!   New connections go into a bounded queue; when every worker is busy
+//!   and the queue is full the server answers `Error{Busy}` and closes —
+//!   load is shed at the door instead of queueing unboundedly.
 //! * a **bounded worker pool** (default 32 threads) pulls connections off
 //!   the queue. One worker serves one client at a time, request by
 //!   request, so each client has at most one fetch in flight; batch size
 //!   is additionally capped by [`MAX_FETCH_BATCH`]. That pair
 //!   of bounds is the backpressure story.
-//! * every socket read carries a **timeout tick** so workers notice the
-//!   shutdown flag promptly; [`PmcdServer::shutdown`] stops the accept
-//!   loop, drains the workers, and joins every thread.
+//! * [`PmcdServer::shutdown`] wakes the acceptor with one throw-away
+//!   connection, closes the read half of every connection a worker is
+//!   serving (a worker parked in `read` on an idle client sees EOF at
+//!   once; a reply being written still goes out), drains the queue and
+//!   joins every thread. The per-read timeout tick that remains is the
+//!   slowloris guard only.
 //! * a malformed PDU earns the offending client an `Error{BadPdu}` and a
 //!   closed connection — other clients are unaffected, the server stays
 //!   up. Disconnects mid-request are absorbed the same way.
@@ -25,12 +29,15 @@
 //! clients, sheds) and hands it the live accept-queue depth.
 
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{
+    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use obs::sync::{Mutex, Rank};
 use p9_memsim::machine::SocketShared;
 use p9_memsim::{Direction, PrivilegeError, PrivilegeToken};
 use pcp_sim::pmns::{InstanceId, MetricId, MetricSemantics, Pmns};
@@ -46,6 +53,20 @@ use crate::pool::{BoundedQueue, Pop, PushError};
 /// disconnected rather than wedging a worker.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// Per-read timeout tick on a served connection. Its one job is the
+/// slowloris guard: a peer silent mid-frame for 50 ticks is dropped
+/// (`pdu::read_pdu`). It is not an idle-disconnect timeout, and shutdown
+/// does not wait on it.
+const READ_TICK: Duration = Duration::from_millis(100);
+
+/// How long an idle pool worker waits on the queue before looking again.
+/// Closing the queue wakes every waiter at once, so nothing waits on it.
+const WORKER_TICK: Duration = Duration::from_secs(1);
+
+/// Pause after an accept error. The ones that recur (EMFILE: out of
+/// descriptors) would otherwise spin the acceptor until they clear.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
 /// Largest number of `(metric, instance)` pairs in one fetch; a bigger
 /// batch is answered `Error{TooLarge}` and the connection stays up.
 pub const MAX_FETCH_BATCH: usize = 1024;
@@ -59,9 +80,6 @@ pub struct WireConfig {
     /// Accepted connections that may wait for a free worker before the
     /// server starts answering `Error{Busy}`.
     pub pending: usize,
-    /// Per-read timeout tick. Bounds how long a worker can ignore the
-    /// shutdown flag; not an idle-disconnect timeout.
-    pub read_timeout: Duration,
 }
 
 impl Default for WireConfig {
@@ -69,7 +87,6 @@ impl Default for WireConfig {
         WireConfig {
             workers: 32,
             pending: 64,
-            read_timeout: Duration::from_millis(100),
         }
     }
 }
@@ -77,11 +94,13 @@ impl Default for WireConfig {
 /// Everything a worker needs to answer requests.
 pub(crate) struct Shared {
     core: FetchCore,
-    config: WireConfig,
     /// The accept queue, visible to workers so `pmcd.queue.depth` can be
     /// fetched like any other metric.
     queue: Arc<BoundedQueue<TcpStream>>,
     shutdown: AtomicBool,
+    /// One slot per worker: a `try_clone` of the connection it is
+    /// serving, so [`PmcdServer::shutdown`] can close its read half.
+    serving: Box<[Mutex<Option<TcpStream>>]>,
 }
 
 impl Shared {
@@ -174,15 +193,16 @@ impl PmcdServer {
         token.require_elevated()?;
         assert!(config.workers >= 1, "server needs at least one worker");
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
 
         let queue = Arc::new(BoundedQueue::new(config.pending));
         let shared = Arc::new(Shared {
             core: FetchCore::new(pmns, sockets, registry),
-            config: config.clone(),
             queue: Arc::clone(&queue),
             shutdown: AtomicBool::new(false),
+            serving: (0..config.workers)
+                .map(|_| Mutex::new(Rank::WIRE_SERVING, None))
+                .collect(),
         });
 
         let mut server = PmcdServer {
@@ -195,10 +215,11 @@ impl PmcdServer {
 
         for i in 0..config.workers {
             let shared = Arc::clone(&shared);
-            let queue = Arc::clone(&queue);
             let handle = std::thread::Builder::new()
                 .name(format!("pmcd-worker-{i}"))
-                .spawn(move || worker_loop(shared, queue));
+                .spawn(move || {
+                    serve_queue(&shared.queue, |stream| serve_client(&shared, i, stream));
+                });
             match handle {
                 Ok(h) => server.workers.push(h),
                 // Partial construction: `server` drops here, which joins
@@ -207,11 +228,13 @@ impl PmcdServer {
             }
         }
 
-        let accept_shared = Arc::clone(&shared);
-        let accept_queue = Arc::clone(&queue);
         let accept_thread = std::thread::Builder::new()
             .name("pmcd-accept".into())
-            .spawn(move || accept_loop(listener, accept_shared, accept_queue))
+            .spawn(move || {
+                accept_loop(&listener, &shared.shutdown, &shared.queue, |stream| {
+                    reject_busy(&shared, stream);
+                });
+            })
             .map_err(ServerError::Io)?;
         server.accept_thread = Some(accept_thread);
 
@@ -280,12 +303,22 @@ impl PmcdServer {
     }
 
     /// Stop accepting, finish in-flight requests, join every thread.
-    /// Already-queued connections are still served (graceful drain).
+    /// Requests already sent are still answered, queued connections
+    /// included (graceful drain); a client that is merely connected is
+    /// not waited for — its next call sees the connection closed.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(t) = self.accept_thread.take() {
+            wake_acceptor(self.local_addr);
             let _ = t.join();
+        }
+        // A worker registers its connection before it reads the flag, so
+        // every connection is either closed here or by its own worker.
+        for slot in self.shared.serving.iter() {
+            if let Some(stream) = slot.lock().as_ref() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
         }
         // With the accept loop gone nothing produces any more; closing
         // lets workers drain the backlog and then exit.
@@ -302,19 +335,60 @@ impl Drop for PmcdServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>, queue: Arc<BoundedQueue<TcpStream>>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        obs::sync::about_to_block("PmcdServer accept");
-        match listener.accept() {
+/// The one accept loop, behind [`PmcdServer`] and
+/// [`crate::ScrapeListener`] alike: block in `accept()`, queue each
+/// connection for the worker pool, and hand it to `shed` when the queue
+/// is full. `shutdown` is checked after every `accept()` returns, so the
+/// loop ends on the first connection after it is set — which
+/// [`wake_acceptor`] supplies.
+pub(crate) fn accept_loop(
+    listener: &TcpListener,
+    shutdown: &AtomicBool,
+    queue: &BoundedQueue<TcpStream>,
+    shed: impl Fn(TcpStream),
+) {
+    loop {
+        obs::sync::about_to_block("accept");
+        let accepted = listener.accept();
+        if shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => match queue.try_push(stream) {
                 Ok(()) => {}
-                Err(PushError::Full(stream)) => reject_busy(&shared, stream),
-                Err(PushError::Closed(_)) => break,
+                Err(PushError::Full(stream)) => shed(stream),
+                Err(PushError::Closed(_)) => return,
             },
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
+            Err(_) => {
+                obs::counter!("wire.accept.errors").inc();
+                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+        }
+    }
+}
+
+/// Make an [`accept_loop`] blocked on `local_addr` return, with one
+/// throw-away connection (to loopback when the listener is bound to the
+/// unspecified address). Set the loop's shutdown flag first.
+pub(crate) fn wake_acceptor(local_addr: SocketAddr) {
+    let mut addr = local_addr;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr.ip() {
+            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, WRITE_TIMEOUT);
+}
+
+/// The worker side of the pipeline: serve queued connections one at a
+/// time until the queue is closed and drained.
+pub(crate) fn serve_queue(queue: &BoundedQueue<TcpStream>, mut serve: impl FnMut(TcpStream)) {
+    loop {
+        match queue.pop_timeout(WORKER_TICK) {
+            Pop::Item(stream) => serve(stream),
+            Pop::TimedOut => {}
+            Pop::Closed => return,
         }
     }
 }
@@ -332,35 +406,28 @@ fn reject_busy(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.write_all(&frame);
 }
 
-fn worker_loop(shared: Arc<Shared>, queue: Arc<BoundedQueue<TcpStream>>) {
-    loop {
-        match queue.pop_timeout(Duration::from_millis(50)) {
-            Pop::Item(stream) => serve_client(&shared, stream),
-            Pop::TimedOut => {
-                if shared.shutdown.load(Ordering::SeqCst) && queue.is_empty() {
-                    return;
-                }
-            }
-            Pop::Closed => return,
-        }
+/// Serve one client connection to completion on worker `worker`. Never
+/// panics on client misbehaviour: malformed frames, oversized lengths,
+/// and mid-request disconnects all end *this* connection only.
+fn serve_client(shared: &Shared, worker: usize, stream: TcpStream) {
+    let slot = &shared.serving[worker];
+    // Register first, then read the flag: a shutdown that swept this
+    // slot before the registration had already set it.
+    *slot.lock() = stream.try_clone().ok();
+    if shared.shutdown.load(Ordering::SeqCst) {
+        let _ = stream.shutdown(Shutdown::Read);
     }
-}
-
-/// Serve one client connection to completion. Never panics on client
-/// misbehaviour: malformed frames, oversized lengths, and mid-request
-/// disconnects all end *this* connection only.
-fn serve_client(shared: &Shared, stream: TcpStream) {
     let stats = shared.core.stats();
     let client_id = stats.client_connected();
     serve_client_inner(shared, stream, client_id);
     stats.client_disconnected();
+    // The clone holds the socket open; drop it with the connection.
+    *slot.lock() = None;
 }
 
 fn serve_client_inner(shared: &Shared, mut stream: TcpStream, client_id: u64) {
     let stats = shared.core.stats();
-    if stream
-        .set_read_timeout(Some(shared.config.read_timeout))
-        .is_err()
+    if stream.set_read_timeout(Some(READ_TICK)).is_err()
         || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
         || stream.set_nodelay(true).is_err()
     {
@@ -375,6 +442,9 @@ fn serve_client_inner(shared: &Shared, mut stream: TcpStream, client_id: u64) {
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
+                // An idle tick. Shutdown closes this connection's read
+                // half instead of waiting here, unless its `try_clone`
+                // failed and the sweep never saw it.
                 if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
@@ -618,5 +688,34 @@ mod tests {
             ..WireConfig::default()
         });
         drop(server); // must not hang
+    }
+
+    /// The wake-up connect reaches a listener bound to every interface.
+    #[test]
+    fn server_bound_on_the_unspecified_address_shuts_down() {
+        let m = SimMachine::quiet(Machine::summit(), 1);
+        let pmns = Pmns::for_machine(m.arch());
+        let sockets = vec![m.socket_shared(0)];
+        let mut server = PmcdServer::bind_system("0.0.0.0:0", pmns, sockets, WireConfig::default())
+            .expect("bind 0.0.0.0");
+        assert!(server.local_addr().ip().is_unspecified());
+        server.shutdown();
+    }
+
+    /// Shutdown closes an idle client's session instead of waiting for
+    /// it to hang up, and the client learns on its next call.
+    #[test]
+    fn shutdown_closes_an_idle_session_and_its_next_call_is_disconnected() {
+        let (_m, mut server) = start_server(WireConfig {
+            workers: 1,
+            ..WireConfig::default()
+        });
+        let client = crate::WireClient::connect(server.local_addr()).expect("connect");
+        client.scrape_exposition().expect("scrape before shutdown");
+        server.shutdown();
+        assert_eq!(
+            client.scrape_exposition(),
+            Err(pcp_sim::PcpError::Disconnected)
+        );
     }
 }
