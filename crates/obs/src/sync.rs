@@ -59,9 +59,6 @@ impl Rank {
     pub const FLEET_PUBLISHED: Rank = Rank::new(10, "fleet.published");
     /// `DebugPlane`'s pass-record ring.
     pub const FLEET_DEBUG_RING: Rank = Rank::new(11, "fleet.debug_ring");
-    /// `SamplingScheduler`'s group list: the sample loop fetches (a
-    /// network round trip on a `WireClient`) and ingests while holding it.
-    pub const WIRE_GROUPS: Rank = Rank::new(20, "wire.groups").held_across_io();
     /// `WireClient`'s socket: serialises whole request/response exchanges.
     pub const WIRE_STREAM: Rank = Rank::new(21, "wire.stream").held_across_io();
     /// A `PmcdServer` worker's slot naming the connection it serves;
@@ -255,7 +252,7 @@ mod tests {
 
     #[test]
     fn increasing_order_passes() {
-        let a = Mutex::new(Rank::WIRE_GROUPS, 1);
+        let a = Mutex::new(Rank::WIRE_STREAM, 1);
         let b = Mutex::new(Rank::STORE_INGEST, 2);
         let c = Mutex::new(Rank::OBS_RINGS, 3);
         let (ga, gb, gc) = (a.lock(), b.lock(), c.lock());
@@ -310,9 +307,8 @@ mod tests {
     #[test]
     fn blocking_is_allowed_only_under_locks_declared_for_it() {
         about_to_block("idle wait");
-        let groups = Mutex::new(Rank::WIRE_GROUPS, ());
         let stream = Mutex::new(Rank::WIRE_STREAM, ());
-        let (_groups, _stream) = (groups.lock(), stream.lock());
+        let _stream = stream.lock();
         about_to_block("exchange");
     }
 

@@ -25,10 +25,8 @@
 //!   OpenMetrics exposition as `Pdu::Exposition`, so `curl` and
 //!   Prometheus can watch the daemon without speaking PDUs.
 //! * [`client`] — [`WireClient`]: implements `pcp_sim::PmApi`, so the
-//!   PAPI PCP component runs against either transport unchanged.
-//! * [`logger`] — [`SamplingScheduler`]: the `pmlogger` analogue. A
-//!   background thread snapshots configured metric sets at fixed
-//!   wall-clock cadences into `pcp_sim::Archive`s.
+//!   PAPI PCP component runs against either transport unchanged, and
+//!   `pcp_sim::PmLogger` records archives over it on its caller's clock.
 //!
 //! Everything is `std`-only (threads + `std::net`); the crate builds and
 //! tests hermetically with no external dependencies and no tokio.
@@ -48,14 +46,12 @@
 )]
 
 pub mod client;
-pub mod logger;
 pub mod pdu;
 pub mod pool;
 pub mod scrape;
 pub mod server;
 
 pub use client::WireClient;
-pub use logger::{SamplingScheduler, ScheduleSpec};
 pub use pdu::{ErrorCode, Pdu, PduError, PROTOCOL_VERSION};
 pub use pool::BoundedQueue;
 pub use scrape::ScrapeListener;

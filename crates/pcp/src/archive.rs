@@ -5,10 +5,12 @@
 //! (`pmdumplog`, retrospective pmchart sessions). Summit's system
 //! telemetry relies on exactly this. The simulated analogue:
 //!
-//! * [`PmLogger`] samples a fixed metric set through a [`PcpContext`]
-//!   on a simulated-time cadence (the caller pumps it with
-//!   [`PmLogger::poll`] as its workload advances the clock — the logger
-//!   decides whether a new sample is due).
+//! * [`PmLogger`] samples a fixed metric set through any [`PmApi`]
+//!   transport — the in-process `PcpContext` or a `pcp-wire` TCP client
+//!   — on a cadence of its caller's clock (the caller pumps it with
+//!   [`PmLogger::poll`] as its workload advances that clock — the logger
+//!   decides whether a new sample is due). It owns no thread and never
+//!   sleeps, so a simulated clock replays exactly.
 //! * [`Archive`] stores the samples and supports the queries replay tools
 //!   need: exact lookups, nearest-sample lookups, and rate conversion
 //!   between consecutive samples (what `pmval -a` prints for counter
@@ -34,8 +36,7 @@ pub struct Archive {
 }
 
 impl Archive {
-    /// An empty archive for the given metric set. Used by external
-    /// recorders (e.g. the `pcp-wire` sampling scheduler) that append via
+    /// An empty archive for the given metric set, appended to via
     /// [`Archive::push`].
     pub fn new(metrics: Vec<(MetricId, InstanceId)>) -> Self {
         Archive {
@@ -118,37 +119,55 @@ impl Archive {
     }
 }
 
+/// [`PmLogger::new`] refused a sampling interval that is not finite
+/// and positive; carries the value.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct BadInterval(pub f64);
+
+impl std::fmt::Display for BadInterval {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "interval_s must be finite and > 0, got {}", self.0)
+    }
+}
+
+impl std::error::Error for BadInterval {}
+
 /// A sampling logger over one PCP connection (any [`PmApi`] transport:
 /// the in-process context or a `pcp-wire` TCP client).
 pub struct PmLogger {
     ctx: Box<dyn PmApi>,
     interval_s: f64,
-    next_due: f64,
+    /// `None` until the first sample, which the first `poll` takes.
+    next_due: Option<f64>,
     archive: Archive,
 }
 
 impl PmLogger {
-    /// Log `metrics` every `interval_s` of simulated time. The first
+    /// Log `metrics` every `interval_s` of the caller's clock. The first
     /// sample is taken at the first `poll`.
     pub fn new(
         ctx: impl PmApi + 'static,
         metrics: Vec<(MetricId, InstanceId)>,
         interval_s: f64,
-    ) -> Self {
-        assert!(interval_s > 0.0);
-        PmLogger {
+    ) -> Result<Self, BadInterval> {
+        if !(interval_s.is_finite() && interval_s > 0.0) {
+            return Err(BadInterval(interval_s));
+        }
+        Ok(PmLogger {
             ctx: Box::new(ctx),
             interval_s,
-            next_due: 0.0,
+            next_due: None,
             archive: Archive::new(metrics),
-        }
+        })
     }
 
-    /// Offer the logger a chance to sample at simulated time `now_s`.
-    /// Returns whether a sample was recorded. (The caller pumps this from
-    /// its progress points; the logger enforces the cadence.)
+    /// Offer the logger a chance to sample at time `now_s`. Returns
+    /// whether a sample was recorded. (The caller pumps this from its
+    /// progress points; the logger enforces the cadence.) A failed fetch
+    /// records nothing and leaves the cadence as it was, so the next
+    /// `poll` retries.
     pub fn poll(&mut self, now_s: f64) -> Result<bool, PcpError> {
-        if now_s < self.next_due {
+        if self.next_due.is_some_and(|due| now_s < due) {
             return Ok(false);
         }
         let values = self.ctx.pm_fetch(&self.archive.metrics)?;
@@ -156,12 +175,13 @@ impl PmLogger {
             time_s: now_s,
             values,
         });
-        // Fixed cadence anchored at the schedule, not at the poll jitter.
-        self.next_due = if self.next_due == 0.0 {
-            now_s + self.interval_s
-        } else {
-            self.next_due + self.interval_s
-        };
+        // Fixed cadence anchored at the schedule, not at the poll jitter;
+        // a poll a whole interval or more late resynchronises instead of
+        // bursting to catch up.
+        self.next_due = Some(match self.next_due {
+            Some(due) if now_s < due + self.interval_s => due + self.interval_s,
+            _ => now_s + self.interval_s,
+        });
         Ok(true)
     }
 
@@ -195,6 +215,42 @@ mod tests {
         (m, d, pmns)
     }
 
+    /// A transport whose fetch number `fail_on` (1-based; 0 never)
+    /// fails; every other fetch returns its ordinal.
+    struct Flaky {
+        calls: std::sync::atomic::AtomicU64,
+        fail_on: u64,
+    }
+
+    impl PmApi for Flaky {
+        fn pm_lookup_name(&self, name: &str) -> Result<MetricId, PcpError> {
+            Err(PcpError::NoSuchMetric(name.into()))
+        }
+        fn pm_get_desc(&self, _id: MetricId) -> Result<crate::pmns::MetricDesc, PcpError> {
+            Err(PcpError::BadMetricId)
+        }
+        fn pm_get_children(&self, _prefix: &str) -> Result<Vec<String>, PcpError> {
+            Ok(vec![])
+        }
+        fn pm_fetch(&self, requests: &[(MetricId, InstanceId)]) -> Result<Vec<u64>, PcpError> {
+            let n = 1 + self
+                .calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if n == self.fail_on {
+                return Err(PcpError::Disconnected);
+            }
+            Ok(vec![n; requests.len()])
+        }
+    }
+
+    fn flaky_logger(fail_on: u64) -> PmLogger {
+        let ctx = Flaky {
+            calls: 0.into(),
+            fail_on,
+        };
+        PmLogger::new(ctx, vec![(MetricId(0), InstanceId(87))], 1.0).unwrap()
+    }
+
     fn read_metric(pmns: &Pmns) -> (MetricId, InstanceId) {
         (
             pmns.lookup("perfevent.hwcounters.nest_mba0_imc.PM_MBA0_READ_BYTES.value")
@@ -207,7 +263,7 @@ mod tests {
     fn logger_respects_cadence() {
         let (m, d, pmns) = setup();
         let ctx = PcpContext::connect(d.handle(), None);
-        let mut logger = PmLogger::new(ctx, vec![read_metric(&pmns)], 1.0);
+        let mut logger = PmLogger::new(ctx, vec![read_metric(&pmns)], 1.0).unwrap();
         let shared = m.socket_shared(0);
         let mut taken = 0;
         for _ in 0..10 {
@@ -226,7 +282,7 @@ mod tests {
     fn archive_replay_and_rates() {
         let (m, d, pmns) = setup();
         let ctx = PcpContext::connect(d.handle(), None);
-        let mut logger = PmLogger::new(ctx, vec![read_metric(&pmns)], 1.0);
+        let mut logger = PmLogger::new(ctx, vec![read_metric(&pmns)], 1.0).unwrap();
         let shared = m.socket_shared(0);
 
         // t=0: counter 0.  t=1: 64 B.  t=2: 192 B.
@@ -256,10 +312,62 @@ mod tests {
     fn empty_archive_behaviour() {
         let (_m, d, pmns) = setup();
         let ctx = PcpContext::connect(d.handle(), None);
-        let logger = PmLogger::new(ctx, vec![read_metric(&pmns)], 1.0);
+        let logger = PmLogger::new(ctx, vec![read_metric(&pmns)], 1.0).unwrap();
         let archive = logger.close();
         assert!(archive.is_empty());
         assert!(archive.at(100.0).is_none());
         assert!(archive.rate_at(0, 1.0).is_none());
+    }
+
+    #[test]
+    fn failed_fetch_appends_nothing_and_the_next_poll_retries() {
+        let mut logger = flaky_logger(2);
+        assert_eq!(logger.poll(0.0), Ok(true));
+        assert_eq!(logger.poll(1.0), Err(PcpError::Disconnected));
+        // The cadence did not advance: the retry at 1.2 is still due.
+        assert_eq!(logger.poll(1.2), Ok(true));
+        assert_eq!(logger.poll(1.5), Ok(false), "next due at 2.0");
+        let archive = logger.close();
+        let rows: Vec<(f64, u64)> = archive
+            .records()
+            .iter()
+            .map(|r| (r.time_s, r.values[0]))
+            .collect();
+        assert_eq!(rows, vec![(0.0, 1), (1.2, 3)]);
+    }
+
+    #[test]
+    fn a_late_poll_resynchronises_instead_of_bursting() {
+        let mut logger = flaky_logger(0);
+        assert_eq!(logger.poll(0.0), Ok(true));
+        // Due at 1.0; 4.5 s late, so the next sample is due at 6.5, not
+        // at 2.0, 3.0, ... in a burst.
+        assert_eq!(logger.poll(5.5), Ok(true));
+        assert_eq!(logger.poll(6.0), Ok(false));
+        assert_eq!(logger.poll(6.5), Ok(true));
+        // Less than a whole interval late keeps the anchor: due at 7.5.
+        assert_eq!(logger.poll(8.2), Ok(true));
+        assert_eq!(logger.poll(8.4), Ok(false));
+        assert_eq!(logger.poll(8.5), Ok(true));
+        assert_eq!(logger.close().len(), 5);
+    }
+
+    #[test]
+    fn bad_interval_is_a_typed_error() {
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let ctx = Flaky {
+                calls: 0.into(),
+                fail_on: 0,
+            };
+            let got = PmLogger::new(ctx, vec![], bad);
+            assert!(
+                matches!(got, Err(BadInterval(s)) if s.to_bits() == bad.to_bits()),
+                "interval_s = {bad} must be refused"
+            );
+        }
+        assert_eq!(
+            BadInterval(-1.0).to_string(),
+            "interval_s must be finite and > 0, got -1"
+        );
     }
 }

@@ -232,7 +232,8 @@ mod tests {
             .unwrap();
         let inst = pmns.instance_of_socket(0);
         let ctx2 = PcpContext::connect(d.handle(), None);
-        let mut logger = PmLogger::new(ctx2, vec![(nest, inst), (fetches, InstanceId(0))], 1.0);
+        let mut logger =
+            PmLogger::new(ctx2, vec![(nest, inst), (fetches, InstanceId(0))], 1.0).unwrap();
         assert!(logger.poll(0.0).expect("first sample"));
         assert!(logger.poll(1.0).expect("second sample"));
         let archive = logger.close();

@@ -51,7 +51,7 @@ pub mod daemon;
 pub mod fetchcore;
 pub mod pmns;
 
-pub use archive::{Archive, ArchiveRecord, PmLogger};
+pub use archive::{Archive, ArchiveRecord, BadInterval, PmLogger};
 pub use client::{PcpContext, PcpError, PmApi};
 pub use daemon::{Pmcd, PmcdConfig, PmcdError};
 pub use fetchcore::{FetchCore, StatsSnapshot, OBS_METRIC_BASE, SELF_METRIC_BASE};

@@ -2,10 +2,10 @@
 //!
 //! The paper's "complete application profiling" holds counter streams
 //! over whole application runs; a fleet of simulated hosts multiplies
-//! that into millions of series and days of retention. The live ring
-//! ([`obs::SeriesStore`]) and the append-only archive
-//! ([`pcp_sim::Archive`]-shaped logs) cannot carry that, so this crate
-//! is the storage tier underneath both (DESIGN.md §12):
+//! that into millions of series and days of retention. Neither the live
+//! ring ([`obs::SeriesStore`]) nor a `pmlogger` archive (an uncompressed
+//! row log) can carry that, so this crate is the storage tier underneath
+//! the live path (DESIGN.md §12):
 //!
 //! * **Chunks** ([`chunk`]): Gorilla-style compression — delta-of-delta
 //!   timestamps and XOR/varint values, byte-aligned and exact over the

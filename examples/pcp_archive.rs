@@ -3,24 +3,21 @@
 //! archive is replayed as rates afterwards — the retrospective-analysis
 //! workflow Summit's system telemetry uses.
 //!
-//! Two recorders are shown:
-//!
-//! 1. the in-process [`PmLogger`], pumped on *simulated* time as the
-//!    workload advances the socket clock, and
-//! 2. the `pcp-wire` [`SamplingScheduler`], recording over a real TCP
-//!    connection to a live [`PmcdServer`] on its own wall-clock cadence —
-//!    exactly how `pmlogger` runs against a production `pmcd`.
+//! One [`PmLogger`] type records over either transport: the slab loop
+//! polls two of them at the same simulated times, one on the in-process
+//! [`PcpContext`] and one on a [`WireClient`] talking TCP to a live
+//! [`PmcdServer`] over the same sockets — how `pmlogger` runs against a
+//! production `pmcd`. PCP reads the same counters either way, so the two
+//! archives must be equal record for record.
 //!
 //! ```sh
 //! cargo run --release --example pcp_archive
 //! ```
 
-use std::time::Duration;
-
 use papi_repro::kernels::CappedGemvTrace;
 use papi_repro::memsim::SimMachine;
 use papi_repro::pcp::{PcpContext, PmLogger, Pmcd, PmcdConfig, Pmns};
-use papi_repro::wire::{PmcdServer, SamplingScheduler, ScheduleSpec, WireClient, WireConfig};
+use papi_repro::wire::{PmcdServer, WireClient, WireConfig};
 
 fn main() {
     let mut machine = SimMachine::summit(33);
@@ -28,8 +25,12 @@ fn main() {
     let sockets: Vec<_> = (0..machine.num_sockets())
         .map(|s| machine.socket_shared(s))
         .collect();
-    let daemon =
-        Pmcd::spawn_system(pmns.clone(), sockets, PmcdConfig::default()).expect("spawn pmcd");
+    let daemon = Pmcd::spawn_system(pmns.clone(), sockets.clone(), PmcdConfig::default())
+        .expect("spawn pmcd");
+    let server =
+        PmcdServer::bind_system("127.0.0.1:0", pmns.clone(), sockets, WireConfig::default())
+            .expect("bind pmcd server");
+    println!("live pmcd server on {}", server.local_addr());
 
     // Log both directions of channel 0 every 2 ms of simulated time.
     let metrics = vec![
@@ -45,9 +46,11 @@ fn main() {
         ),
     ];
     let ctx = PcpContext::connect(daemon.handle(), None);
-    let mut logger = PmLogger::new(ctx, metrics, 2e-3);
+    let mut logger = PmLogger::new(ctx, metrics.clone(), 2e-3).expect("positive interval");
+    let client = WireClient::connect(server.local_addr()).expect("connect pmlogger client");
+    let mut wire_logger = PmLogger::new(client, metrics, 2e-3).expect("positive interval");
 
-    // The workload: capped GEMV slabs, polling the logger between slabs.
+    // The workload: capped GEMV slabs, polling both loggers between slabs.
     let (m, n) = (32_768u64, 1280u64);
     let kernel = CappedGemvTrace::allocate(&mut machine, m, n);
     let shared = machine.socket_shared(0);
@@ -69,11 +72,14 @@ fn main() {
                 core.store(kernel.y.elem(row, 8), 8);
             }
         });
-        logger.poll(shared.now_seconds()).unwrap();
+        let now = shared.now_seconds();
+        logger.poll(now).expect("in-process fetch");
+        wire_logger.poll(now).expect("wire fetch");
         i = hi;
     }
 
     let archive = logger.close();
+    let wire_archive = wire_logger.close();
     println!(
         "archive: {} samples over {:.3} s of simulated time",
         archive.len(),
@@ -90,66 +96,11 @@ fn main() {
          y vector — the Fig. 5 asymmetry, replayed from an archive)"
     );
 
-    // ----------------------------------------------------------------
-    // Part 2: the same recording workflow against a *live* TCP server.
-    // The scheduler thread samples over the wire while this thread plays
-    // the part of the workload, mutating the counters it records.
-    // ----------------------------------------------------------------
-    let sockets: Vec<_> = (0..machine.num_sockets())
-        .map(|s| machine.socket_shared(s))
-        .collect();
-    let server =
-        PmcdServer::bind_system("127.0.0.1:0", pmns.clone(), sockets, WireConfig::default())
-            .expect("bind pmcd server");
-    println!("\nlive pmcd server on {}", server.local_addr());
-
-    let client = WireClient::connect(server.local_addr()).expect("connect pmlogger client");
-    let metrics = vec![
-        (
-            pmns.lookup("perfevent.hwcounters.nest_mba0_imc.PM_MBA0_READ_BYTES.value")
-                .unwrap(),
-            pmns.instance_of_socket(0),
-        ),
-        (
-            pmns.lookup("perfevent.hwcounters.nest_mba0_imc.PM_MBA0_WRITE_BYTES.value")
-                .unwrap(),
-            pmns.instance_of_socket(0),
-        ),
-    ];
-    let scheduler = SamplingScheduler::start(
-        client,
-        vec![ScheduleSpec {
-            name: "nest-ch0".into(),
-            metrics,
-            interval: Duration::from_millis(10),
-        }],
-    )
-    .expect("start sampling scheduler");
-
-    // Generate traffic in bursts while the scheduler samples it.
-    let shared = machine.socket_shared(0);
-    for _ in 0..10 {
-        for s in 0..64u64 {
-            shared
-                .counters()
-                .record_sector(s, papi_repro::memsim::Direction::Read);
-        }
-        std::thread::sleep(Duration::from_millis(15));
-    }
-
-    for (name, archive, err) in scheduler.stop() {
-        println!(
-            "wire archive '{name}': {} wall-clock samples{}",
-            archive.len(),
-            err.map_or(String::new(), |e| format!(" (halted by: {e})"))
-        );
-        if let (Some(first), Some(last)) = (archive.records().first(), archive.records().last()) {
-            println!(
-                "  channel-0 reads grew {} -> {} bytes over {:.2} s of wall time",
-                first.values[0],
-                last.values[0],
-                last.time_s - first.time_s
-            );
-        }
-    }
+    let same = archive.records() == wire_archive.records();
+    println!(
+        "in-process and wire archives {} record for record ({} vs {} samples)",
+        if same { "agree" } else { "DIFFER" },
+        archive.len(),
+        wire_archive.len()
+    );
 }

@@ -13,7 +13,7 @@
 //! * [`memsim`] — the memory-hierarchy + nest-counter simulator.
 //! * [`pcp`] — the simulated Performance Co-Pilot daemon and client.
 //! * [`wire`] — the networked PMCD: binary PDU protocol, multi-client TCP
-//!   server, `WireClient` transport, wall-clock sampling scheduler.
+//!   server, `WireClient` transport (which `pcp::PmLogger` records over).
 //! * [`perfuncore`] — direct (privileged) nest counter access.
 //! * [`papi`] — the PAPI-style multi-component middleware (the paper's
 //!   central artifact).

@@ -1,39 +1,34 @@
 //! Daemon crash/restart mid-archive, end to end over the wire (ROADMAP
-//! item 5c): a `SamplingScheduler` logs nest counters through a TCP
-//! `WireClient` while the PMCD it talks to is killed and respawned over a
-//! *fresh* machine (counters reset to zero, as after a host reboot). The
-//! archive must come through gapless — no halted group, timestamps still
-//! monotone, store parity intact — and counter-delta saturation must turn
-//! the reset into a zero delta rather than an underflow.
+//! item 5c): a `PmLogger` logs nest counters through a TCP `WireClient`
+//! while the PMCD it talks to is killed and respawned over a *fresh*
+//! machine (counters reset to zero, as after a host reboot). The test
+//! thread pumps the logger on a virtual clock and kills the daemon
+//! between two polls, so every run takes the same path. The archive must
+//! come through gapless — every poll samples, timestamps strictly
+//! increase — and counter-delta saturation must turn the reset into a
+//! zero delta rather than an underflow.
 
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use obs::metrics::ExportSemantics;
 use papi_repro::arch::Machine;
 use papi_repro::memsim::SimMachine;
-use papi_repro::pcp::{InstanceId, MetricId, PcpError, Pmns};
+use papi_repro::pcp::{InstanceId, MetricId, PcpError, PmLogger, Pmns};
 use papi_repro::pcp::{MetricDesc, PmApi};
-use papi_repro::wire::logger::archive_from_store;
-use papi_repro::wire::{PmcdServer, SamplingScheduler, ScheduleSpec, WireClient, WireConfig};
-use store::Store;
+use papi_repro::wire::{PmcdServer, WireClient, WireConfig};
 
 /// A `PmApi` that re-dials its (swappable) target on connection failure.
 ///
-/// The scheduler halts a group permanently on the first fetch error, so a
-/// logger that should survive a daemon restart must bring reconnection
-/// with it — exactly what pmlogger does in real PCP deployments. Fetches
-/// retry against the current target for a bounded grace window (far
-/// longer than the respawn gap in this test), then give up with the
-/// underlying error.
+/// `PmLogger` hands a failed fetch back to its caller, so a logger that
+/// should survive a daemon restart must bring reconnection with it —
+/// exactly what pmlogger does in real PCP deployments. An operation that
+/// fails on the current connection re-dials the current target once and
+/// is retried once.
 struct ReconnectingClient {
     target: Arc<Mutex<SocketAddr>>,
     conn: Mutex<Option<WireClient>>,
 }
-
-const RETRY_EVERY: Duration = Duration::from_millis(5);
-const GIVE_UP_AFTER: Duration = Duration::from_secs(10);
 
 impl ReconnectingClient {
     fn new(target: Arc<Mutex<SocketAddr>>) -> Self {
@@ -44,45 +39,14 @@ impl ReconnectingClient {
     }
 
     fn with_conn<T>(&self, op: impl Fn(&WireClient) -> Result<T, PcpError>) -> Result<T, PcpError> {
-        let deadline = std::time::Instant::now() + GIVE_UP_AFTER;
-        let mut last_err;
-        loop {
-            let attempt = {
-                let mut conn = self.conn.lock().unwrap();
-                if conn.is_none() {
-                    let addr = *self.target.lock().unwrap();
-                    match WireClient::connect(addr) {
-                        Ok(c) => *conn = Some(c),
-                        Err(e) => {
-                            drop(conn);
-                            last_err = e;
-                            if std::time::Instant::now() > deadline {
-                                return Err(last_err);
-                            }
-                            std::thread::sleep(RETRY_EVERY);
-                            continue;
-                        }
-                    }
-                }
-                let result = op(conn.as_ref().expect("just connected"));
-                if result.is_err() {
-                    // Whatever happened, the connection is suspect: drop
-                    // it so the next attempt re-dials the current target.
-                    *conn = None;
-                }
-                result
-            };
-            match attempt {
-                Ok(v) => return Ok(v),
-                Err(e) => {
-                    last_err = e;
-                    if std::time::Instant::now() > deadline {
-                        return Err(last_err);
-                    }
-                    std::thread::sleep(RETRY_EVERY);
-                }
+        let mut conn = self.conn.lock().unwrap();
+        if let Some(c) = conn.as_ref() {
+            if let Ok(v) = op(c) {
+                return Ok(v);
             }
         }
+        let addr = *self.target.lock().unwrap();
+        op(conn.insert(WireClient::connect(addr)?))
     }
 }
 
@@ -101,11 +65,11 @@ impl PmApi for ReconnectingClient {
     }
 }
 
-/// The sampling cadence. The kill lands wherever the sampler happens to
-/// be: between samples its session is idle and shutdown closes it at
-/// once, so the next fetch fails and re-dials; mid-fetch, the request is
-/// answered first. Either way the scheduler must not halt the group.
-const SAMPLE_EVERY: Duration = Duration::from_millis(100);
+/// The sampling cadence, in virtual seconds. The test advances its clock
+/// by exactly this step per poll, so every poll is due.
+const SAMPLE_EVERY_S: f64 = 0.1;
+/// Polls on each side of the crash.
+const POLLS_PER_PHASE: usize = 5;
 
 fn bind_server(machine: &SimMachine, pmns: &Pmns) -> PmcdServer {
     let sockets: Vec<_> = (0..machine.num_sockets())
@@ -121,19 +85,15 @@ fn drive_traffic(machine: &mut SimMachine, bytes: u64) {
     machine.run_single(0, |core| core.load_seq(base, bytes));
 }
 
-fn wait_for_samples(sched: &SamplingScheduler, group: &str, at_least: usize) -> usize {
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    loop {
-        let n = sched
-            .sample_counts()
-            .into_iter()
-            .find(|(name, _)| name == group)
-            .map(|(_, n)| n)
-            .unwrap_or(0);
-        if n >= at_least || std::time::Instant::now() > deadline {
-            return n;
-        }
-        std::thread::sleep(Duration::from_millis(5));
+/// Poll `POLLS_PER_PHASE` times, one cadence step apart, requiring a
+/// sample from each.
+fn pump(logger: &mut PmLogger, now_s: &mut f64) {
+    for _ in 0..POLLS_PER_PHASE {
+        let sampled = logger
+            .poll(*now_s)
+            .unwrap_or_else(|e| panic!("poll at t = {now_s} failed: {e}"));
+        assert!(sampled, "poll at t = {now_s} took no sample");
+        *now_s += SAMPLE_EVERY_S;
     }
 }
 
@@ -151,24 +111,17 @@ fn daemon_crash_and_respawn_yields_gapless_monotone_archive() {
     let inst = pmns.instance_of_socket(0);
 
     let target = Arc::new(Mutex::new(server1.local_addr()));
-    let store = Arc::new(Store::default());
-    let metrics = vec![(metric, inst)];
-    let sched = SamplingScheduler::start_with_store(
+    let mut logger = PmLogger::new(
         ReconnectingClient::new(target.clone()),
-        vec![ScheduleSpec {
-            name: "chaos".into(),
-            metrics: metrics.clone(),
-            interval: SAMPLE_EVERY,
-        }],
-        store.clone(),
+        vec![(metric, inst)],
+        SAMPLE_EVERY_S,
     )
-    .expect("scheduler starts");
+    .expect("positive interval");
+    let mut now_s = 0.0;
+    pump(&mut logger, &mut now_s);
 
-    let before_crash = wait_for_samples(&sched, "chaos", 3);
-    assert!(before_crash >= 3, "no samples before crash");
-
-    // Phase 2: kill the daemon mid-archive. In-flight fetches now fail
-    // and the client spins in its reconnect loop.
+    // Phase 2: kill the daemon between two polls. Shutdown closes the
+    // logger's idle session, so its next fetch fails and re-dials.
     server1.shutdown();
 
     // Phase 3: respawn over a *fresh* machine — counters restart from
@@ -177,20 +130,11 @@ fn daemon_crash_and_respawn_yields_gapless_monotone_archive() {
     let server2 = bind_server(&machine2, &pmns);
     *target.lock().unwrap() = server2.local_addr();
     drive_traffic(&mut machine2, 1 << 20);
+    pump(&mut logger, &mut now_s);
 
-    let after_restart = wait_for_samples(&sched, "chaos", before_crash + 3);
-    assert!(
-        after_restart >= before_crash + 3,
-        "archive did not keep growing after the restart ({before_crash} -> {after_restart})"
-    );
-
-    let mut out = sched.stop();
-    let (name, archive, err) = out.remove(0);
-    assert_eq!(name, "chaos");
-    assert!(err.is_none(), "group halted: {err:?}");
-
-    // Gapless: every tick made it into one archive...
-    assert!(archive.len() >= before_crash + 3);
+    // Gapless: every poll made it into one archive...
+    let archive = logger.close();
+    assert_eq!(archive.len(), 2 * POLLS_PER_PHASE);
     // ...with monotone timestamps right across the crash window.
     let times: Vec<f64> = archive.records().iter().map(|r| r.time_s).collect();
     assert!(
@@ -236,14 +180,5 @@ fn daemon_crash_and_respawn_yields_gapless_monotone_archive() {
         assert!(d >= 0, "saturating counter delta went negative: {d}");
         let r = obs::derive::rate(sub_series).expect("rate over window");
         assert!(r.is_finite() && r >= 0.0, "rate {r} over {window} samples");
-    }
-
-    // Store parity survives the crash too: the store-backed record
-    // stream rebuilds the wall-clock log sample for sample.
-    let rebuilt = archive_from_store(&store, "chaos", metrics).expect("rebuild from store");
-    assert_eq!(rebuilt.len(), archive.len(), "store lost samples");
-    for (a, b) in rebuilt.records().iter().zip(archive.records()) {
-        assert_eq!(a.time_s, b.time_s);
-        assert_eq!(a.values, b.values);
     }
 }
