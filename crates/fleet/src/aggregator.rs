@@ -9,8 +9,7 @@
 //! pass closes, the aggregator drains its rings and stitches an
 //! [`obs::stitch::FanoutTrace`] whose phase shares sum to the measured
 //! pass wall time exactly and whose straggler host feeds the
-//! `fleet.pass.straggler_ns` / `fleet.pass.skew_ratio` metrics and the
-//! `alert.fleet.straggler_skew` rule.
+//! `fleet.pass.straggler_ns` / `fleet.pass.skew_ratio` metrics.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -30,35 +29,23 @@ use crate::host::Fleet;
 use crate::merge::{merge_parallel, HostScrape, MergeOutcome};
 use crate::FleetError;
 
+/// Samples the fleet [`Monitor`] keeps per watched metric.
+const MONITOR_CAPACITY: usize = 128;
+
 /// Aggregator tuning knobs.
 #[derive(Clone, Debug)]
 pub struct AggregatorConfig {
     /// Scrape fan-out workers (concurrent host connections).
     pub workers: usize,
-    /// Samples retained per series by the fleet [`Monitor`].
-    pub monitor_capacity: usize,
-    /// `alert.fleet.aggregate_sim_rate` fires when the fleet-wide
-    /// simulated traffic rate exceeds this (bytes/second).
-    pub sim_rate_alert_bytes_per_s: f64,
     /// Per-connection I/O timeout for host scrapes.
     pub io_timeout: Duration,
-    /// `alert.fleet.straggler_skew` fires when a pass's straggler skew
-    /// (`fleet.pass.skew_ratio`, permille of the mean host chain)
-    /// exceeds this. Default `u64::MAX`: silent unless a caller opts
-    /// into a realistic threshold (1000 = perfectly balanced).
-    pub straggler_skew_alert_permille: u64,
 }
 
 impl Default for AggregatorConfig {
     fn default() -> Self {
         AggregatorConfig {
             workers: 8,
-            monitor_capacity: 128,
-            // One petabyte/s: unreachable by default, so the rule is
-            // silent unless a caller opts into a realistic threshold.
-            sim_rate_alert_bytes_per_s: 1e15,
             io_timeout: Duration::from_secs(5),
-            straggler_skew_alert_permille: u64::MAX,
         }
     }
 }
@@ -149,26 +136,11 @@ impl Aggregator {
         let straggler_ns = registry.histogram("fleet.pass.straggler_ns");
         let skew_ratio = registry.gauge("fleet.pass.skew_ratio");
 
-        let mut rules = vec![
-            Rule {
-                name: "alert.fleet.any_shedding",
-                metric: "fleet.queue.shed",
-                predicate: Predicate::RateAbove(0.0),
-            },
-            Rule {
-                name: "alert.fleet.aggregate_sim_rate",
-                metric: "fleet.sim.bytes",
-                predicate: Predicate::RateAbove(cfg.sim_rate_alert_bytes_per_s),
-            },
-            // The canonical straggler-skew rule: fires when one host's
-            // critical chain stretches the pass beyond the configured
-            // multiple (permille) of the mean host chain.
-            Rule {
-                name: "alert.fleet.straggler_skew",
-                metric: "fleet.pass.skew_ratio",
-                predicate: Predicate::ValueAbove(cfg.straggler_skew_alert_permille),
-            },
-        ];
+        let mut rules = vec![Rule {
+            name: "alert.fleet.any_shedding",
+            metric: "fleet.queue.shed",
+            predicate: Predicate::RateAbove(0.0),
+        }];
         let targets: Vec<Target> = fleet
             .hosts()
             .iter()
@@ -195,7 +167,7 @@ impl Aggregator {
         let store = Arc::new(Store::new(StoreConfig::default()));
         let debug = Arc::new(DebugPlane::new(DEFAULT_DEBUG_PASSES, Arc::clone(&store)));
         Aggregator {
-            monitor: Monitor::new(cfg.monitor_capacity, rules),
+            monitor: Monitor::new(MONITOR_CAPACITY, rules),
             cfg,
             sessions: targets.iter().map(|_| None).collect(),
             targets,
@@ -221,11 +193,6 @@ impl Aggregator {
     /// The fleet-level obs registry (`fleet.*` self-metrics).
     pub fn registry(&self) -> &Arc<obs::Registry> {
         &self.registry
-    }
-
-    /// The fleet monitor (rules, alert history, derived series).
-    pub fn monitor(&self) -> &Monitor {
-        &self.monitor
     }
 
     /// The fleet store every merged pass is ingested into.

@@ -23,9 +23,8 @@
 //!   determinism discipline as the parallel experiment runner.
 //! * The merged document is re-exposed on one fleet-wide `/metrics`
 //!   (via [`pcp_wire::ScrapeListener::bind_provider`]), ingested into
-//!   a [`store::Store`], and fed to fleet-level derived rules on an
-//!   [`obs::Monitor`] — any host shedding, aggregate simulated
-//!   traffic rate, per-host scrape staleness.
+//!   a [`store::Store`], and fed to fleet-level rules on an
+//!   [`obs::Monitor`] — any host shedding, per-host scrape staleness.
 //!
 //! * Every pass is traced end to end (DESIGN.md §16): the aggregator
 //!   mints a pass-level trace id, each host scrape carries a fan-out

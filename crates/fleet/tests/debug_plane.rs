@@ -97,7 +97,6 @@ fn mid_pass_stall_attributes_straggler_to_exactly_that_host() {
         AggregatorConfig {
             workers: 4,
             io_timeout: timeout,
-            ..AggregatorConfig::default()
         },
     );
     fleet.tick_traffic(1);

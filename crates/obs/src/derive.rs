@@ -1,81 +1,69 @@
-//! Declarative derivations and threshold rules over time series.
+//! Declarative derivations and threshold rules over sample windows.
 //!
 //! This is the reproduction's `pmie`: pure functions ([`rate`],
-//! [`delta`], [`ewma`], [`aggregate_sum`]) over a [`Series`] window,
-//! plus a [`Monitor`] that snapshots a registry export into a
-//! [`SeriesStore`] on every [`Monitor::tick`] and evaluates declarative
-//! [`Rule`]s against the updated windows. A firing rule emits a
-//! structured `obs::instant!`-style alert event (label = rule name,
-//! arg = observed value) and is returned to the caller as an [`Alert`].
+//! [`delta`], [`ewma`]) over a borrowed window — a `&[Sample]`, oldest
+//! first, read with its metric's [`ExportSemantics`] — and a [`Monitor`]
+//! that keeps one bounded [`Window`] per metric its [`Rule`]s name and
+//! evaluates the rules on every [`Monitor::tick`]. A firing rule emits an
+//! instant event (label = rule name, arg = observed value) and is
+//! returned as an [`Alert`]. Stored history (`store::SeriesData`) runs
+//! the same functions, so live and archived math cannot disagree.
 //!
 //! All time comes from the caller (`t_ns` parameters), so rules are
 //! deterministic under simulated clocks: a unit test can replay an
 //! exact sample sequence and assert which tick fires.
 
-use crate::metrics::{ExportSemantics, Exported};
-use crate::series::{Series, SeriesStore};
+use std::collections::HashMap;
 
-/// Window delta of a series: latest value minus oldest value.
+use crate::metrics::{ExportSemantics, Exported};
+use crate::series::Sample;
+
+/// Window delta: last value minus first value.
 ///
-/// For counter-semantics series the subtraction saturates at zero, so a
+/// For counter semantics the subtraction saturates at zero, so a
 /// derivation over a monotone counter is always non-negative even if
-/// the underlying process restarted mid-window. Instant series return a
-/// signed delta. `None` until the window holds two samples.
-pub fn delta(s: &Series) -> Option<i64> {
-    let (first, last) = (s.oldest()?, s.latest()?);
-    if s.len() < 2 {
+/// the underlying process restarted mid-window. Instant windows return
+/// the signed distance, clamped into `i64`. `None` until the window
+/// holds two samples.
+pub fn delta(semantics: ExportSemantics, samples: &[Sample]) -> Option<i64> {
+    let [first, .., last] = samples else {
         return None;
-    }
-    match s.semantics() {
+    };
+    match semantics {
         ExportSemantics::Counter => Some(last.value.saturating_sub(first.value) as i64),
-        ExportSemantics::Instant => Some(last.value as i64 - first.value as i64),
+        ExportSemantics::Instant => {
+            let d = i128::from(last.value) - i128::from(first.value);
+            Some(d.clamp(i64::MIN.into(), i64::MAX.into()) as i64)
+        }
     }
 }
 
-/// Window rate of a series in value-per-second: [`delta`] divided by
-/// the window span. `None` until two samples exist; the series'
-/// strictly increasing timestamps guarantee a positive span.
-pub fn rate(s: &Series) -> Option<f64> {
-    let d = delta(s)?;
-    let span_ns = s.latest()?.t_ns - s.oldest()?.t_ns;
+/// Window rate in value-per-second: [`delta`] divided by the window
+/// span. `None` until two samples exist, or when the window's last
+/// timestamp does not advance past its first.
+pub fn rate(semantics: ExportSemantics, samples: &[Sample]) -> Option<f64> {
+    let d = delta(semantics, samples)?;
+    let (first, last) = (samples.first()?, samples.last()?);
+    let span_ns = last.t_ns.checked_sub(first.t_ns).filter(|&s| s > 0)?;
     Some(d as f64 / (span_ns as f64 / 1e9))
 }
 
 /// Time-aware exponentially weighted moving average of the sample
 /// values, with decay constant `tau_ns`: a sample `dt` after the
 /// previous one is blended with weight `1 - exp(-dt/tau)`. Seeded from
-/// the oldest sample; `None` for an empty series.
-pub fn ewma(s: &Series, tau_ns: u64) -> Option<f64> {
-    let mut iter = s.iter();
-    let first = iter.next()?;
+/// the first sample; `None` for an empty window.
+pub fn ewma(samples: &[Sample], tau_ns: u64) -> Option<f64> {
+    let (first, rest) = samples.split_first()?;
     let mut avg = first.value as f64;
     let mut prev_t = first.t_ns;
     let tau = (tau_ns.max(1)) as f64;
-    for p in iter {
-        let dt = (p.t_ns - prev_t) as f64;
+    for p in rest {
+        let dt = p.t_ns.saturating_sub(prev_t) as f64;
         let alpha = 1.0 - (-dt / tau).exp();
         avg += alpha * (p.value as f64 - avg);
         prev_t = p.t_ns;
     }
     Some(avg)
-}
-
-/// Sum of the latest values of every series whose name starts with
-/// `prefix` and ends with `suffix` — the per-channel/per-socket
-/// aggregation: `aggregate_sum(&store, "pmcd.obs.memsim.", ".bytes")`
-/// folds all channels into one scalar. `None` when nothing matches.
-pub fn aggregate_sum(store: &SeriesStore, prefix: &str, suffix: &str) -> Option<u64> {
-    let mut sum = 0u64;
-    let mut matched = false;
-    for s in store.iter() {
-        if s.name().starts_with(prefix) && s.name().ends_with(suffix) {
-            if let Some(latest) = s.latest() {
-                sum = sum.saturating_add(latest.value);
-                matched = true;
-            }
-        }
-    }
-    matched.then_some(sum)
 }
 
 /// What a [`Rule`] tests against its metric's window.
@@ -90,7 +78,7 @@ pub enum Predicate {
     DeltaAbove(i64),
 }
 
-/// A declarative threshold rule over one metric's series.
+/// A declarative threshold rule over one metric's window.
 #[derive(Clone, Copy, Debug)]
 pub struct Rule {
     /// Alert label; also the `obs::instant!` event label when firing.
@@ -117,45 +105,109 @@ pub struct Alert {
     pub t_ns: u64,
 }
 
-/// A live monitor: a series store plus threshold rules.
+/// The bounded window a [`Monitor`] keeps for one watched metric: its
+/// newest samples, strictly increasing in time, and a count of the
+/// older ones it dropped.
+#[derive(Clone, Debug)]
+pub struct Window {
+    /// As last exported; unread while the window is empty.
+    semantics: ExportSemantics,
+    capacity: usize,
+    /// The window is the last `capacity` entries. Older ones are
+    /// dropped in bulk once the buffer holds twice that, so a push is
+    /// amortised O(1) and the window is always one slice.
+    buf: Vec<Sample>,
+    evicted: u64,
+}
+
+impl Window {
+    /// Retained samples, oldest first.
+    pub fn samples(&self) -> &[Sample] {
+        &self.buf[self.buf.len().saturating_sub(self.capacity)..]
+    }
+
+    /// Samples dropped off the full window since construction.
+    pub fn evicted(&self) -> u64 {
+        self.evicted
+    }
+
+    /// Append a sample, dropping the oldest once the window is full. A
+    /// timestamp that does not advance past the latest is ignored. A
+    /// dropped sample is reported (`obs.series.evicted` counter plus an
+    /// instant event), never silent.
+    fn push(&mut self, semantics: ExportSemantics, t_ns: u64, value: u64) {
+        if self.buf.last().is_some_and(|p| t_ns <= p.t_ns) {
+            return;
+        }
+        if self.buf.len() >= self.capacity {
+            let dropped = self.buf[self.buf.len() - self.capacity];
+            self.evicted += 1;
+            crate::counter!("obs.series.evicted").inc();
+            crate::instant!("obs.series.evicted", dropped.t_ns);
+            if self.buf.len() == 2 * self.capacity {
+                self.buf.drain(..self.capacity);
+            }
+        }
+        self.semantics = semantics;
+        self.buf.push(Sample { t_ns, value });
+    }
+}
+
+/// A live monitor: threshold rules plus one window per metric they
+/// name. Metrics no rule names are not retained — history is the
+/// store's job.
 #[derive(Clone, Debug)]
 pub struct Monitor {
-    store: SeriesStore,
     rules: Vec<Rule>,
+    windows: HashMap<&'static str, Window>,
     alerts: Vec<Alert>,
 }
 
 impl Monitor {
-    /// A monitor retaining `capacity` samples per series.
+    /// A monitor retaining the newest `capacity` samples of each metric
+    /// a rule names. `capacity` is clamped to at least 2 — every
+    /// derivation needs a window, not a point.
     pub fn new(capacity: usize, rules: Vec<Rule>) -> Self {
+        let window = Window {
+            semantics: ExportSemantics::Instant,
+            capacity: capacity.max(2),
+            buf: Vec::new(),
+            evicted: 0,
+        };
+        let windows = rules.iter().map(|r| (r.metric, window.clone())).collect();
         Monitor {
-            store: SeriesStore::new(capacity),
             rules,
+            windows,
             alerts: Vec::new(),
         }
     }
 
-    /// Feed one registry snapshot taken at `t_ns` and evaluate every
-    /// rule against the updated windows. Rules that fire are recorded
-    /// in [`Monitor::alerts`], emitted as tracer instant events
-    /// (label = rule name, arg = observed value truncated to u64), and
-    /// returned.
+    /// Feed one registry snapshot taken at `t_ns` into the watched
+    /// windows and evaluate every rule against them. Rules that fire
+    /// are recorded in [`Monitor::alerts`], emitted as tracer instant
+    /// events (label = rule name, arg = observed value truncated to
+    /// u64), and returned.
     pub fn tick(&mut self, t_ns: u64, exported: &[Exported]) -> Vec<Alert> {
-        self.store.observe(t_ns, exported);
+        for e in exported {
+            if let Some(w) = self.windows.get_mut(e.name.as_str()) {
+                w.push(e.semantics, t_ns, e.value);
+            }
+        }
         let mut fired = Vec::new();
         for rule in &self.rules {
-            let Some(series) = self.store.get(rule.metric) else {
+            let Some(w) = self.windows.get(rule.metric) else {
                 continue;
             };
+            let samples = w.samples();
             let hit = match rule.predicate {
-                Predicate::ValueAbove(bound) => series
-                    .latest()
+                Predicate::ValueAbove(bound) => samples
+                    .last()
                     .filter(|p| p.value > bound)
                     .map(|p| (p.value as f64, bound as f64)),
-                Predicate::RateAbove(bound) => {
-                    rate(series).filter(|r| *r > bound).map(|r| (r, bound))
-                }
-                Predicate::DeltaAbove(bound) => delta(series)
+                Predicate::RateAbove(bound) => rate(w.semantics, samples)
+                    .filter(|r| *r > bound)
+                    .map(|r| (r, bound)),
+                Predicate::DeltaAbove(bound) => delta(w.semantics, samples)
                     .filter(|d| *d > bound)
                     .map(|d| (d as f64, bound as f64)),
             };
@@ -174,28 +226,15 @@ impl Monitor {
         fired
     }
 
-    /// The underlying series windows.
-    pub fn store(&self) -> &SeriesStore {
-        &self.store
+    /// The window kept for `metric`: `None` unless a rule names it and
+    /// it has been exported at least once.
+    pub fn window(&self, metric: &str) -> Option<&Window> {
+        self.windows.get(metric).filter(|w| !w.buf.is_empty())
     }
 
     /// Every alert fired since construction, in firing order.
     pub fn alerts(&self) -> &[Alert] {
         &self.alerts
-    }
-
-    /// Derived scalars for exposition: one `<name>:rate` gauge per
-    /// counter series with a full window, in store order.
-    pub fn derived(&self) -> Vec<(String, f64)> {
-        let mut out = Vec::new();
-        for s in self.store.iter() {
-            if s.semantics() == ExportSemantics::Counter {
-                if let Some(r) = rate(s) {
-                    out.push((format!("{}:rate", s.name()), r));
-                }
-            }
-        }
-        out
     }
 }
 
@@ -204,77 +243,102 @@ mod tests {
     use super::*;
     use crate::metrics::Registry;
 
-    fn counter_series(points: &[(u64, u64)]) -> SeriesStore {
-        let mut store = SeriesStore::new(points.len().max(2));
-        for (t, v) in points {
-            store.push("c", ExportSemantics::Counter, *t, *v);
-        }
-        store
+    fn at(t_ns: u64, value: u64) -> Sample {
+        Sample { t_ns, value }
     }
+
+    /// A rule on `"x"` that never fires.
+    const WATCH_X: Rule = Rule {
+        name: "alert.test",
+        metric: "x",
+        predicate: Predicate::ValueAbove(u64::MAX),
+    };
 
     #[test]
     fn delta_and_rate_over_counter_window() {
-        let store = counter_series(&[(1_000_000_000, 100), (3_000_000_000, 700)]);
-        let s = store.get("c").unwrap();
-        assert_eq!(delta(s), Some(600));
-        let r = rate(s).unwrap();
+        let s = [at(1_000_000_000, 100), at(3_000_000_000, 700)];
+        assert_eq!(delta(ExportSemantics::Counter, &s), Some(600));
+        let r = rate(ExportSemantics::Counter, &s).unwrap();
         assert!((r - 300.0).abs() < 1e-9, "{r}");
     }
 
     #[test]
     fn counter_reset_saturates_to_zero() {
-        let store = counter_series(&[(1_000, 500), (2_000, 20)]);
-        let s = store.get("c").unwrap();
-        assert_eq!(delta(s), Some(0));
-        assert_eq!(rate(s), Some(0.0));
+        let s = [at(1_000, 500), at(2_000, 20)];
+        assert_eq!(delta(ExportSemantics::Counter, &s), Some(0));
+        assert_eq!(rate(ExportSemantics::Counter, &s), Some(0.0));
     }
 
     #[test]
     fn single_sample_yields_no_derivation() {
-        let store = counter_series(&[(1_000, 5)]);
-        let s = store.get("c").unwrap();
-        assert_eq!(delta(s), None);
-        assert_eq!(rate(s), None);
-        assert_eq!(ewma(s, 1_000), Some(5.0));
+        let s = [at(1_000, 5)];
+        assert_eq!(delta(ExportSemantics::Counter, &s), None);
+        assert_eq!(rate(ExportSemantics::Counter, &s), None);
+        assert_eq!(ewma(&s, 1_000), Some(5.0));
+        // A window whose time does not advance has no span to divide by.
+        let stuck = [at(2_000, 5), at(1_000, 9)];
+        assert_eq!(rate(ExportSemantics::Instant, &stuck), None);
     }
 
     #[test]
     fn ewma_converges_toward_recent_values() {
-        let mut store = SeriesStore::new(16);
-        for i in 0..10u64 {
-            let v = if i < 5 { 0 } else { 100 };
-            store.push("g", ExportSemantics::Instant, (i + 1) * 1_000, v);
-        }
-        let s = store.get("g").unwrap();
+        let s: Vec<Sample> = (0..10u64)
+            .map(|i| at((i + 1) * 1_000, if i < 5 { 0 } else { 100 }))
+            .collect();
         // dt == tau: each step closes ~63% of the gap toward 100.
-        let e = ewma(s, 1_000).unwrap();
+        let e = ewma(&s, 1_000).unwrap();
         assert!(e > 50.0 && e < 100.0, "{e}");
         // A huge tau barely moves off the seed.
-        let slow = ewma(s, u64::MAX).unwrap();
+        let slow = ewma(&s, u64::MAX).unwrap();
         assert!(slow < 1.0, "{slow}");
     }
 
     #[test]
-    fn aggregate_sums_matching_channels() {
-        let mut store = SeriesStore::new(4);
-        for ch in 0..4u64 {
-            store.push(
-                match ch {
-                    0 => "mba.ch0.bytes",
-                    1 => "mba.ch1.bytes",
-                    2 => "mba.ch2.bytes",
-                    _ => "mba.ch3.other",
-                },
-                ExportSemantics::Counter,
-                1_000,
-                10 * (ch + 1),
-            );
+    fn non_advancing_timestamps_are_ignored() {
+        let reg = Registry::new();
+        let mut mon = Monitor::new(4, vec![WATCH_X]);
+        // Same instant, then going backwards: both dropped.
+        for (t, v) in [(100, 1), (100, 2), (90, 3), (101, 4)] {
+            reg.gauge("x").set(v);
+            mon.tick(t, &reg.export());
         }
-        assert_eq!(aggregate_sum(&store, "mba.", ".bytes"), Some(60));
-        assert_eq!(aggregate_sum(&store, "nope.", ".bytes"), None);
+        assert_eq!(mon.window("x").unwrap().samples(), [at(100, 1), at(101, 4)]);
     }
 
-    /// The ISSUE's canonical rules, replayed on a simulated clock: the
+    /// Capacity 0 clamps to a two-sample window, and a full window
+    /// drops its oldest sample per push and reports each one. The only
+    /// test here that evicts, so the global counter's delta is exact.
+    #[test]
+    fn eviction_is_counted_not_silent() {
+        let reg = Registry::new();
+        let mut mon = Monitor::new(0, vec![WATCH_X]);
+        let before = crate::counter!("obs.series.evicted").get();
+        for t in 1..=5u64 {
+            reg.gauge("x").set(t);
+            mon.tick(t * 10, &reg.export());
+        }
+        // The window kept the newest 2 of 5, in order; the 3 dropped
+        // points are reported.
+        let kept = mon.window("x").expect("window");
+        assert_eq!(kept.samples(), [at(40, 4), at(50, 5)]);
+        assert_eq!(kept.evicted(), 3);
+        assert_eq!(crate::counter!("obs.series.evicted").get() - before, 3);
+    }
+
+    #[test]
+    fn a_metric_no_rule_names_has_no_window() {
+        let reg = Registry::new();
+        reg.counter("x").add(1);
+        reg.gauge("y").set(3);
+        let mut mon = Monitor::new(8, vec![WATCH_X]);
+        assert!(mon.window("x").is_none(), "nothing exported yet");
+        mon.tick(1_000, &reg.export());
+        mon.tick(2_000, &reg.export());
+        assert_eq!(mon.window("x").map(|w| w.samples().len()), Some(2));
+        assert!(mon.window("y").is_none());
+    }
+
+    /// The canonical rules, replayed on a simulated clock: the
     /// shed-rate rule must fire on exactly the tick where shedding
     /// starts, and never before.
     #[test]
@@ -319,20 +383,5 @@ mod tests {
         let again = mon.tick(4_000_000_000, &reg.export());
         assert_eq!(again.len(), 1);
         assert_eq!(mon.alerts().len(), 3);
-    }
-
-    #[test]
-    fn derived_exposes_counter_rates_only() {
-        let reg = Registry::new();
-        reg.counter("a.count").add(10);
-        reg.gauge("b.depth").set(5);
-        let mut mon = Monitor::new(4, Vec::new());
-        mon.tick(1_000_000_000, &reg.export());
-        reg.counter("a.count").add(10);
-        mon.tick(2_000_000_000, &reg.export());
-        let derived = mon.derived();
-        assert_eq!(derived.len(), 1, "{derived:?}");
-        assert_eq!(derived[0].0, "a.count:rate");
-        assert!((derived[0].1 - 10.0).abs() < 1e-9, "{derived:?}");
     }
 }

@@ -17,8 +17,8 @@
 //!   `chrome://tracing`/Perfetto and folded stacks ([`flame`]) for
 //!   flamegraphs.
 //! * **Live monitoring** ([`series`], [`derive`], [`openmetrics`],
-//!   [`stitch`]): ring-buffered time series fed by registry snapshots,
-//!   `pmie`-style rate/delta/ewma derivations and threshold rules,
+//!   [`stitch`]): `pmie`-style rate/delta/ewma derivations over sample
+//!   windows and threshold rules that keep only the windows they watch,
 //!   OpenMetrics text exposition with a strict round-trip parser, and
 //!   critical-path decomposition over trace-id-stitched client/server
 //!   spans (DESIGN.md §11).
@@ -62,9 +62,8 @@ pub mod stitch;
 pub mod sync;
 pub mod trace;
 
-pub use derive::{Alert, Monitor, Predicate, Rule};
+pub use derive::{Alert, Monitor, Predicate, Rule, Window};
 pub use metrics::{global as registry, Counter, Gauge, HistSnapshot, Histogram, Registry};
-pub use series::{Series, SeriesStore};
 pub use snapshot::Snapshot;
 pub use stitch::{critical_path, CriticalPath};
 pub use trace::{drain, dropped_records, next_trace_id, Kind, SpanEvent, SpanGuard};

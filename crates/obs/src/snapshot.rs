@@ -1,7 +1,7 @@
 //! One registry snapshot, one timestamp.
 //!
-//! Three consumers read the metric registry on a cadence: the live ring
-//! ([`crate::SeriesStore`]), the OpenMetrics exposition
+//! Three consumers read the metric registry on a cadence: the live
+//! monitor ([`crate::Monitor`]), the OpenMetrics exposition
 //! ([`crate::openmetrics`]) and the archive/store ingest paths. Before
 //! this module each of them called [`Registry::export`] and stamped its
 //! own clock, so the "same" observation could carry three different

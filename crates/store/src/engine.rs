@@ -254,7 +254,7 @@ impl Store {
     /// `prefix` + the scalar's exported name, with `labels` attached to
     /// every series. Scalars whose timestamp does not advance are
     /// skipped (counted by `store.ingest.out_of_order`) — the same
-    /// policy as [`obs::SeriesStore`], so live ring and store agree.
+    /// policy as an [`obs::Monitor`] window, so live and stored agree.
     pub fn ingest_snapshot(
         &self,
         prefix: &str,

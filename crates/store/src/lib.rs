@@ -3,7 +3,7 @@
 //! The paper's "complete application profiling" holds counter streams
 //! over whole application runs; a fleet of simulated hosts multiplies
 //! that into millions of series and days of retention. Neither the live
-//! ring ([`obs::SeriesStore`]) nor a `pmlogger` archive (an uncompressed
+//! windows ([`obs::Monitor`]) nor a `pmlogger` archive (an uncompressed
 //! row log) can carry that, so this crate is the storage tier underneath
 //! the live path (DESIGN.md §12):
 //!

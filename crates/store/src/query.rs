@@ -3,14 +3,14 @@
 //! [`SeriesData`] is what a [`Store::query`](crate::Store::query)
 //! returns: one decompressed, strictly time-ordered sample run per
 //! matched series. Windowed derivations do not reimplement any math —
-//! [`SeriesData::series`] rebuilds an [`obs::Series`] and the
-//! rate/delta/ewma functions of [`obs::derive`] run on it unchanged, so
-//! a rate computed over archived history and a rate computed by the
-//! live [`obs::Monitor`] can never disagree on semantics (counter
-//! deltas saturate at restarts in both, by construction).
+//! the rate/delta/ewma functions of [`obs::derive`] run on
+//! [`SeriesData::samples`] in place, so a rate computed over archived
+//! history and a rate computed by the live [`obs::Monitor`] can never
+//! disagree on semantics (counter deltas saturate at restarts in both,
+//! by construction).
 
 use obs::metrics::ExportSemantics;
-use obs::series::{Sample, Series};
+use obs::series::Sample;
 
 use crate::index::SeriesKey;
 
@@ -41,21 +41,14 @@ pub enum Derivation {
 }
 
 impl SeriesData {
-    /// Rebuild an [`obs::Series`] over the window so every
-    /// [`obs::derive`] function applies to archived history exactly as
-    /// it does to the live ring.
-    pub fn series(&self) -> Series {
-        Series::from_samples(self.key.to_string(), self.semantics, &self.samples)
-    }
-
     /// Evaluate one derivation over the window (`None` when the window
     /// is too small, matching the live-monitor behaviour).
     pub fn derive(&self, d: Derivation) -> Option<f64> {
-        let series = self.series();
+        let (semantics, samples) = (self.semantics, self.samples.as_slice());
         match d {
-            Derivation::Rate => obs::derive::rate(&series),
-            Derivation::Delta => obs::derive::delta(&series).map(|d| d as f64),
-            Derivation::Ewma { tau_ns } => obs::derive::ewma(&series, tau_ns),
+            Derivation::Rate => obs::derive::rate(semantics, samples),
+            Derivation::Delta => obs::derive::delta(semantics, samples).map(|d| d as f64),
+            Derivation::Ewma { tau_ns } => obs::derive::ewma(samples, tau_ns),
         }
     }
 }

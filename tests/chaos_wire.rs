@@ -12,6 +12,7 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
 use obs::metrics::ExportSemantics;
+use obs::series::Sample;
 use papi_repro::arch::Machine;
 use papi_repro::memsim::SimMachine;
 use papi_repro::pcp::{InstanceId, MetricId, PcpError, PmLogger, Pmns};
@@ -159,26 +160,19 @@ fn daemon_crash_and_respawn_yields_gapless_monotone_archive() {
     // Counter-delta saturation pins the reset to a zero delta: replaying
     // the archived samples through obs' window derivations (the same
     // path the live monitor uses) must never underflow or go negative.
-    let mut ring = obs::SeriesStore::new(archive.len().max(2));
-    for rec in archive.records() {
-        ring.push(
-            "chaos.nest.read",
-            ExportSemantics::Counter,
-            (rec.time_s * 1e9) as u64,
-            rec.values[0],
-        );
-    }
-    let series = ring.get("chaos.nest.read").expect("series exists");
-    let samples: Vec<_> = series.iter().collect();
+    let samples: Vec<Sample> = archive
+        .records()
+        .iter()
+        .map(|rec| Sample {
+            t_ns: (rec.time_s * 1e9) as u64,
+            value: rec.values[0],
+        })
+        .collect();
     for window in 2..=samples.len() {
-        let mut sub = obs::SeriesStore::new(window);
-        for s in &samples[samples.len() - window..] {
-            sub.push("w", ExportSemantics::Counter, s.t_ns, s.value);
-        }
-        let sub_series = sub.get("w").expect("window series");
-        let d = obs::derive::delta(sub_series).expect("delta over window");
+        let sub = &samples[samples.len() - window..];
+        let d = obs::derive::delta(ExportSemantics::Counter, sub).expect("delta over window");
         assert!(d >= 0, "saturating counter delta went negative: {d}");
-        let r = obs::derive::rate(sub_series).expect("rate over window");
+        let r = obs::derive::rate(ExportSemantics::Counter, sub).expect("rate over window");
         assert!(r.is_finite() && r >= 0.0, "rate {r} over {window} samples");
     }
 }

@@ -11,26 +11,25 @@
 //!   so saturation happens in exactly one place (derivation), not
 //!   silently in transport or at rest.
 
-use obs::metrics::ExportSemantics;
+use obs::derive::{delta, rate};
+use obs::metrics::ExportSemantics::{Counter, Instant};
 use obs::openmetrics::{parse, render, strip_timestamp, MetricKind, OmSample, Value};
-use obs::SeriesStore;
-use store::{Selector, SeriesKey, Store};
+use obs::series::Sample;
+use store::{Derivation, Selector, SeriesKey, Store};
 
-fn counter_series(samples: &[(u64, u64)]) -> SeriesStore {
-    let mut ring = SeriesStore::new(samples.len().max(2));
-    for &(t_ns, value) in samples {
-        ring.push("wrap.probe", ExportSemantics::Counter, t_ns, value);
-    }
-    ring
+fn window(samples: &[(u64, u64)]) -> Vec<Sample> {
+    samples
+        .iter()
+        .map(|&(t_ns, value)| Sample { t_ns, value })
+        .collect()
 }
 
 /// One step below the top of the range: the delta is exact.
 #[test]
 fn delta_one_below_max_is_exact() {
-    let ring = counter_series(&[(1, u64::MAX - 1), (2, u64::MAX)]);
-    let s = ring.get("wrap.probe").unwrap();
-    assert_eq!(obs::derive::delta(s), Some(1));
-    let r = obs::derive::rate(s).unwrap();
+    let s = window(&[(1, u64::MAX - 1), (2, u64::MAX)]);
+    assert_eq!(delta(Counter, &s), Some(1));
+    let r = rate(Counter, &s).unwrap();
     assert!(r > 0.0 && r.is_finite());
 }
 
@@ -39,14 +38,13 @@ fn delta_one_below_max_is_exact() {
 /// archive (tests/chaos_wire.rs) derivable without special cases.
 #[test]
 fn delta_across_a_reset_saturates_to_zero() {
-    let ring = counter_series(&[(1, u64::MAX), (2, 5)]);
-    let s = ring.get("wrap.probe").unwrap();
+    let s = window(&[(1, u64::MAX), (2, 5)]);
     assert_eq!(
-        obs::derive::delta(s),
+        delta(Counter, &s),
         Some(0),
         "reset must derive as zero, not underflow"
     );
-    assert_eq!(obs::derive::rate(s), Some(0.0));
+    assert_eq!(rate(Counter, &s), Some(0.0));
 }
 
 /// Saturation is per-window, not per-step: a reset *inside* the window
@@ -55,20 +53,46 @@ fn delta_across_a_reset_saturates_to_zero() {
 /// counter moved forward after the reset.
 #[test]
 fn reset_inside_the_window_still_saturates_on_endpoints() {
-    let ring = counter_series(&[(1, u64::MAX), (2, 10), (3, u64::MAX - 1)]);
-    let s = ring.get("wrap.probe").unwrap();
-    assert_eq!(obs::derive::delta(s), Some(0));
+    let s = window(&[(1, u64::MAX), (2, 10), (3, u64::MAX - 1)]);
+    assert_eq!(delta(Counter, &s), Some(0));
 }
 
 /// Instant (gauge) semantics do NOT saturate — signed distance is the
 /// point of an instant series. The two semantics must stay distinct.
 #[test]
 fn instant_series_keep_signed_deltas() {
-    let mut ring = SeriesStore::new(2);
-    ring.push("wrap.gauge", ExportSemantics::Instant, 1, 100);
-    ring.push("wrap.gauge", ExportSemantics::Instant, 2, 40);
-    let s = ring.get("wrap.gauge").unwrap();
-    assert_eq!(obs::derive::delta(s), Some(-60));
+    let s = window(&[(1, 100), (2, 40)]);
+    assert_eq!(delta(Instant, &s), Some(-60));
+}
+
+/// A hostile gauge: two instants can sit further apart than `i64`
+/// reaches. The signed distance is computed wide and clamped into
+/// `i64`, never overflowed. Outside input reaches this: a host's
+/// exposition gauge is stored as an instant series and derived by the
+/// fleet's `/debug/series?derive=delta|rate`.
+#[test]
+fn instant_delta_across_the_sign_bit_is_exact_or_clamped() {
+    let store = Store::default();
+    let key = SeriesKey::new("wrap.hostile").with_label("host", "h0");
+    for (t_ns, value) in [(1, 1 << 63), (2, 1)] {
+        store.ingest(&key, Instant, t_ns, value).expect("ingest");
+    }
+    let got = store
+        .query(&Selector::metric("wrap.hostile"), 0, u64::MAX)
+        .expect("query");
+    let exact = i64::MIN + 1; // 1 - 2^63 fits, just
+    assert_eq!(got[0].derive(Derivation::Delta), Some(exact as f64));
+    let r = got[0].derive(Derivation::Rate).expect("rate");
+    assert!(r < 0.0 && r.is_finite(), "{r}");
+    // Beyond the i64 range either way, the distance clamps.
+    assert_eq!(
+        delta(Instant, &window(&[(1, 0), (2, u64::MAX)])),
+        Some(i64::MAX)
+    );
+    assert_eq!(
+        delta(Instant, &window(&[(1, u64::MAX), (2, 0)])),
+        Some(i64::MIN)
+    );
 }
 
 /// Pinned limitation: `delta` returns `i64`, so a *forward* counter
@@ -78,9 +102,8 @@ fn instant_series_keep_signed_deltas() {
 /// future widening of the return type is a deliberate semantic change.
 #[test]
 fn full_range_forward_delta_wraps_in_the_i64_cast() {
-    let ring = counter_series(&[(1, 0), (2, u64::MAX)]);
-    let s = ring.get("wrap.probe").unwrap();
-    assert_eq!(obs::derive::delta(s), Some(-1));
+    let s = window(&[(1, 0), (2, u64::MAX)]);
+    assert_eq!(delta(Counter, &s), Some(-1));
 }
 
 /// The compressed store round-trips extreme u64 values exactly —
@@ -97,9 +120,7 @@ fn store_round_trips_values_at_the_top_of_the_range() {
     for i in 0..n {
         let t_ns = 10 + i as u64;
         let value = u64::MAX - (i as u64 % 2);
-        store
-            .ingest(&key, ExportSemantics::Counter, t_ns, value)
-            .expect("ingest");
+        store.ingest(&key, Counter, t_ns, value).expect("ingest");
         want.push((t_ns, value));
     }
     store.flush().expect("flush");
@@ -120,12 +141,7 @@ fn store_round_trips_a_ramp_into_max() {
     let n = 64u64;
     for i in 0..n {
         store
-            .ingest(
-                &key,
-                ExportSemantics::Counter,
-                1 + i,
-                u64::MAX - (n - 1) + i,
-            )
+            .ingest(&key, Counter, 1 + i, u64::MAX - (n - 1) + i)
             .expect("ingest");
     }
     store.flush().expect("flush");

@@ -128,27 +128,12 @@ fn check_golden(tag: &'static str) {
     let mut monitor = obs::Monitor::new(8, repro_bench::obsreport::canonical_rules());
     monitor.tick(1_000_000_000, &obs::registry().export());
     let report = run_experiments(vec![exp], 4);
-    let final_export = obs::registry().export();
-    monitor.tick(61_000_000_000, &final_export);
+    monitor.tick(61_000_000_000, &obs::registry().export());
     assert!(
         monitor.alerts().is_empty(),
         "{tag}: derived rules fired on a golden run: {:?}",
         monitor.alerts()
     );
-    // Whatever the run registered became live series (schematics may
-    // register nothing), and every derived counter rate over the run
-    // window is finite and non-negative.
-    assert_eq!(
-        monitor.store().len(),
-        final_export.len(),
-        "{tag}: live series lag the registry"
-    );
-    for (name, rate) in monitor.derived() {
-        assert!(
-            rate.is_finite() && rate >= 0.0,
-            "{tag}: derived {name} = {rate}"
-        );
-    }
     let er = &report.experiments[0];
     assert!(
         er.errors.is_empty(),

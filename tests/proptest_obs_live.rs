@@ -4,23 +4,24 @@
 
 use proptest::prelude::*;
 
-use obs::derive::{delta, ewma, rate};
-use obs::metrics::ExportSemantics;
+use obs::derive::{delta, ewma, rate, Monitor, Predicate, Rule};
+use obs::metrics::{ExportSemantics, Exported};
 use obs::openmetrics::{parse, render, sanitize, strip_timestamp, MetricKind, OmSample, Value};
-use obs::SeriesStore;
+use obs::series::Sample;
 
-/// Build a monotone counter series from random non-negative increments
+/// Build a monotone counter window from random non-negative increments
 /// and random positive time steps.
-fn counter_store(increments: &[(u64, u64)]) -> SeriesStore {
-    let mut store = SeriesStore::new(increments.len().max(2));
+fn counter_window(increments: &[(u64, u64)]) -> Vec<Sample> {
     let mut t = 0u64;
     let mut v = 0u64;
-    for &(dt, dv) in increments {
-        t += dt;
-        v = v.saturating_add(dv);
-        store.push("p.count", ExportSemantics::Counter, t, v);
-    }
-    store
+    increments
+        .iter()
+        .map(|&(dt, dv)| {
+            t += dt;
+            v = v.saturating_add(dv);
+            Sample { t_ns: t, value: v }
+        })
+        .collect()
 }
 
 proptest! {
@@ -33,46 +34,44 @@ proptest! {
     fn rate_and_delta_over_monotone_counters(
         increments in prop::collection::vec((1u64..1_000_000, 0u64..1_000_000), 2..64)
     ) {
-        let store = counter_store(&increments);
-        let s = store.get("p.count").unwrap();
-        // The ring retains the newest `capacity` samples; recompute the
-        // expected window from what actually survived.
-        let oldest = s.oldest().unwrap();
-        let latest = s.latest().unwrap();
-        let d = delta(s).expect("two samples give a delta");
+        let s = counter_window(&increments);
+        let (oldest, latest) = (s[0], s[s.len() - 1]);
+        let d = delta(ExportSemantics::Counter, &s).expect("two samples give a delta");
         prop_assert!(d >= 0, "counter delta must be non-negative, got {d}");
         prop_assert_eq!(d as u64, latest.value - oldest.value, "delta is sum of window increments");
-        let r = rate(s).expect("two samples give a rate");
+        let r = rate(ExportSemantics::Counter, &s).expect("two samples give a rate");
         prop_assert!(r >= 0.0, "counter rate must be non-negative, got {r}");
         let span_s = (latest.t_ns - oldest.t_ns) as f64 / 1e9;
         prop_assert!((r - d as f64 / span_s).abs() <= 1e-9 * (1.0 + r.abs()),
             "rate {r} inconsistent with delta {d} over {span_s}s");
         // EWMA stays inside the value envelope of the window.
-        let e = ewma(s, 1_000_000).expect("non-empty series");
+        let e = ewma(&s, 1_000_000).expect("non-empty series");
         prop_assert!(e >= oldest.value as f64 - 1e-6 && e <= latest.value as f64 + 1e-6,
             "ewma {e} outside [{}, {}]", oldest.value, latest.value);
     }
 
-    /// Non-advancing timestamps are dropped rather than poisoning the
-    /// window: whatever lands in the series keeps strictly increasing
+    /// Non-advancing timestamps are dropped rather than poisoning a
+    /// monitor's window: whatever lands in it keeps strictly increasing
     /// timestamps, so the rate denominator is always positive.
     #[test]
     fn series_timestamps_strictly_increase(
         steps in prop::collection::vec((0u64..3, 0u64..100), 2..48)
     ) {
-        let mut store = SeriesStore::new(16);
+        let rule = Rule { name: "alert.prop.g", metric: "g", predicate: Predicate::ValueAbove(u64::MAX) };
+        let mut mon = Monitor::new(16, vec![rule]);
         let mut t = 1u64;
-        for &(dt, v) in &steps {
+        for &(dt, value) in &steps {
             t += dt; // dt may be zero: a non-advancing clock
-            store.push("g", ExportSemantics::Instant, t, v);
+            let name = "g".to_string();
+            mon.tick(t, &[Exported { name, value, semantics: ExportSemantics::Instant }]);
         }
-        let s = store.get("g").unwrap();
+        let s = mon.window("g").unwrap().samples();
         let times: Vec<u64> = s.iter().map(|p| p.t_ns).collect();
         for w in times.windows(2) {
             prop_assert!(w[0] < w[1], "timestamps not strictly increasing: {times:?}");
         }
         if s.len() >= 2 {
-            prop_assert!(rate(s).is_some());
+            prop_assert!(rate(ExportSemantics::Instant, s).is_some());
         }
     }
 

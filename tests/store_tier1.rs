@@ -4,7 +4,7 @@
 //! and values by construction.
 
 use obs::metrics::{ExportSemantics, Registry};
-use obs::{Monitor, Snapshot};
+use obs::{Monitor, Predicate, Rule, Snapshot};
 use store::{Selector, SeriesKey, Store, StoreConfig};
 
 /// Registry snapshots ingested under a prefix+labels come back out of a
@@ -62,7 +62,12 @@ fn live_monitor_ring_is_bounded_while_the_store_keeps_the_history() {
         segment_bytes: 64,
         retention_ns: None,
     });
-    let mut monitor = Monitor::new(3, Vec::new());
+    let storm = Rule {
+        name: "alert.fleet.fetch_storm",
+        metric: "fleet.fetches",
+        predicate: Predicate::RateAbove(1e9),
+    };
+    let mut monitor = Monitor::new(3, vec![storm]);
 
     for tick in 1..=50u64 {
         c.add(7);
@@ -74,10 +79,11 @@ fn live_monitor_ring_is_bounded_while_the_store_keeps_the_history() {
     }
 
     // The ring holds only the newest 3 points and says what it dropped...
-    let ring = monitor.store().get("fleet.fetches").expect("live series");
+    let window = monitor.window("fleet.fetches").expect("live window");
+    let ring = window.samples();
     assert_eq!(ring.len(), 3);
-    assert_eq!(ring.oldest().map(|s| s.t_ns), Some(48_000_000));
-    assert_eq!(monitor.store().evicted(), 47);
+    assert_eq!(ring.first().map(|s| s.t_ns), Some(48_000_000));
+    assert_eq!(window.evicted(), 47);
     // ...and the full 50-point history is in the store, same timestamps.
     let sel = Selector::metric("fleet.fetches").with_label("host", "h0");
     let full = &store.query(&sel, 0, u64::MAX).expect("query")[0].samples;
@@ -85,7 +91,7 @@ fn live_monitor_ring_is_bounded_while_the_store_keeps_the_history() {
     assert!(full.windows(2).all(|w| w[1].t_ns > w[0].t_ns));
     assert_eq!(full[0].value, 7);
     assert_eq!(full[49].value, 350);
-    assert_eq!(full[47..], ring.iter().collect::<Vec<_>>()[..]);
+    assert_eq!(full[47..], ring[..]);
     // An old-only window comes purely from compressed storage.
     let old = &store.query(&sel, 1_000_000, 10_000_000).expect("query")[0].samples;
     assert_eq!(old.len(), 10);
