@@ -26,7 +26,7 @@ use store::{SeriesKey, Store, StoreConfig};
 
 use crate::debug::{DebugPlane, PassRecord, DEFAULT_DEBUG_PASSES};
 use crate::host::Fleet;
-use crate::merge::{merge_parallel, HostScrape, MergeOutcome};
+use crate::merge::{merge, HostScrape, MergeOutcome};
 use crate::FleetError;
 
 /// Samples the fleet [`Monitor`] keeps per watched metric.
@@ -346,9 +346,11 @@ impl Aggregator {
 
         // --- merge ------------------------------------------------------
         let merge_span = obs::span!(stitch::PASS_MERGE_SPAN);
-        let merged: MergeOutcome = merge_parallel(&scrapes, workers);
+        let scraped = scrapes.iter().filter(|s| s.is_some()).count();
+        let merged: MergeOutcome = merge(scrapes);
+        let merged_series = merged.samples.len();
         let host_text = render(&merged.samples, None);
-        self.series_merged.set(merged.samples.len() as u64);
+        self.series_merged.set(merged_series as u64);
         self.hosts_stale.set(stale.len() as u64);
 
         // Fold per-host monotone counters into fleet-level accumulators
@@ -377,14 +379,11 @@ impl Aggregator {
         // --- store ingest -----------------------------------------------
         let ingest_span = obs::span!(stitch::PASS_INGEST_SPAN);
         let mut samples_ingested = 0u64;
-        for s in &merged.samples {
+        for s in merged.samples {
             let Value::Int(v) = s.value else {
                 continue; // merged host docs are integer-only today
             };
-            let mut key = SeriesKey::new(s.name.clone());
-            for (k, v) in &s.labels {
-                key = key.with_label(k.clone(), v.clone());
-            }
+            let key = SeriesKey::from_parts(s.name, s.labels);
             let semantics = match s.kind {
                 MetricKind::Counter => obs::metrics::ExportSemantics::Counter,
                 MetricKind::Gauge => obs::metrics::ExportSemantics::Instant,
@@ -470,13 +469,12 @@ impl Aggregator {
             *published = doc;
         }
 
-        let scraped = scrapes.iter().filter(|s| s.is_some()).count();
         self.debug.record_pass(PassRecord {
             pass_id,
             t_ns,
             scraped,
             stale: stale.len(),
-            merged_series: merged.samples.len(),
+            merged_series,
             samples_ingested,
             trace: trace.clone(),
             events,
@@ -486,7 +484,7 @@ impl Aggregator {
             t_ns,
             scraped,
             stale,
-            merged_series: merged.samples.len(),
+            merged_series,
             kind_conflicts: merged.kind_conflicts,
             alerts,
             host_text,

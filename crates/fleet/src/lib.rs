@@ -18,9 +18,10 @@
 //!   as the servers), pulls each host's exposition over the
 //!   `Pdu::Exposition` channel, relabels every series with
 //!   `host="tellico-XXXX"`, and merges the results into one document.
-//!   The merge is index-addressed and therefore **byte-identical to a
-//!   sequential reference merge for any worker count** — the same
-//!   determinism discipline as the parallel experiment runner.
+//!   The merge is one sequential fold over index-addressed slots, so
+//!   the document does not depend on which worker scraped which host
+//!   or when — the same determinism discipline as the parallel
+//!   experiment runner.
 //! * The merged document is re-exposed on one fleet-wide `/metrics`
 //!   (via [`pcp_wire::ScrapeListener::bind_provider`]), ingested into
 //!   a [`store::Store`], and fed to fleet-level rules on an
@@ -60,7 +61,7 @@ mod merge;
 pub use aggregator::{Aggregator, AggregatorConfig, PassReport};
 pub use debug::{DebugPlane, PassRecord, DEFAULT_DEBUG_PASSES};
 pub use host::{host_name, host_seed, Fleet, SimHost};
-pub use merge::{merge_parallel, merge_reference, relabel, HostScrape, MergeOutcome};
+pub use merge::{merge, merge_parallel, merge_reference, relabel, HostScrape, MergeOutcome};
 
 /// Why a fleet could not be spawned or served.
 #[derive(Debug)]

@@ -1,12 +1,12 @@
 //! Deterministic relabel-and-merge of per-host expositions.
 //!
-//! The aggregator's parallelism must be invisible in its output: the
-//! merged document is defined as a pure function of the indexed host
-//! results, never of thread completion order. Workers write into
-//! index-addressed slots and the merge folds the slots in ascending
-//! host index — exactly the discipline the parallel experiment runner
-//! uses — so [`merge_parallel`] is byte-identical to
-//! [`merge_reference`] for every worker count.
+//! The merged document is defined as a pure function of the indexed
+//! host results, never of scrape completion order: the fan-out writes
+//! into index-addressed slots and [`merge`] folds the slots in
+//! ascending host index, relabelling each sample in place as it goes —
+//! one sequential pass over scrapes it owns, with no threads and no
+//! copy of a sample. [`merge_reference`] and [`merge_parallel`] are
+//! that fold over a borrowed slice, kept for callers that hold one.
 //!
 //! Merge rules (DESIGN.md §14):
 //!
@@ -22,10 +22,8 @@
 //!   would render an unparseable document.
 
 use std::collections::HashMap;
-use std::time::Duration;
 
 use obs::openmetrics::{MetricKind, OmSample};
-use pcp_wire::pool::{BoundedQueue, Pop};
 
 /// One host's parsed exposition, ready to merge.
 #[derive(Clone, Debug, PartialEq)]
@@ -49,116 +47,63 @@ pub struct MergeOutcome {
     pub relabel_overrides: u64,
 }
 
+/// Stamp `host` onto one sample in place; returns how many incoming
+/// `host` labels it removed.
+fn relabel_one(s: &mut OmSample, host: &str) -> u64 {
+    let before = s.labels.len();
+    s.labels.retain(|(k, _)| k != "host");
+    let overridden = (before - s.labels.len()) as u64;
+    s.labels.insert(0, ("host".to_string(), host.to_string()));
+    overridden
+}
+
 /// Stamp `host` onto every sample: any incoming `host` label is
 /// removed (counted in the second return) and the federation's own is
 /// prepended.
-pub fn relabel(samples: Vec<OmSample>, host: &str) -> (Vec<OmSample>, u64) {
-    let mut overridden = 0u64;
-    let out = samples
-        .into_iter()
-        .map(|mut s| {
-            let before = s.labels.len();
-            s.labels.retain(|(k, _)| k != "host");
-            overridden += (before - s.labels.len()) as u64;
-            s.labels.insert(0, ("host".to_string(), host.to_string()));
-            s
-        })
-        .collect();
-    (out, overridden)
+pub fn relabel(mut samples: Vec<OmSample>, host: &str) -> (Vec<OmSample>, u64) {
+    let overridden = samples.iter_mut().map(|s| relabel_one(s, host)).sum();
+    (samples, overridden)
 }
 
-/// Fold relabelled per-host slots (ascending index) into one grouped
-/// sample list. Pure and sequential: all determinism lives here.
-fn merge_slots(slots: Vec<Option<(Vec<OmSample>, u64)>>) -> MergeOutcome {
-    let mut blocks: Vec<(String, MetricKind, Vec<OmSample>)> = Vec::new();
+/// Fold per-host slots (ascending index) into one grouped sample list,
+/// relabelling every sample in place. Pure and sequential: all
+/// determinism lives here. A `None` slot (a stale host) contributes
+/// nothing.
+pub fn merge(scrapes: Vec<Option<HostScrape>>) -> MergeOutcome {
+    let mut blocks: Vec<(MetricKind, Vec<OmSample>)> = Vec::new();
     let mut by_name: HashMap<String, usize> = HashMap::new();
     let mut kind_conflicts = 0u64;
     let mut relabel_overrides = 0u64;
-    for (samples, overridden) in slots.into_iter().flatten() {
-        relabel_overrides += overridden;
-        for s in samples {
+    for scrape in scrapes.into_iter().flatten() {
+        for mut s in scrape.samples {
+            relabel_overrides += relabel_one(&mut s, &scrape.host);
             match by_name.get(&s.name) {
-                Some(&i) => {
-                    if blocks[i].1 == s.kind {
-                        blocks[i].2.push(s);
-                    } else {
-                        kind_conflicts += 1;
-                    }
-                }
+                Some(&i) if blocks[i].0 != s.kind => kind_conflicts += 1,
+                Some(&i) => blocks[i].1.push(s),
                 None => {
                     by_name.insert(s.name.clone(), blocks.len());
-                    blocks.push((s.name.clone(), s.kind, vec![s]));
+                    blocks.push((s.kind, vec![s]));
                 }
             }
         }
     }
     MergeOutcome {
-        samples: blocks.into_iter().flat_map(|(_, _, v)| v).collect(),
+        samples: blocks.into_iter().flat_map(|(_, v)| v).collect(),
         kind_conflicts,
         relabel_overrides,
     }
 }
 
-/// The sequential reference merge: relabel each host in index order,
-/// then fold. The definition [`merge_parallel`] must agree with, byte
-/// for byte, under [`obs::openmetrics::render`].
+/// [`merge`] over a borrowed slice: the reference definition of the
+/// merged document, byte for byte under [`obs::openmetrics::render`].
 pub fn merge_reference(scrapes: &[Option<HostScrape>]) -> MergeOutcome {
-    merge_slots(
-        scrapes
-            .iter()
-            .map(|o| o.as_ref().map(|s| relabel(s.samples.clone(), &s.host)))
-            .collect(),
-    )
+    merge(scrapes.to_vec())
 }
 
-/// Relabel hosts on `workers` threads (host indices sharded through a
-/// [`BoundedQueue`]), scatter the results into index-addressed slots,
-/// then run the same sequential fold as [`merge_reference`]. Worker
-/// count affects wall-clock only, never the output.
-pub fn merge_parallel(scrapes: &[Option<HostScrape>], workers: usize) -> MergeOutcome {
-    assert!(workers >= 1, "merge needs at least one worker");
-    if workers == 1 || scrapes.len() <= 1 {
-        return merge_reference(scrapes);
-    }
-    let queue: BoundedQueue<usize> = BoundedQueue::new(scrapes.len());
-    for i in 0..scrapes.len() {
-        // Cannot fail: the queue is sized to hold every index.
-        let _ = queue.try_push(i);
-    }
-    // Closed-with-backlog: workers drain the queued indices and then
-    // see `Closed` — no shutdown flag needed.
-    queue.close();
-
-    let mut slots: Vec<Option<(Vec<OmSample>, u64)>> = (0..scrapes.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let queue = &queue;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut done: Vec<(usize, (Vec<OmSample>, u64))> = Vec::new();
-                    loop {
-                        match queue.pop_timeout(Duration::from_millis(10)) {
-                            Pop::Item(i) => {
-                                if let Some(s) = &scrapes[i] {
-                                    done.push((i, relabel(s.samples.clone(), &s.host)));
-                                }
-                            }
-                            Pop::TimedOut => {}
-                            Pop::Closed => return done,
-                        }
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            if let Ok(list) = h.join() {
-                for (i, r) in list {
-                    slots[i] = Some(r);
-                }
-            }
-        }
-    });
-    merge_slots(slots)
+/// The same fold as [`merge_reference`]; `workers` is ignored, since
+/// the merge is one sequential pass.
+pub fn merge_parallel(scrapes: &[Option<HostScrape>], _workers: usize) -> MergeOutcome {
+    merge(scrapes.to_vec())
 }
 
 #[cfg(test)]

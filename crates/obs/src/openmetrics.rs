@@ -32,6 +32,8 @@
 //! removes it for the byte-identity parity tests ("equal modulo
 //! timestamps").
 
+use std::collections::HashSet;
+
 use crate::metrics::{ExportSemantics, Exported};
 
 /// Exposition type of one metric.
@@ -370,6 +372,11 @@ pub fn parse(text: &str) -> Result<Exposition, String> {
     }
 
     let mut samples: Vec<OmSample> = Vec::new();
+    // Metric names declared so far, and the label sets of the current
+    // block: hash sets, so both duplicate checks cost a sample one
+    // lookup however large the document or its blocks grow.
+    let mut names: HashSet<&str> = HashSet::new();
+    let mut block_sets: HashSet<Vec<(String, String)>> = HashSet::new();
     let mut saw_eof = false;
     while let Some((i, line)) = lines.next() {
         let ln = i + 1;
@@ -393,7 +400,7 @@ pub fn parse(text: &str) -> Result<Exposition, String> {
         if !valid_name(name) {
             return Err(format!("line {ln}: invalid metric name '{name}'"));
         }
-        if samples.iter().any(|s| s.name == name) {
+        if !names.insert(name) {
             return Err(format!("line {ln}: duplicate metric '{name}'"));
         }
         let expected = match kind {
@@ -401,7 +408,7 @@ pub fn parse(text: &str) -> Result<Exposition, String> {
             MetricKind::Gauge => name.to_string(),
         };
         // One or more sample lines, until the next '# ' comment line.
-        let mut block_sets: Vec<Vec<(String, String)>> = Vec::new();
+        block_sets.clear();
         while let Some((j, sample_line)) = lines.peek() {
             if sample_line.starts_with("# ") {
                 break;
@@ -420,13 +427,11 @@ pub fn parse(text: &str) -> Result<Exposition, String> {
                     "line {sln}: counter '{name}' has non-integer value"
                 ));
             }
-            let set = sorted_labels(&labels);
-            if block_sets.contains(&set) {
+            if !block_sets.insert(sorted_labels(&labels)) {
                 return Err(format!(
                     "line {sln}: duplicate label set for metric '{name}'"
                 ));
             }
-            block_sets.push(set);
             samples.push(OmSample {
                 name: name.to_string(),
                 kind,

@@ -29,6 +29,10 @@ use obs::series::Sample;
 /// value) — the numerator of every compression-ratio figure.
 pub const RAW_SAMPLE_BYTES: u64 = 16;
 
+/// The widest gap between consecutive timestamps a chunk can encode:
+/// the delta must fit the signed 64-bit delta-of-delta arithmetic.
+pub(crate) const MAX_GAP_NS: u64 = i64::MAX.unsigned_abs();
+
 /// Append `v` to `out` as a LEB128 varint (7 bits per byte, high bit =
 /// continuation).
 #[inline]
@@ -147,6 +151,20 @@ impl Chunk {
         Ok(out)
     }
 
+    /// Hand every sample to `visit`, oldest first, stopping at the
+    /// first error it returns.
+    pub(crate) fn try_for_each(
+        &self,
+        mut visit: impl FnMut(Sample) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let mut failed = Ok(());
+        walk(&self.bytes, |s| {
+            failed = visit(s);
+            failed.is_ok()
+        })?;
+        failed
+    }
+
     /// Append the samples inside the inclusive window `[from, to]` to
     /// `out`, oldest first. Decoding stops once a sample reaches `to`,
     /// so a window ending mid-chunk does not pay for the rest.
@@ -222,8 +240,10 @@ pub fn encode(samples: &[Sample]) -> Result<Chunk, StoreError> {
                 t_ns: s.t_ns,
             });
         }
-        let dt_u = s.t_ns - prev.t_ns;
-        let dt = i64::try_from(dt_u).map_err(|_| StoreError::Corrupt("timestamp gap over i64"))?;
+        let dt = i64::try_from(s.t_ns - prev.t_ns).map_err(|_| StoreError::TimestampGap {
+            last_t_ns: prev.t_ns,
+            t_ns: s.t_ns,
+        })?;
         put_varint(&mut bytes, zigzag(dt.wrapping_sub(prev_dt)));
         put_varint(&mut bytes, s.value ^ prev.value);
         prev_dt = dt;
@@ -309,6 +329,16 @@ mod tests {
         ));
         assert!(encode(&[s(10, 1), s(5, 2)]).is_err());
         assert!(matches!(encode(&[]), Err(StoreError::EmptyChunk)));
+        let far = 1 + MAX_GAP_NS + 1;
+        assert_eq!(
+            encode(&[s(1, 1), s(far, 2)]),
+            Err(StoreError::TimestampGap {
+                last_t_ns: 1,
+                t_ns: far
+            })
+        );
+        let widest = encode(&[s(1, 1), s(1 + MAX_GAP_NS, 2)]).unwrap();
+        assert_eq!(widest.samples().unwrap()[1].t_ns, 1 + MAX_GAP_NS);
     }
 
     #[test]

@@ -2,25 +2,30 @@
 //! with retention/compaction that never blocks readers.
 //!
 //! Write path: every series has a *head* (an uncompressed in-order
-//! sample buffer). When a head reaches `chunk_samples` it is sealed
-//! into an immutable compressed [`Chunk`](crate::chunk::Chunk) and
-//! staged on its head; when the staged bytes reach `segment_bytes` the
-//! staged chunks are drained head by head — series order, and time
-//! order within a series, with no sorting — encoded into one segment
-//! file on the in-memory FS, and the segment list is republished.
-//! Out-of-order and zero-dt samples are rejected at the door
-//! (`store.ingest.out_of_order`), so every structure downstream is
-//! strictly time-ordered by construction.
+//! sample buffer) in a hash map keyed by the series' cached hash, so a
+//! sample costs one lookup of one word, and a new series one insert.
+//! When a head reaches `chunk_samples` it is sealed into an immutable
+//! compressed [`Chunk`](crate::chunk::Chunk) and staged by series; when
+//! the staged bytes reach `segment_bytes` the series with staged chunks
+//! are sorted by key and drained — series order, and time order within
+//! a series — encoded into one segment file on the in-memory FS, and
+//! the segment list is republished. Out-of-order and zero-dt samples
+//! are rejected at the door (`store.ingest.out_of_order`), and so is a
+//! sample more than `i64::MAX` ns past its series' newest
+//! (`store.ingest.gap_rejected`), so every structure downstream is
+//! strictly time-ordered and encodable by construction.
 //!
 //! Read path: queries copy the matching head tails (one short lock)
 //! and clone the current `Arc` segment list (another short lock), then
 //! decompress outside any lock — only the chunks of matching series
 //! that overlap the window, in segments whose time bounds overlap it
 //! (`store.query.segments_skipped`, `store.query.chunks_decoded`), so a
-//! query costs its window, not the store. Compaction builds
-//! replacement segments off to the side and swaps the list in one lock
-//! acquisition — readers holding the old list keep reading the old
-//! immutable segments, whose bytes outlive their files (see
+//! query costs its window, not the store. Compaction streams one
+//! series at a time (its surviving chunks, borrowed from the snapshot,
+//! decoded oldest first into one buffer of a merged chunk's samples),
+//! builds replacement segments off to the side and swaps the list in
+//! one lock acquisition — readers holding the old list keep reading
+//! the old immutable segments, whose bytes outlive their files (see
 //! [`MemFs`](crate::memfs::MemFs)).
 //!
 //! Retention is chunk-granular: a chunk is dropped only when its whole
@@ -28,15 +33,15 @@
 //! never truncates a chunk mid-stream and replayed history always
 //! starts on a chunk boundary.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use obs::metrics::ExportSemantics;
 use obs::series::Sample;
 use obs::sync::{Mutex, Rank};
 
-use crate::chunk::{self, Chunk, RAW_SAMPLE_BYTES};
-use crate::index::{Selector, SeriesKey};
+use crate::chunk::{self, Chunk, MAX_GAP_NS, RAW_SAMPLE_BYTES};
+use crate::index::{KeyHashBuilder, Selector, SeriesKey};
 use crate::memfs::MemFs;
 use crate::query::SeriesData;
 use crate::segment::{self, Entry, Segment};
@@ -104,10 +109,10 @@ fn seal(head: &mut Head, staged: &mut [Vec<Chunk>]) -> Result<usize, StoreError>
 /// Everything the write path mutates, under one lock.
 #[derive(Debug, Default)]
 struct Ingest {
-    heads: BTreeMap<SeriesKey, Head>,
+    heads: HashMap<SeriesKey, Head, KeyHashBuilder>,
     /// Sealed chunks not yet in a segment, one list per series (indexed
     /// by [`Head::slot`]), oldest first: grouped as they are sealed, so
-    /// a flush writes each series contiguously without sorting.
+    /// a flush writes each series contiguously by sorting series only.
     staged: Vec<Vec<Chunk>>,
     /// Bytes of all staged chunks together.
     staging_bytes: usize,
@@ -128,6 +133,60 @@ pub struct CompactStats {
     pub segments_before: usize,
     /// Segment count after the pass.
     pub segments_after: usize,
+}
+
+/// The replacement segments one [`Store::compact`] pass writes.
+struct Rewrite<'a> {
+    fs: &'a MemFs,
+    segment_bytes: usize,
+    /// Sequence number of the next segment file.
+    next_seq: u64,
+    /// Merged chunks not yet written, in (series, time) order.
+    pending: Vec<Entry>,
+    pending_bytes: usize,
+    segments: Vec<Arc<Segment>>,
+    chunks_rewritten: u64,
+}
+
+impl Rewrite<'_> {
+    /// Encode `samples` of `key` as one merged chunk, writing a segment
+    /// once the pending chunks reach `segment_bytes`.
+    fn emit(
+        &mut self,
+        key: &SeriesKey,
+        semantics: ExportSemantics,
+        samples: &[Sample],
+    ) -> Result<(), StoreError> {
+        let chunk = chunk::encode(samples)?;
+        self.chunks_rewritten += 1;
+        self.pending_bytes += chunk.bytes().len();
+        self.pending.push(Entry {
+            key: key.clone(),
+            semantics,
+            chunk,
+        });
+        if self.pending_bytes >= self.segment_bytes {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    /// Write the pending chunks as one segment file.
+    fn flush(&mut self) -> Result<(), StoreError> {
+        if self.pending.is_empty() {
+            return Ok(());
+        }
+        let entries = std::mem::take(&mut self.pending);
+        self.pending_bytes = 0;
+        let name = format!("seg-{:08}c.pseg", self.next_seq);
+        self.next_seq += 1;
+        let bytes = segment::encode(&entries);
+        let len = bytes.len();
+        self.fs.create(&name, bytes)?;
+        self.segments
+            .push(Arc::new(Segment::new(name, len, entries)));
+        Ok(())
+    }
 }
 
 /// Cumulative ingest-side totals (see also the `store.*` obs metrics).
@@ -203,7 +262,8 @@ impl Store {
 
     /// Append one sample. The first sample of a series fixes its
     /// semantics; a timestamp that does not advance past the series'
-    /// newest is rejected as [`StoreError::OutOfOrder`].
+    /// newest is rejected as [`StoreError::OutOfOrder`], and one more
+    /// than `i64::MAX` ns past it as [`StoreError::TimestampGap`].
     pub fn ingest(
         &self,
         key: &SeriesKey,
@@ -213,26 +273,31 @@ impl Store {
     ) -> Result<(), StoreError> {
         let mut ingest = self.ingest.lock();
         let ingest = &mut *ingest;
-        if !ingest.heads.contains_key(key) {
-            ingest.heads.insert(
-                key.clone(),
-                Head {
+        let head = match ingest.heads.get_mut(key) {
+            Some(head) => head,
+            None => {
+                let slot = ingest.staged.len();
+                ingest.staged.push(Vec::new());
+                ingest.heads.entry(key.clone()).or_insert(Head {
                     semantics,
                     samples: Vec::new(),
                     last_t: None,
-                    slot: ingest.staged.len(),
-                },
-            );
-            ingest.staged.push(Vec::new());
-        }
-        let Some(head) = ingest.heads.get_mut(key) else {
-            return Err(StoreError::Corrupt("freshly inserted head vanished"));
+                    slot,
+                })
+            }
         };
         if let Some(last) = head.last_t {
             if t_ns <= last {
                 ingest.out_of_order += 1;
                 obs::counter!("store.ingest.out_of_order").inc();
                 return Err(StoreError::OutOfOrder {
+                    last_t_ns: last,
+                    t_ns,
+                });
+            }
+            if t_ns - last > MAX_GAP_NS {
+                obs::counter!("store.ingest.gap_rejected").inc();
+                return Err(StoreError::TimestampGap {
                     last_t_ns: last,
                     t_ns,
                 });
@@ -254,7 +319,9 @@ impl Store {
     /// `prefix` + the scalar's exported name, with `labels` attached to
     /// every series. Scalars whose timestamp does not advance are
     /// skipped (counted by `store.ingest.out_of_order`) — the same
-    /// policy as an [`obs::Monitor`] window, so live and stored agree.
+    /// policy as an [`obs::Monitor`] window, so live and stored agree —
+    /// and so are those too far past their series' newest to encode
+    /// (`store.ingest.gap_rejected`).
     pub fn ingest_snapshot(
         &self,
         prefix: &str,
@@ -262,12 +329,15 @@ impl Store {
         snap: &obs::snapshot::Snapshot,
     ) -> Result<(), StoreError> {
         for e in &snap.scalars {
-            let mut key = SeriesKey::new(format!("{prefix}{}", e.name));
-            for (k, v) in labels {
-                key = key.with_label(*k, *v);
-            }
+            let key = SeriesKey::from_parts(
+                format!("{prefix}{}", e.name),
+                labels
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.to_string()))
+                    .collect(),
+            );
             match self.ingest(&key, e.semantics, snap.t_ns, e.value) {
-                Ok(()) | Err(StoreError::OutOfOrder { .. }) => {}
+                Ok(()) | Err(StoreError::OutOfOrder { .. } | StoreError::TimestampGap { .. }) => {}
                 Err(e) => return Err(e),
             }
         }
@@ -289,15 +359,22 @@ impl Store {
     }
 
     /// Write the staged chunks as one segment file and publish it.
-    /// Draining the staged lists in head-map order is what orders the
-    /// entries by (series, time) — ingest never sorts.
+    /// Draining the staged lists series by series in key order is what
+    /// orders the entries by (series, time): only the series with
+    /// staged chunks are sorted, never a chunk.
     fn flush_staging(&self, ingest: &mut Ingest) -> Result<(), StoreError> {
-        let mut entries = Vec::with_capacity(ingest.staged.iter().map(Vec::len).sum());
-        for (key, head) in &ingest.heads {
-            let Some(staged) = ingest.staged.get_mut(head.slot) else {
+        let Ingest { heads, staged, .. } = ingest;
+        let mut series: Vec<(&SeriesKey, &Head)> = heads
+            .iter()
+            .filter(|(_, head)| staged.get(head.slot).is_some_and(|s| !s.is_empty()))
+            .collect();
+        series.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut entries = Vec::with_capacity(staged.iter().map(Vec::len).sum());
+        for (key, head) in series {
+            let Some(chunks) = staged.get_mut(head.slot) else {
                 continue;
             };
-            entries.extend(staged.drain(..).map(|chunk| Entry {
+            entries.extend(chunks.drain(..).map(|chunk| Entry {
                 key: key.clone(),
                 semantics: head.semantics,
                 chunk,
@@ -499,9 +576,9 @@ impl Store {
             segments_before: before.len(),
             ..CompactStats::default()
         };
-        // Gather surviving samples per series, in time order (segments
-        // are ordered, chunks within a series too).
-        let mut survivors: BTreeMap<SeriesKey, (ExportSemantics, Vec<Sample>)> = BTreeMap::new();
+        // Borrow each series' surviving chunks from the snapshot, in
+        // time order (segments are ordered, chunks within a series too).
+        let mut survivors: BTreeMap<&SeriesKey, (ExportSemantics, Vec<&Chunk>)> = BTreeMap::new();
         for seg in before.iter() {
             for e in seg.entries() {
                 if e.chunk.max_t() < cutoff {
@@ -510,68 +587,48 @@ impl Store {
                     obs::counter!("store.compact.chunks_dropped").inc();
                     continue;
                 }
-                let (_, samples) = survivors
-                    .entry(e.key.clone())
-                    .or_insert_with(|| (e.semantics, Vec::new()));
-                samples.extend(e.chunk.samples()?);
+                survivors
+                    .entry(&e.key)
+                    .or_insert_with(|| (e.semantics, Vec::new()))
+                    .1
+                    .push(&e.chunk);
             }
         }
 
         // Re-chunk each series into merged chunks (up to 4 input chunks
-        // worth of samples each) and pack them into replacement
+        // worth of samples each), decoding into one reused buffer and
+        // emitting whenever it fills, and pack them into replacement
         // segments.
         let merged_chunk = self.cfg.chunk_samples * 4;
-        let mut new_segments: Vec<Arc<Segment>> = Vec::new();
-        let mut pending: Vec<Entry> = Vec::new();
-        let mut pending_bytes = 0usize;
-        let mut next_seq = {
-            let ingest = self.ingest.lock();
-            ingest.next_seq
+        let mut out = Rewrite {
+            fs: &self.fs,
+            segment_bytes: self.cfg.segment_bytes,
+            next_seq: self.ingest.lock().next_seq,
+            pending: Vec::new(),
+            pending_bytes: 0,
+            segments: Vec::new(),
+            chunks_rewritten: 0,
         };
-        let flush_pending = |pending: &mut Vec<Entry>,
-                             pending_bytes: &mut usize,
-                             segments: &mut Vec<Arc<Segment>>,
-                             seq: &mut u64|
-         -> Result<(), StoreError> {
-            if pending.is_empty() {
-                return Ok(());
+        let mut buf: Vec<Sample> = Vec::with_capacity(merged_chunk);
+        for (key, (semantics, chunks)) in survivors {
+            for c in chunks {
+                c.try_for_each(|s| {
+                    buf.push(s);
+                    if buf.len() < merged_chunk {
+                        return Ok(());
+                    }
+                    out.emit(key, semantics, &buf)?;
+                    buf.clear();
+                    Ok(())
+                })?;
             }
-            let entries = std::mem::take(pending);
-            *pending_bytes = 0;
-            let name = format!("seg-{:08}c.pseg", *seq);
-            *seq += 1;
-            let bytes = segment::encode(&entries);
-            let len = bytes.len();
-            self.fs.create(&name, bytes)?;
-            segments.push(Arc::new(Segment::new(name, len, entries)));
-            Ok(())
-        };
-        for (key, (semantics, samples)) in survivors {
-            for slice in samples.chunks(merged_chunk.max(2)) {
-                let chunk = chunk::encode(slice)?;
-                stats.chunks_rewritten += 1;
-                pending_bytes += chunk.bytes().len();
-                pending.push(Entry {
-                    key: key.clone(),
-                    semantics,
-                    chunk,
-                });
-                if pending_bytes >= self.cfg.segment_bytes {
-                    flush_pending(
-                        &mut pending,
-                        &mut pending_bytes,
-                        &mut new_segments,
-                        &mut next_seq,
-                    )?;
-                }
+            if !buf.is_empty() {
+                out.emit(key, semantics, &buf)?;
+                buf.clear();
             }
         }
-        flush_pending(
-            &mut pending,
-            &mut pending_bytes,
-            &mut new_segments,
-            &mut next_seq,
-        )?;
+        out.flush()?;
+        stats.chunks_rewritten = out.chunks_rewritten;
 
         // Publish: replace the snapshot's segments with the rewrite,
         // preserving any segment flushed after the snapshot was taken.
@@ -581,10 +638,10 @@ impl Store {
             // Bump the shared sequence past what compaction consumed so
             // future ingest flushes never collide with rewrite names.
             let mut ingest = self.ingest.lock();
-            ingest.next_seq = ingest.next_seq.max(next_seq);
+            ingest.next_seq = ingest.next_seq.max(out.next_seq);
         }
         let mut sealed = self.sealed.lock();
-        let mut list = new_segments;
+        let mut list = out.segments;
         for seg in sealed.iter() {
             if !snapshot_files.contains(seg.file.as_str()) {
                 list.push(Arc::clone(seg));

@@ -4,26 +4,61 @@
 //! A [`SeriesKey`] is the durable identity of one time series: a dotted
 //! metric name plus a set of `(key, value)` labels held sorted so two
 //! keys constructed in different label orders compare — and hash —
-//! equal. Queries select series with a metric *glob* (`*` matches any
-//! run of characters, the only metacharacter) and a conjunction of
-//! exact label matchers, the subset of a real TSDB's selector language
-//! the fleet aggregation in ROADMAP item 1 needs
-//! (`mba.ch*.bytes{host="tellico-0017"}`).
+//! equal. A key carries its hash, computed once when it is built or
+//! gains a label, so the ingest head map hashes a word per lookup
+//! instead of the key's strings. Queries select series
+//! with a metric *glob* (`*` matches any run of characters, the only
+//! metacharacter) and a conjunction of exact label matchers, the subset
+//! of a real TSDB's selector language the fleet aggregation in ROADMAP
+//! item 1 needs (`mba.ch*.bytes{host="tellico-0017"}`).
+
+use std::cmp::Ordering;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher, RandomState};
+use std::sync::OnceLock;
 
 /// The identity of one series: metric name plus sorted labels.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+///
+/// Equality and ordering are lexicographic over (metric, labels);
+/// [`Hash`] writes only the cached word, which the std keyed hasher
+/// computed over the same pair, so a key is as hard to collide on
+/// purpose as a `String` in a `HashMap`.
+#[derive(Clone)]
 pub struct SeriesKey {
     metric: String,
     labels: Vec<(String, String)>,
+    hash: u64,
+}
+
+/// The process-wide keyed hasher every [`SeriesKey`] hash comes from.
+fn key_hasher() -> &'static RandomState {
+    static KEYS: OnceLock<RandomState> = OnceLock::new();
+    KEYS.get_or_init(RandomState::new)
 }
 
 impl SeriesKey {
     /// A key with no labels.
     pub fn new(metric: impl Into<String>) -> Self {
-        SeriesKey {
-            metric: metric.into(),
-            labels: Vec::new(),
+        SeriesKey::from_parts(metric.into(), Vec::new())
+    }
+
+    /// A key from a metric name and labels in any order, taking both by
+    /// value: when a label key repeats, the later value wins, as if
+    /// each pair had been added with [`SeriesKey::with_label`].
+    pub fn from_parts(metric: String, mut labels: Vec<(String, String)>) -> Self {
+        if !labels.is_sorted_by(|a, b| a.0 < b.0) {
+            // Reversed, a stable sort puts the last of equal keys first
+            // and `dedup_by` keeps the first.
+            labels.reverse();
+            labels.sort_by(|a, b| a.0.cmp(&b.0));
+            labels.dedup_by(|later, kept| later.0 == kept.0);
         }
+        let mut key = SeriesKey {
+            metric,
+            labels,
+            hash: 0,
+        };
+        key.rehash();
+        key
     }
 
     /// Add (or replace) one label, keeping the set sorted by key.
@@ -33,7 +68,15 @@ impl SeriesKey {
             Ok(i) => self.labels[i].1 = value,
             Err(i) => self.labels.insert(i, (key, value)),
         }
+        self.rehash();
         self
+    }
+
+    fn rehash(&mut self) {
+        let mut h = key_hasher().build_hasher();
+        self.metric.hash(&mut h);
+        self.labels.hash(&mut h);
+        self.hash = h.finish();
     }
 
     /// The metric name.
@@ -54,6 +97,66 @@ impl SeriesKey {
             .map(|i| self.labels[i].1.as_str())
     }
 }
+
+impl PartialEq for SeriesKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash && self.metric == other.metric && self.labels == other.labels
+    }
+}
+
+impl Eq for SeriesKey {}
+
+impl Ord for SeriesKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (&self.metric, &self.labels).cmp(&(&other.metric, &other.labels))
+    }
+}
+
+impl PartialOrd for SeriesKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for SeriesKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl std::fmt::Debug for SeriesKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SeriesKey")
+            .field("metric", &self.metric)
+            .field("labels", &self.labels)
+            .finish()
+    }
+}
+
+/// A [`Hasher`] that passes a [`SeriesKey`]'s cached hash through.
+/// Anything else written to it is folded in FNV-1a style, so it stays a
+/// working hasher (and has no panic path) whatever it is given.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = word;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// Build [`KeyHasher`]s: the hasher of maps keyed by [`SeriesKey`].
+pub(crate) type KeyHashBuilder = BuildHasherDefault<KeyHasher>;
 
 impl std::fmt::Display for SeriesKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -154,6 +257,30 @@ mod tests {
         assert_eq!(c.label("a"), Some("2"));
         assert_eq!(c.label("missing"), None);
         assert_eq!(format!("{c}"), "m{a=\"2\",z=\"9\"}");
+    }
+
+    #[test]
+    fn from_parts_sorts_and_the_later_duplicate_wins() {
+        let labels = |pairs: &[(&str, &str)]| {
+            pairs
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect::<Vec<_>>()
+        };
+        let key = SeriesKey::from_parts(
+            "m".into(),
+            labels(&[("z", "1"), ("a", "2"), ("z", "3"), ("m", "4")]),
+        );
+        let built = SeriesKey::new("m")
+            .with_label("z", "1")
+            .with_label("a", "2")
+            .with_label("z", "3")
+            .with_label("m", "4");
+        assert_eq!(key, built);
+        assert_eq!(key.labels(), labels(&[("a", "2"), ("m", "4"), ("z", "3")]));
+        let hash = |k: &SeriesKey| std::hash::BuildHasher::hash_one(&KeyHashBuilder::default(), k);
+        assert_eq!(hash(&key), hash(&built));
+        assert_ne!(hash(&key), hash(&SeriesKey::new("m")));
     }
 
     #[test]

@@ -63,6 +63,14 @@ pub enum StoreError {
         /// The rejected timestamp.
         t_ns: u64,
     },
+    /// A sample's timestamp lies further past the series' newest than
+    /// a chunk's signed timestamp delta can hold (`i64::MAX` ns).
+    TimestampGap {
+        /// Newest timestamp already ingested for the series.
+        last_t_ns: u64,
+        /// The rejected timestamp.
+        t_ns: u64,
+    },
     /// Tried to encode a chunk with no samples.
     EmptyChunk,
     /// An encoded payload failed validation.
@@ -79,6 +87,10 @@ impl std::fmt::Display for StoreError {
             StoreError::OutOfOrder { last_t_ns, t_ns } => write!(
                 f,
                 "sample timestamp {t_ns} does not advance past {last_t_ns}"
+            ),
+            StoreError::TimestampGap { last_t_ns, t_ns } => write!(
+                f,
+                "sample timestamp {t_ns} is more than i64::MAX ns past {last_t_ns}"
             ),
             StoreError::EmptyChunk => write!(f, "cannot encode an empty chunk"),
             StoreError::Corrupt(why) => write!(f, "corrupt payload: {why}"),

@@ -13,7 +13,7 @@
 //! lets compaction delete superseded segments while concurrent queries
 //! are still reading them.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
 use obs::sync::{Mutex, Rank};
@@ -47,12 +47,10 @@ impl MemFs {
     /// silently overwritten.
     pub fn create(&self, name: &str, bytes: Vec<u8>) -> Result<Arc<[u8]>, StoreError> {
         let mut files = self.files.lock();
-        if files.contains_key(name) {
-            return Err(StoreError::FileExists(name.to_owned()));
+        match files.entry(name.to_owned()) {
+            Entry::Occupied(_) => Err(StoreError::FileExists(name.to_owned())),
+            Entry::Vacant(slot) => Ok(Arc::clone(slot.insert(bytes.into()))),
         }
-        let data: Arc<[u8]> = bytes.into();
-        files.insert(name.to_owned(), Arc::clone(&data));
-        Ok(data)
     }
 
     /// Open `name` for reading. The handle stays valid across a later

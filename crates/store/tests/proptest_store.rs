@@ -4,6 +4,9 @@
 //! an f64-based codec would silently round) and counter resets landing
 //! mid-chunk.
 
+use std::cmp::Ordering;
+use std::hash::{BuildHasher, RandomState};
+
 use proptest::prelude::*;
 
 use obs::metrics::ExportSemantics;
@@ -201,6 +204,61 @@ proptest! {
         let again = store.ingest(&key, ExportSemantics::Instant, last.t_ns, 7);
         let rejected = matches!(again, Err(StoreError::OutOfOrder { .. }));
         prop_assert!(rejected, "ingest accepted a non-advancing timestamp");
+    }
+
+    /// A key is its (metric, label set), whatever order the labels came
+    /// in: keys built from the same parts in any order are `==`, hash
+    /// alike and compare `Equal`, and two keys compare `Equal` exactly
+    /// when their parts are equal — ordered as the parts are.
+    #[test]
+    fn key_identity_ignores_label_order(
+        metric in 0usize..3,
+        labels in prop::collection::vec((0usize..3, 0usize..3, any::<u64>()), 0..5),
+        other_metric in 0usize..3,
+        other_labels in prop::collection::vec((0usize..3, 0usize..3, any::<u64>()), 0..5),
+    ) {
+        // Small alphabets, so equal keys are common; one value per
+        // label key; the third element is a shuffle rank.
+        let parts = |metric: usize, labels: &[(usize, usize, u64)]| {
+            let mut set: Vec<(String, String)> = Vec::new();
+            for &(k, v, _) in labels {
+                let k = ["a", "b", "host"][k].to_string();
+                if !set.iter().any(|(have, _)| *have == k) {
+                    set.push((k, ["", "x", "xy"][v].to_string()));
+                }
+            }
+            let mut shuffled = set.clone();
+            let rank = |k: &str| labels.iter().find(|l| ["a", "b", "host"][l.0] == k).map(|l| l.2);
+            shuffled.sort_by_key(|(k, _)| rank(k));
+            set.sort();
+            (["m", "m.a", "z"][metric].to_string(), set, shuffled)
+        };
+        let build = |metric: &str, labels: &[(String, String)]| {
+            labels
+                .iter()
+                .fold(SeriesKey::new(metric), |k, (l, v)| k.with_label(l.as_str(), v.as_str()))
+        };
+        let hasher = RandomState::new();
+        let (metric, sorted, shuffled) = parts(metric, &labels);
+        let a = build(&metric, &sorted);
+        let b = build(&metric, &shuffled);
+        let c = SeriesKey::from_parts(metric.clone(), shuffled.clone());
+        for k in [&b, &c] {
+            prop_assert_eq!(&a, k);
+            prop_assert_eq!(hasher.hash_one(&a), hasher.hash_one(k));
+            prop_assert_eq!(a.cmp(k), Ordering::Equal);
+            prop_assert_eq!(k.labels(), &sorted[..]);
+        }
+
+        let (other_metric, other_sorted, other_shuffled) = parts(other_metric, &other_labels);
+        let other = build(&other_metric, &other_shuffled);
+        let mine = (metric.as_str(), &sorted[..]);
+        let theirs = (other_metric.as_str(), &other_sorted[..]);
+        prop_assert_eq!(a.cmp(&other), mine.cmp(&theirs));
+        prop_assert_eq!(a == other, mine == theirs);
+        if a == other {
+            prop_assert_eq!(hasher.hash_one(&a), hasher.hash_one(&other));
+        }
     }
 }
 

@@ -5,7 +5,7 @@
 
 use obs::metrics::{ExportSemantics, Registry};
 use obs::{Monitor, Predicate, Rule, Snapshot};
-use store::{Selector, SeriesKey, Store, StoreConfig};
+use store::{Selector, SeriesKey, Store, StoreConfig, StoreError};
 
 /// Registry snapshots ingested under a prefix+labels come back out of a
 /// selector query with the snapshot's exact timestamps — the unified
@@ -133,4 +133,145 @@ fn retention_bounds_a_long_run_without_corrupting_history() {
         assert_eq!(s.value, (s.t_ns / 1_000) * 3);
     }
     assert_eq!(samples[samples.len() - 1].t_ns, 2_000_000);
+}
+
+/// FNV-1a over every live segment file, name and bytes, in file-name
+/// order: a change anywhere in the segment format, the entry order, the
+/// chunk boundaries or the file naming moves it.
+fn segment_digest(store: &Store) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    let mut names = store.fs().list();
+    names.sort();
+    for name in names {
+        eat(name.as_bytes());
+        eat(&store.fs().read(&name).expect("listed file reads"));
+    }
+    h
+}
+
+/// The write path's output is pinned byte for byte: a seeded store of
+/// labelled series — each key built with its labels in a different
+/// order, series born mid-run, irregular cadences, chunks dropped by
+/// retention and merged by compaction — must write exactly the segment
+/// files it wrote when these digests were recorded.
+#[test]
+fn segment_files_are_byte_identical_to_the_recorded_digests() {
+    let store = Store::new(StoreConfig {
+        chunk_samples: 16,
+        segment_bytes: 1024,
+        retention_ns: Some(3_000_000),
+    });
+    let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        rng
+    };
+    let labels = [("host", "h"), ("chan", "c"), ("socket", "s")];
+    let keys: Vec<SeriesKey> = (0..24usize)
+        .map(|i| {
+            let mut key = SeriesKey::new(format!("mba.m{}.bytes", i % 5));
+            // Rotate the label insertion order per series.
+            for j in 0..labels.len() {
+                let (k, prefix) = labels[(i + j) % labels.len()];
+                key = key.with_label(k, format!("{prefix}{}", (i * (j + 3)) % 7));
+            }
+            key
+        })
+        .collect();
+    let mut last_t = vec![0u64; keys.len()];
+    let mut values = vec![0u64; keys.len()];
+    for tick in 0..600u64 {
+        for (s, key) in keys.iter().enumerate() {
+            // Series s is born at tick 10·s and skips a seeded tick in
+            // eight.
+            if tick < 10 * s as u64 || next() % 8 == 0 {
+                continue;
+            }
+            last_t[s] = (tick + 1) * 10_000 + next() % 5_000;
+            values[s] += next() % 100_000;
+            let semantics = if s % 3 == 0 {
+                ExportSemantics::Instant
+            } else {
+                ExportSemantics::Counter
+            };
+            store
+                .ingest(key, semantics, last_t[s], values[s])
+                .expect("ingest");
+        }
+    }
+    store.flush().expect("flush");
+    let flushed = segment_digest(&store);
+    let stats = store.compact(6_010_000).expect("compact");
+    let compacted = segment_digest(&store);
+    assert!(
+        stats.chunks_dropped > 0 && stats.chunks_rewritten > 0,
+        "{stats:?}"
+    );
+    assert_eq!(
+        (
+            flushed,
+            compacted,
+            stats.segments_before,
+            stats.segments_after
+        ),
+        (0x6ec6_c8bd_7b38_e2e2, 0xc573_c499_8699_f5b3, 52, 30),
+        "segment digests after flush and after compaction"
+    );
+}
+
+/// One sample whose gap past its series' newest exceeds what a chunk's
+/// signed delta can hold is rejected at the door, naming both
+/// timestamps — it must not be stored, and it must not wedge the flush
+/// of every other series behind an encode error.
+#[test]
+fn a_timestamp_gap_over_i64_is_rejected_without_wedging_the_store() {
+    let store = Store::new(StoreConfig {
+        chunk_samples: 4,
+        segment_bytes: 1 << 20,
+        retention_ns: None,
+    });
+    let (a, b) = (SeriesKey::new("a.x"), SeriesKey::new("b.x"));
+    store
+        .ingest(&a, ExportSemantics::Counter, 1, 0)
+        .expect("first a.x");
+    for k in 1..=6u64 {
+        let t_ns = (1u64 << 63) + 10 * k;
+        let got = store.ingest(&a, ExportSemantics::Counter, t_ns, k);
+        assert_eq!(
+            got,
+            Err(StoreError::TimestampGap { last_t_ns: 1, t_ns }),
+            "a.x at {t_ns}"
+        );
+    }
+    for t in 1..=10u64 {
+        store
+            .ingest(&b, ExportSemantics::Counter, t, t * 5)
+            .expect("b.x");
+    }
+    assert_eq!(
+        store.sample_count(),
+        1 + 10,
+        "rejected samples are not stored"
+    );
+    store.flush().expect("flush is not wedged by a.x");
+    let segments = store.segments();
+    assert!(
+        segments
+            .iter()
+            .any(|seg| seg.entries().iter().any(|e| e.key == b)),
+        "b.x reached a segment"
+    );
+    let got = store
+        .query(&Selector::metric("b.x"), 0, u64::MAX)
+        .expect("query");
+    assert_eq!(got.len(), 1);
+    assert_eq!(got[0].samples.len(), 10);
 }
