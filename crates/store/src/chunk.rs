@@ -21,6 +21,17 @@
 //! is strictly increasing in time *by construction*, which is what lets
 //! the delta-of-delta stay a signed 64-bit quantity and every reader
 //! skip chunks by `[min_t, max_t]` alone.
+//!
+//! A chunk is a *view*: a shared `Arc<[u8]>`, the byte range of the
+//! encoding inside it, and the `[min_t, max_t]`/count header. A freshly
+//! sealed or merged chunk owns an exact-size buffer of its own; once its
+//! segment is written the engine re-points it at the segment file's
+//! bytes, and a decoded segment's chunks are views into the file from
+//! the start, so every sealed byte is held once — in its file. The
+//! range is checked where a view is made, never where it is read.
+
+use std::ops::Range;
+use std::sync::Arc;
 
 use crate::StoreError;
 use obs::series::Sample;
@@ -83,19 +94,45 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 
-/// An immutable compressed run of samples from one series.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// An immutable compressed run of samples from one series: a view of
+/// its encoding inside a shared buffer (its own, or its segment file).
+#[derive(Clone)]
 pub struct Chunk {
-    bytes: Vec<u8>,
+    buf: Arc<[u8]>,
+    /// Where the encoding lies in `buf`; inside it by construction.
+    range: Range<usize>,
     min_t: u64,
     max_t: u64,
     count: u32,
 }
 
+/// Two chunks are equal when they encode the same samples, whichever
+/// buffers they view.
+impl PartialEq for Chunk {
+    fn eq(&self, other: &Self) -> bool {
+        (self.min_t, self.max_t, self.count) == (other.min_t, other.max_t, other.count)
+            && self.bytes() == other.bytes()
+    }
+}
+
+impl Eq for Chunk {}
+
+impl std::fmt::Debug for Chunk {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Chunk")
+            .field("bytes", &self.bytes())
+            .field("min_t", &self.min_t)
+            .field("max_t", &self.max_t)
+            .field("count", &self.count)
+            .finish()
+    }
+}
+
 impl Chunk {
     /// The encoded bytes.
     pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+        // Every constructor checked `range` against `buf`.
+        self.buf.get(self.range.clone()).unwrap_or_default()
     }
 
     /// Timestamp of the first sample.
@@ -118,12 +155,23 @@ impl Chunk {
         self.min_t <= to && self.max_t >= from
     }
 
-    /// Reconstruct a chunk from its encoded bytes (segment decode path).
-    /// The header is re-derived by a full decode so a corrupt payload
-    /// surfaces as a typed error here rather than at query time.
+    /// Reconstruct a chunk from its encoded bytes. The header is
+    /// re-derived by a full decode so a corrupt payload surfaces as a
+    /// typed error here rather than at query time.
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, StoreError> {
+        let buf: Arc<[u8]> = bytes.into();
+        Chunk::view(&buf, 0..buf.len())
+    }
+
+    /// The chunk encoded at `range` of `buf` (segment decode path),
+    /// sharing `buf` instead of copying out of it; validated and its
+    /// header derived exactly as in [`Chunk::from_bytes`].
+    pub(crate) fn view(buf: &Arc<[u8]>, range: Range<usize>) -> Result<Self, StoreError> {
+        let bytes = buf
+            .get(range.clone())
+            .ok_or(StoreError::Corrupt("chunk runs past end of segment"))?;
         let (mut min_t, mut max_t, mut count) = (0u64, 0u64, 0u64);
-        walk(&bytes, |s| {
+        walk(bytes, |s| {
             if count == 0 {
                 min_t = s.t_ns;
             }
@@ -134,17 +182,37 @@ impl Chunk {
         let count = u32::try_from(count)
             .map_err(|_| StoreError::Corrupt("chunk sample count overflows u32"))?;
         Ok(Chunk {
-            bytes,
+            buf: Arc::clone(buf),
+            range,
             min_t,
             max_t,
             count,
         })
     }
 
+    /// This chunk as a view of `range` of `buf`, which must hold these
+    /// very bytes there (the segment file it was just written into).
+    /// The header carries over; the buffer it viewed before is released
+    /// once nothing else holds it.
+    pub(crate) fn moved_to(
+        &self,
+        buf: &Arc<[u8]>,
+        range: Range<usize>,
+    ) -> Result<Self, StoreError> {
+        if buf.get(range.clone()) != Some(self.bytes()) {
+            return Err(StoreError::Corrupt("chunk is not where its segment put it"));
+        }
+        Ok(Chunk {
+            buf: Arc::clone(buf),
+            range,
+            ..*self
+        })
+    }
+
     /// Decode every sample, oldest first.
     pub fn samples(&self) -> Result<Vec<Sample>, StoreError> {
         let mut out = Vec::with_capacity(self.count as usize);
-        walk(&self.bytes, |s| {
+        walk(self.bytes(), |s| {
             out.push(s);
             true
         })?;
@@ -158,7 +226,7 @@ impl Chunk {
         mut visit: impl FnMut(Sample) -> Result<(), StoreError>,
     ) -> Result<(), StoreError> {
         let mut failed = Ok(());
-        walk(&self.bytes, |s| {
+        walk(self.bytes(), |s| {
             failed = visit(s);
             failed.is_ok()
         })?;
@@ -169,7 +237,7 @@ impl Chunk {
     /// `out`, oldest first. Decoding stops once a sample reaches `to`,
     /// so a window ending mid-chunk does not pay for the rest.
     pub fn samples_in(&self, from: u64, to: u64, out: &mut Vec<Sample>) -> Result<(), StoreError> {
-        walk(&self.bytes, |s| {
+        walk(self.bytes(), |s| {
             if s.t_ns >= from && s.t_ns <= to {
                 out.push(s);
             }
@@ -222,15 +290,23 @@ fn walk(bytes: &[u8], mut visit: impl FnMut(Sample) -> bool) -> Result<(), Store
 
 /// Encode `samples` (strictly increasing in time) into one chunk.
 pub fn encode(samples: &[Sample]) -> Result<Chunk, StoreError> {
+    encode_with(samples, &mut Vec::new())
+}
+
+/// [`encode`] through `bytes`, a scratch buffer the caller reuses
+/// across seals: the encoding grows there, and the chunk owns one
+/// exact-size copy of it.
+pub(crate) fn encode_with(samples: &[Sample], bytes: &mut Vec<u8>) -> Result<Chunk, StoreError> {
     let (Some(first), Some(last)) = (samples.first(), samples.last()) else {
         return Err(StoreError::EmptyChunk);
     };
     let count =
         u32::try_from(samples.len()).map_err(|_| StoreError::Corrupt("too many samples"))?;
-    let mut bytes = Vec::with_capacity(4 + samples.len() * 3);
-    put_varint(&mut bytes, u64::from(count));
-    put_varint(&mut bytes, first.t_ns);
-    put_varint(&mut bytes, first.value);
+    bytes.clear();
+    bytes.reserve(4 + samples.len() * 3);
+    put_varint(bytes, u64::from(count));
+    put_varint(bytes, first.t_ns);
+    put_varint(bytes, first.value);
     let mut prev = *first;
     let mut prev_dt = 0i64;
     for s in &samples[1..] {
@@ -244,13 +320,15 @@ pub fn encode(samples: &[Sample]) -> Result<Chunk, StoreError> {
             last_t_ns: prev.t_ns,
             t_ns: s.t_ns,
         })?;
-        put_varint(&mut bytes, zigzag(dt.wrapping_sub(prev_dt)));
-        put_varint(&mut bytes, s.value ^ prev.value);
+        put_varint(bytes, zigzag(dt.wrapping_sub(prev_dt)));
+        put_varint(bytes, s.value ^ prev.value);
         prev_dt = dt;
         prev = *s;
     }
+    let buf: Arc<[u8]> = Arc::from(&bytes[..]);
     Ok(Chunk {
-        bytes,
+        range: 0..buf.len(),
+        buf,
         min_t: first.t_ns,
         max_t: last.t_ns,
         count,
@@ -355,6 +433,27 @@ mod tests {
         assert!(Chunk::from_bytes(long).is_err());
         // Zero-count payload.
         assert!(Chunk::from_bytes(vec![0]).is_err());
+    }
+
+    #[test]
+    fn views_share_their_buffer_and_check_their_range() {
+        let chunk = encode(&[s(1, 2), s(3, 4), s(9, 5)]).unwrap();
+        let mut file = vec![0xee; 3];
+        file.extend_from_slice(chunk.bytes());
+        file.push(0xee);
+        let file: Arc<[u8]> = file.into();
+        let at = 3..3 + chunk.bytes().len();
+        let viewed = Chunk::view(&file, at.clone()).unwrap();
+        let moved = chunk.moved_to(&file, at.clone()).unwrap();
+        assert_eq!((&viewed, &moved), (&chunk, &chunk));
+        for c in [&viewed, &moved] {
+            assert_eq!(c.bytes().as_ptr_range(), file[at.clone()].as_ptr_range());
+        }
+        // A range past the buffer, or one holding other bytes, is a
+        // typed error.
+        assert!(Chunk::view(&file, 3..file.len() + 1).is_err());
+        assert!(chunk.moved_to(&file, 2..2 + chunk.bytes().len()).is_err());
+        assert!(chunk.moved_to(&file, 4..file.len() + 1).is_err());
     }
 
     #[test]

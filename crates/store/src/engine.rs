@@ -5,18 +5,23 @@
 //! sample buffer) in a hash map keyed by the series' cached hash, so a
 //! sample costs one lookup of one word, and a new series one insert.
 //! When a head reaches `chunk_samples` it is sealed into an immutable
-//! compressed [`Chunk`](crate::chunk::Chunk) and staged by series; when
-//! the staged bytes reach `segment_bytes` the series with staged chunks
-//! are sorted by key and drained — series order, and time order within
-//! a series — encoded into one segment file on the in-memory FS, and
-//! the segment list is republished. Out-of-order and zero-dt samples
-//! are rejected at the door (`store.ingest.out_of_order`), and so is a
+//! compressed [`Chunk`](crate::chunk::Chunk) — encoded into one scratch
+//! buffer reused across seals, then copied once into a buffer of
+//! exactly its size — and staged by series; when the staged bytes reach
+//! `segment_bytes` the series with staged chunks are sorted by key and
+//! drained — series order, and time order within a series — encoded
+//! into one segment file on the in-memory FS, every chunk re-pointed at
+//! its bytes in that file (its staged buffer freed), and the segment
+//! appended to the published list — in place, unless a reader holds
+//! the list. Out-of-order and zero-dt samples are rejected at the door
+//! (`store.ingest.out_of_order`), and so is a
 //! sample more than `i64::MAX` ns past its series' newest
 //! (`store.ingest.gap_rejected`), so every structure downstream is
 //! strictly time-ordered and encodable by construction.
 //!
-//! Read path: queries copy the matching head tails (one short lock)
-//! and clone the current `Arc` segment list (another short lock), then
+//! Read path: queries copy the matching head tails (one short lock; a
+//! staged chunk is a shared view, so its copy is a refcount bump) and
+//! clone the current `Arc` segment list (another short lock), then
 //! decompress outside any lock — only the chunks of matching series
 //! that overlap the window, in segments whose time bounds overlap it
 //! (`store.query.segments_skipped`, `store.query.chunks_decoded`), so a
@@ -27,6 +32,12 @@
 //! one lock acquisition — readers holding the old list keep reading
 //! the old immutable segments, whose bytes outlive their files (see
 //! [`MemFs`](crate::memfs::MemFs)).
+//!
+//! So every sealed byte lives once: in its segment file, which the
+//! chunks of a compacted or freshly written segment view exactly as a
+//! decoded one's do (see [`segment`](crate::segment)); what the store
+//! holds beside the files is its heads, its staged chunks and one
+//! `Entry` per chunk.
 //!
 //! Retention is chunk-granular: a chunk is dropped only when its whole
 //! `[min_t, max_t]` range is older than the cutoff, so a retention pass
@@ -92,32 +103,48 @@ struct Head {
     slot: usize,
 }
 
-/// Seal `head`'s sample buffer into a chunk staged for the next segment
-/// flush; returns the chunk's size in bytes.
-fn seal(head: &mut Head, staged: &mut [Vec<Chunk>]) -> Result<usize, StoreError> {
-    let chunk = chunk::encode(&head.samples)?;
-    head.samples.clear();
-    obs::counter!("store.chunk.sealed").inc();
-    let bytes = chunk.bytes().len();
-    staged
-        .get_mut(head.slot)
-        .ok_or(StoreError::Corrupt("head has no staging slot"))?
-        .push(chunk);
-    Ok(bytes)
+/// Sealed chunks waiting for the next segment flush.
+#[derive(Debug, Default)]
+struct Staging {
+    /// One list per series (indexed by [`Head::slot`]), oldest first:
+    /// grouped as they are sealed, so a flush writes each series
+    /// contiguously by sorting series only.
+    chunks: Vec<Vec<Chunk>>,
+    /// Bytes of all staged chunks together.
+    bytes: usize,
+    /// The buffer every seal encodes into; a sealed chunk owns an
+    /// exact-size copy, freed when its segment file is written.
+    scratch: Vec<u8>,
+    /// Chunks sealed since the store was created.
+    sealed: u64,
+}
+
+impl Staging {
+    /// Seal `head`'s sample buffer into a chunk staged for the next
+    /// segment flush.
+    fn seal(&mut self, head: &mut Head) -> Result<(), StoreError> {
+        let chunk = chunk::encode_with(&head.samples, &mut self.scratch)?;
+        head.samples.clear();
+        obs::counter!("store.chunk.sealed").inc();
+        self.sealed += 1;
+        self.bytes += chunk.bytes().len();
+        self.chunks
+            .get_mut(head.slot)
+            .ok_or(StoreError::Corrupt("head has no staging slot"))?
+            .push(chunk);
+        Ok(())
+    }
 }
 
 /// Everything the write path mutates, under one lock.
 #[derive(Debug, Default)]
 struct Ingest {
     heads: HashMap<SeriesKey, Head, KeyHashBuilder>,
-    /// Sealed chunks not yet in a segment, one list per series (indexed
-    /// by [`Head::slot`]), oldest first: grouped as they are sealed, so
-    /// a flush writes each series contiguously by sorting series only.
-    staged: Vec<Vec<Chunk>>,
-    /// Bytes of all staged chunks together.
-    staging_bytes: usize,
+    staging: Staging,
     next_seq: u64,
     out_of_order: u64,
+    /// Segment files written by flushes since the store was created.
+    segments_flushed: u64,
 }
 
 /// What one [`Store::compact`] pass did.
@@ -144,6 +171,8 @@ struct Rewrite<'a> {
     /// Merged chunks not yet written, in (series, time) order.
     pending: Vec<Entry>,
     pending_bytes: usize,
+    /// The buffer every merged chunk encodes into.
+    scratch: Vec<u8>,
     segments: Vec<Arc<Segment>>,
     chunks_rewritten: u64,
 }
@@ -157,7 +186,7 @@ impl Rewrite<'_> {
         semantics: ExportSemantics,
         samples: &[Sample],
     ) -> Result<(), StoreError> {
-        let chunk = chunk::encode(samples)?;
+        let chunk = chunk::encode_with(samples, &mut self.scratch)?;
         self.chunks_rewritten += 1;
         self.pending_bytes += chunk.bytes().len();
         self.pending.push(Entry {
@@ -180,11 +209,8 @@ impl Rewrite<'_> {
         self.pending_bytes = 0;
         let name = format!("seg-{:08}c.pseg", self.next_seq);
         self.next_seq += 1;
-        let bytes = segment::encode(&entries);
-        let len = bytes.len();
-        self.fs.create(&name, bytes)?;
-        self.segments
-            .push(Arc::new(Segment::new(name, len, entries)));
+        let seg = segment::write(self.fs, name, entries)?;
+        self.segments.push(Arc::new(seg));
         Ok(())
     }
 }
@@ -196,9 +222,10 @@ pub struct StoreStats {
     pub samples: u64,
     /// Samples rejected for non-advancing timestamps.
     pub out_of_order: u64,
-    /// Chunks sealed.
+    /// Chunks sealed by ingest (compaction's merged chunks not counted).
     pub chunks_sealed: u64,
-    /// Segment files written.
+    /// Segment files written by flushes (compaction's rewrites not
+    /// counted).
     pub segments_flushed: u64,
     /// Live compressed bytes on the in-memory FS.
     pub compressed_bytes: u64,
@@ -276,8 +303,8 @@ impl Store {
         let head = match ingest.heads.get_mut(key) {
             Some(head) => head,
             None => {
-                let slot = ingest.staged.len();
-                ingest.staged.push(Vec::new());
+                let slot = ingest.staging.chunks.len();
+                ingest.staging.chunks.push(Vec::new());
                 ingest.heads.entry(key.clone()).or_insert(Head {
                     semantics,
                     samples: Vec::new(),
@@ -307,8 +334,8 @@ impl Store {
         head.samples.push(Sample { t_ns, value });
         obs::counter!("store.ingest.samples").inc();
         if head.samples.len() >= self.cfg.chunk_samples {
-            ingest.staging_bytes += seal(head, &mut ingest.staged)?;
-            if ingest.staging_bytes >= self.cfg.segment_bytes {
+            ingest.staging.seal(head)?;
+            if ingest.staging.bytes >= self.cfg.segment_bytes {
                 self.flush_staging(ingest)?;
             }
         }
@@ -352,7 +379,7 @@ impl Store {
         let ingest = &mut *ingest;
         for head in ingest.heads.values_mut() {
             if !head.samples.is_empty() {
-                ingest.staging_bytes += seal(head, &mut ingest.staged)?;
+                ingest.staging.seal(head)?;
             }
         }
         self.flush_staging(ingest)
@@ -361,9 +388,11 @@ impl Store {
     /// Write the staged chunks as one segment file and publish it.
     /// Draining the staged lists series by series in key order is what
     /// orders the entries by (series, time): only the series with
-    /// staged chunks are sorted, never a chunk.
+    /// staged chunks are sorted, never a chunk. The published list is
+    /// appended to in place, copied only while a reader holds it.
     fn flush_staging(&self, ingest: &mut Ingest) -> Result<(), StoreError> {
-        let Ingest { heads, staged, .. } = ingest;
+        let Ingest { heads, staging, .. } = ingest;
+        let staged = &mut staging.chunks;
         let mut series: Vec<(&SeriesKey, &Head)> = heads
             .iter()
             .filter(|(_, head)| staged.get(head.slot).is_some_and(|s| !s.is_empty()))
@@ -380,24 +409,21 @@ impl Store {
                 chunk,
             }));
         }
-        ingest.staging_bytes = 0;
+        staging.bytes = 0;
         if entries.is_empty() {
             return Ok(());
         }
         let name = format!("seg-{:08}.pseg", ingest.next_seq);
         ingest.next_seq += 1;
-        let bytes = segment::encode(&entries);
-        let len = bytes.len();
-        self.fs.create(&name, bytes)?;
-        let seg = Arc::new(Segment::new(name, len, entries));
+        let seg = Arc::new(segment::write(&self.fs, name, entries)?);
         let mut sealed = self.sealed.lock();
-        let mut list = Vec::with_capacity(sealed.len() + 1);
-        list.extend(sealed.iter().cloned());
+        let list = Arc::make_mut(&mut sealed);
         list.push(seg);
-        *sealed = Arc::new(list);
+        let live = list.len();
         drop(sealed);
+        ingest.segments_flushed += 1;
         obs::counter!("store.segment.flushed").inc();
-        obs::gauge!("store.segment.live").set(self.segments().len() as u64);
+        obs::gauge!("store.segment.live").set(live as u64);
         obs::gauge!("store.bytes.compressed").set(self.fs.live_bytes());
         Ok(())
     }
@@ -408,23 +434,25 @@ impl Store {
         Arc::clone(&sealed)
     }
 
-    /// Cumulative ingest/storage totals.
+    /// Ingest/storage totals: live samples and bytes, and cumulative
+    /// counts that compaction never lowers.
     pub fn stats(&self) -> StoreStats {
         let segments = self.segments();
         let ingest = self.ingest.lock();
         let head_samples: u64 = ingest.heads.values().map(|h| h.samples.len() as u64).sum();
         let sealed_samples: u64 = segments.iter().map(|s| s.samples()).sum();
-        let staged = || ingest.staged.iter().flatten();
-        let staged_samples: u64 = staged().map(|c| u64::from(c.count())).sum();
+        let staged_samples: u64 = ingest
+            .staging
+            .chunks
+            .iter()
+            .flatten()
+            .map(|c| u64::from(c.count()))
+            .sum();
         StoreStats {
             samples: head_samples + sealed_samples + staged_samples,
             out_of_order: ingest.out_of_order,
-            chunks_sealed: segments
-                .iter()
-                .map(|s| s.entries().len() as u64)
-                .sum::<u64>()
-                + staged().count() as u64,
-            segments_flushed: segments.len() as u64,
+            chunks_sealed: ingest.staging.sealed,
+            segments_flushed: ingest.segments_flushed,
             compressed_bytes: self.fs.live_bytes(),
         }
     }
@@ -459,7 +487,7 @@ impl Store {
     ) -> Result<Vec<SeriesData>, StoreError> {
         obs::counter!("store.query.count").inc();
         let started = std::time::Instant::now();
-        // Copy the matching tails (staged chunks are compressed bytes;
+        // Copy the matching tails (a staged chunk clone shares its bytes;
         // heads are small by construction). This must happen BEFORE the
         // segment list is cloned: a concurrent flush moves staged chunks
         // into a new segment, so tail-then-list can only double-see
@@ -474,7 +502,8 @@ impl Store {
                     key: key.clone(),
                     semantics: h.semantics,
                     staged: ingest
-                        .staged
+                        .staging
+                        .chunks
                         .get(h.slot)
                         .into_iter()
                         .flatten()
@@ -606,6 +635,7 @@ impl Store {
             next_seq: self.ingest.lock().next_seq,
             pending: Vec::new(),
             pending_bytes: 0,
+            scratch: Vec::new(),
             segments: Vec::new(),
             chunks_rewritten: 0,
         };
@@ -809,6 +839,82 @@ mod tests {
         check("ingest-flushed");
         store.compact(u64::MAX).unwrap();
         check("compacted");
+    }
+
+    #[test]
+    fn every_chunk_is_a_view_into_its_segment_file() {
+        let store = Store::new(StoreConfig {
+            chunk_samples: 4,
+            segment_bytes: 200,
+            retention_ns: None,
+        });
+        for i in 0..200u64 {
+            for metric in ["z.last", "m.mid", "a.first"] {
+                store
+                    .ingest(&key(metric), ExportSemantics::Counter, (i + 1) * 1_000, i)
+                    .unwrap();
+            }
+        }
+        let inside = |stage: &str, seg: &Segment, file: &[u8]| {
+            let file = file.as_ptr_range();
+            for e in seg.entries() {
+                let chunk = e.chunk.bytes().as_ptr_range();
+                assert!(
+                    file.start <= chunk.start && chunk.end <= file.end,
+                    "{stage}: a chunk of {} lies outside its file",
+                    seg.file
+                );
+            }
+        };
+        store.flush().unwrap();
+        for stage in ["ingest-flushed", "compacted"] {
+            let segments = store.segments();
+            assert!(segments.len() > 3, "{stage}: {} segments", segments.len());
+            for seg in segments.iter() {
+                let file = store.fs().read(&seg.file).unwrap();
+                inside(stage, seg, &file);
+                let decoded = segment::decode(&seg.file, &file).unwrap();
+                inside("decoded", &decoded, &file);
+                assert_eq!(decoded.entries().len(), seg.entries().len());
+                for (d, e) in decoded.entries().iter().zip(seg.entries()) {
+                    assert_eq!(d.chunk, e.chunk, "{stage}: {}", seg.file);
+                }
+            }
+            store.compact(u64::MAX).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_flush_leaves_an_earlier_snapshot_as_it_was() {
+        let store = Store::new(StoreConfig {
+            chunk_samples: 4,
+            segment_bytes: 64,
+            retention_ns: None,
+        });
+        let files = |list: &[Arc<Segment>]| -> Vec<String> {
+            list.iter().map(|seg| seg.file.clone()).collect()
+        };
+        fill(&store, "m.e", 40);
+        store.flush().unwrap();
+        let snapshot = store.segments();
+        let seen = files(&snapshot);
+        let k = key("m.e");
+        for i in 40..80u64 {
+            store
+                .ingest(&k, ExportSemantics::Counter, (i + 1) * 1_000, i * 7)
+                .unwrap();
+        }
+        store.flush().unwrap();
+        assert_eq!(files(&snapshot), seen, "a reader's list changed under it");
+        let now = store.segments();
+        assert!(now.len() > snapshot.len());
+        assert_eq!(files(&now[..seen.len()]), seen);
+        // With no reader holding the list, a flush appends in place.
+        let list = Arc::as_ptr(&now);
+        drop((snapshot, now));
+        fill(&store, "m.f", 9);
+        store.flush().unwrap();
+        assert_eq!(Arc::as_ptr(&store.segments()), list);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //!   timestamps and XOR/varint values, byte-aligned and exact over the
 //!   full `u64` range (values past 2^53 survive bit-for-bit).
 //! * **Segments** ([`segment`]) on an in-memory FS ([`memfs`]):
-//!   write-once files of many chunks; readers hold `Arc` handles that
-//!   outlive file removal, the offline analogue of reading an mmap'd
-//!   segment that compaction already unlinked.
+//!   write-once files of many chunks, each chunk a view into its file's
+//!   bytes, so the store holds every sealed byte once; readers hold
+//!   `Arc` handles that outlive file removal, the offline analogue of
+//!   reading an mmap'd segment that compaction already unlinked.
 //! * **Index** ([`index`]): series are `metric{label=value,…}` keys;
 //!   queries select by metric glob + exact label matchers.
 //! * **Engine** ([`engine`]): per-series ingest heads seal into chunks,

@@ -11,7 +11,10 @@
 //! over an immutable segment: removing a file drops the directory entry
 //! but every open handle keeps its bytes alive, which is exactly what
 //! lets compaction delete superseded segments while concurrent queries
-//! are still reading them.
+//! are still reading them. Every sealed chunk is such a handle: a
+//! segment's chunks are views into the bytes [`MemFs::create`] returned
+//! (or [`MemFs::read`] handed to the decoder), so a file's bytes are
+//! held once, and for as long as any segment list that names it is.
 
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;

@@ -18,6 +18,13 @@
 //! bounds — re-derived from the chunk payloads at open, so a corrupt
 //! file is rejected at the door rather than at query time.
 //!
+//! A segment's chunks are views into its file: [`decode`] makes each
+//! one over the file's `Arc<[u8]>` in the same validating walk, and a
+//! segment the engine writes has its chunks re-pointed from their
+//! staged buffers at the bytes [`MemFs::create`] returned, so the
+//! store holds every sealed byte once. A reader that keeps a segment
+//! keeps its file's bytes alive, removed or not.
+//!
 //! What makes a windowed query cost its window is derived at the same
 //! moment and lives only in memory: the segment's own `[min_t, max_t]`,
 //! so a query dismisses a segment outside its window with two
@@ -35,6 +42,7 @@ use obs::metrics::ExportSemantics;
 
 use crate::chunk::{get_varint, put_varint, Chunk};
 use crate::index::SeriesKey;
+use crate::memfs::MemFs;
 use crate::StoreError;
 
 const MAGIC: &[u8; 4] = b"PSEG";
@@ -58,9 +66,10 @@ impl Entry {
     }
 }
 
-/// A decoded immutable segment. The raw file bytes are kept alive by an
-/// `Arc` handle (see [`crate::memfs::MemFs`]), so a segment outlives the
-/// removal of its file for as long as any reader holds it.
+/// A decoded immutable segment. Its chunks view its file's bytes and
+/// keep them alive through the file's `Arc` handle (see [`MemFs`]), so
+/// a segment outlives the removal of its file for as long as any
+/// reader holds it.
 #[derive(Clone, Debug)]
 pub struct Segment {
     /// File name inside the store's [`crate::memfs::MemFs`].
@@ -73,6 +82,8 @@ pub struct Segment {
     runs: Vec<Range<usize>>,
     min_t: u64,
     max_t: u64,
+    /// Total samples across all entries.
+    samples: u64,
 }
 
 impl Segment {
@@ -94,6 +105,7 @@ impl Segment {
             .collect();
         let min_t = entries.iter().map(|e| e.chunk.min_t()).min();
         let max_t = entries.iter().map(|e| e.chunk.max_t()).max();
+        let samples = entries.iter().map(|e| u64::from(e.chunk.count())).sum();
         Segment {
             file,
             bytes,
@@ -101,6 +113,7 @@ impl Segment {
             runs,
             min_t: min_t.unwrap_or(0),
             max_t: max_t.unwrap_or(0),
+            samples,
         }
     }
 
@@ -117,10 +130,7 @@ impl Segment {
 
     /// Total samples across all entries.
     pub fn samples(&self) -> u64 {
-        self.entries
-            .iter()
-            .map(|e| u64::from(e.chunk.count()))
-            .sum()
+        self.samples
     }
 
     /// Oldest timestamp in the segment (0 when empty).
@@ -177,6 +187,12 @@ fn semantics_from(b: u8) -> Result<ExportSemantics, StoreError> {
 
 /// Encode `entries` into segment file bytes.
 pub fn encode(entries: &[Entry]) -> Vec<u8> {
+    encode_reporting(entries, |_| {})
+}
+
+/// [`encode`], handing `chunk_at` each entry's chunk range inside the
+/// file, in entry order.
+fn encode_reporting(entries: &[Entry], mut chunk_at: impl FnMut(Range<usize>)) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 * entries.len() + 16);
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
@@ -190,9 +206,30 @@ pub fn encode(entries: &[Entry]) -> Vec<u8> {
         }
         out.push(semantics_byte(e.semantics));
         put_varint(&mut out, e.chunk.bytes().len() as u64);
+        let start = out.len();
         out.extend_from_slice(e.chunk.bytes());
+        chunk_at(start..out.len());
     }
     out
+}
+
+/// Write `entries`, already in (series, chunk `min_t`) order, as the
+/// file `name` on `fs`, and return its segment with every chunk
+/// re-pointed at the file's bytes: the buffers the chunks owned until
+/// now are released, so the file is the one copy.
+pub(crate) fn write(
+    fs: &MemFs,
+    name: String,
+    mut entries: Vec<Entry>,
+) -> Result<Segment, StoreError> {
+    let mut ranges = Vec::with_capacity(entries.len());
+    let bytes = encode_reporting(&entries, |range| ranges.push(range));
+    let len = bytes.len();
+    let file = fs.create(&name, bytes)?;
+    for (e, range) in entries.iter_mut().zip(ranges) {
+        e.chunk = e.chunk.moved_to(&file, range)?;
+    }
+    Ok(Segment::new(name, len, entries))
 }
 
 /// Decode a segment file. Every malformation — bad magic, unknown
@@ -233,10 +270,7 @@ pub fn decode(file: &str, bytes: &Arc<[u8]>) -> Result<Segment, StoreError> {
         let end = pos
             .checked_add(clen)
             .ok_or(StoreError::Corrupt("chunk length overflows"))?;
-        if end > bytes.len() {
-            return Err(StoreError::Corrupt("chunk runs past end of segment"));
-        }
-        let chunk = Chunk::from_bytes(bytes[pos..end].to_vec())?;
+        let chunk = Chunk::view(bytes, pos..end)?;
         pos = end;
         entries.push(Entry {
             key,
