@@ -87,14 +87,23 @@ fn io_err(path: &Path, e: impl std::fmt::Display) -> RunnerError {
     }
 }
 
-/// A misspelt `--onyl fig2` must not silently run the whole catalog.
-fn reject_unknown_keys(args: &Args) -> Result<(), RunnerError> {
-    match args.keys().find(|k| !KNOWN_KEYS.contains(k)) {
-        None => Ok(()),
-        Some(key) => Err(RunnerError::Usage {
+/// A misspelt `--onyl fig2` must not silently run the whole catalog, and
+/// neither must `repro fig2` (no `--only`) or the `table2` of `--only
+/// table1 table2`: `repro` takes no positional arguments.
+fn reject_bad_usage(args: &Args) -> Result<(), RunnerError> {
+    if let Some(key) = args.keys().find(|k| !KNOWN_KEYS.contains(k)) {
+        return Err(RunnerError::Usage {
             message: format!(
                 "unknown option '--{key}' (known: --{})",
                 KNOWN_KEYS.join(", --")
+            ),
+        });
+    }
+    match args.positional().first() {
+        None => Ok(()),
+        Some(token) => Err(RunnerError::Usage {
+            message: format!(
+                "unexpected argument '{token}' (experiments are chosen with --only tag1,tag2)"
             ),
         }),
     }
@@ -102,7 +111,7 @@ fn reject_unknown_keys(args: &Args) -> Result<(), RunnerError> {
 
 fn run() -> Result<(), RunnerError> {
     let args = Args::parse();
-    reject_unknown_keys(&args)?;
+    reject_bad_usage(&args)?;
     let mode = Mode::from_args(&args);
     let workers = args.get_usize("workers", default_workers());
 
@@ -228,11 +237,11 @@ mod tests {
     use super::*;
 
     fn check(argv: &[&str]) -> Result<(), RunnerError> {
-        reject_unknown_keys(&Args::from_argv(argv.iter().map(|a| (*a).to_owned())))
+        reject_bad_usage(&Args::from_argv(argv.iter().map(|a| (*a).to_owned())))
     }
 
     #[test]
-    fn unknown_and_removed_keys_are_usage_errors() {
+    fn unknown_keys_and_positional_arguments_are_usage_errors() {
         // The baseline gate `repro` used to carry, spelt in two halves so
         // a grep for the old flag finds only history.
         let removed = concat!("--check", "-baseline");
@@ -240,6 +249,13 @@ mod tests {
             (&["--onyl", "fig2"][..], "--onyl"),
             (&["--quick", removed, "FILE"], removed),
             (&["--only", "fig2", "--verbose"], "--verbose"),
+            // `--only` forgotten, or a tag list written with spaces
+            // instead of commas: the stray tag is named, not dropped.
+            (&["fig2"], "'fig2'"),
+            (
+                &["--quick", "--only", "table1", "table2", "--out", "D"],
+                "'table2'",
+            ),
         ] {
             match check(argv) {
                 Err(RunnerError::Usage { message }) => assert!(message.contains(bad), "{message}"),

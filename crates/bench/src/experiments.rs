@@ -13,15 +13,14 @@ use std::sync::Arc;
 
 use fft3d::gpu::GpuFft3dRank;
 use fft3d::resort::{LocalDims, ResortTrace, S1cfCombined, S1cfNest1, S1cfNest2, S2cf};
-use nvml_sim::{GpuDevice, GpuParams};
 use p9_memsim::{ModelPolicy, SimMachine};
-use papi_profiling::{Column, Profiler};
-use papi_sim::components::{IbComponent, NvmlComponent, PcpComponent};
-use pcp_sim::{PcpContext, Pmcd, PmcdConfig, Pmns};
 use qmc_mini::app::{QmcApp, QmcConfig};
+use ranksim::ib::NodeNic;
+use ranksim::nvml::{GpuDevice, GpuParams};
 use ranksim::{ClusterSim, ProcessGrid};
 
 use crate::figures::{self, bandwidth_point, gemm_point, gemv_point, measure_resort, MakeResort};
+use crate::profile::{self, Profiler, Timeline};
 use crate::runner::{Experiment, Point, PointOutput, RunnerError};
 use crate::{fft_sizes_for, gemm_sizes_for, gemv_sizes_for, header_lines, point_seed};
 use crate::{Args, Mode, System};
@@ -537,50 +536,47 @@ fn fig10(mode: Mode, args: &Args) -> Experiment {
 
 // --- Figs. 11–12: multi-component profiles ----------------------------
 
-/// The four columns both application profiles monitor (Table II events).
-fn profile_columns() -> Vec<Column> {
-    vec![
-        Column::gauge("nvml:::Tesla_V100-SXM2-16GB:device_0:power", "gpu_power_mW"),
-        Column::counter(
-            "pcp:::perfevent.hwcounters.nest_mba0_imc.PM_MBA0_READ_BYTES.value:cpu87",
-            "mem_read_Bps",
-        )
-        .scaled(8.0),
-        Column::counter(
-            "pcp:::perfevent.hwcounters.nest_mba0_imc.PM_MBA0_WRITE_BYTES.value:cpu87",
-            "mem_write_Bps",
-        )
-        .scaled(8.0),
-        Column::counter(
-            "infiniband:::mlx5_0_1_ext:port_recv_data",
-            "ib_recv_words_ps",
-        )
-        .scaled(2.0),
-    ]
+/// A Summit cluster job on `grid` whose instrumented rank offloads to
+/// GPU 0 of socket 0.
+fn gpu_cluster(seed: u64, grid: ProcessGrid) -> (ClusterSim, Arc<GpuDevice>) {
+    let machine = System::Summit.machine(seed);
+    let gpu = Arc::new(GpuDevice::new(
+        0,
+        GpuParams::default(),
+        machine.socket_shared(0),
+    ));
+    (ClusterSim::new(machine, grid, 2), gpu)
 }
 
-/// Wire a cluster's PAPI stack: PCP over the instrumented node's
-/// sockets, NVML over the pipeline's GPU, InfiniBand over node 0's
-/// rails.
-fn profile_papi(
+/// Profile one application run: wire PAPI over `cluster` and `gpu`,
+/// sample [`profile::columns`] at every tick `run` gives, and render
+/// the timeline followed by the trailer `run` returns. A failed sample
+/// stops sampling and fails the point.
+fn profile_point(
     tag: &'static str,
-    cluster: &ClusterSim,
+    mut cluster: ClusterSim,
     gpu: &Arc<GpuDevice>,
-) -> Result<papi_sim::Papi, RunnerError> {
-    let pmns = Pmns::for_machine(cluster.machine().arch());
-    let sockets: Vec<_> = (0..cluster.machine().num_sockets())
-        .map(|s| cluster.machine().socket_shared(s))
-        .collect();
-    let pmcd = Pmcd::spawn_system(pmns.clone(), sockets.clone(), PmcdConfig::default())
-        .map_err(|e| perr(tag, "pmcd", e))?;
-    let ctx = PcpContext::connect(pmcd, Some(cluster.machine().socket_shared(0)));
-    let mut papi = papi_sim::Papi::new();
-    papi.register(Box::new(PcpComponent::new(ctx, pmns, sockets)));
-    papi.register(Box::new(NvmlComponent::new(vec![Arc::clone(gpu)])));
-    papi.register(Box::new(IbComponent::new(
-        cluster.fabric().node(0).hcas.clone(),
-    )));
-    Ok(papi)
+    run: impl FnOnce(&mut ClusterSim, &mut dyn FnMut(&str, &mut ClusterSim)) -> String,
+) -> Result<PointOutput, RunnerError> {
+    let papi = profile::cluster_papi(&cluster, gpu).map_err(|e| perr(tag, "pmcd", e))?;
+    let mut profiler =
+        Profiler::start(&papi, profile::columns()).map_err(|e| perr(tag, "profiler start", e))?;
+    let mut tick_err = None;
+    let trailer = run(&mut cluster, &mut |phase, cl| {
+        let now = cl.machine().socket_shared(0).now_seconds();
+        if tick_err.is_none() {
+            tick_err = profiler.tick(phase, now).err();
+        }
+    });
+    if let Some(e) = tick_err {
+        return Err(perr(tag, "sample", e));
+    }
+    let timeline = profiler
+        .finish()
+        .map_err(|e| perr(tag, "profiler stop", e))?;
+    let mut out = timeline_text(&timeline);
+    out.push_str(&trailer);
+    Ok(PointOutput::with_bytes(out, nest_bytes(cluster.machine())))
 }
 
 /// Nest bytes (reads + writes, every socket) `m` has moved since it was
@@ -594,7 +590,7 @@ fn nest_bytes(m: &SimMachine) -> u64 {
         .sum()
 }
 
-fn timeline_text(timeline: &papi_profiling::Timeline) -> String {
+fn timeline_text(timeline: &Timeline) -> String {
     let mut out = String::new();
     out.push_str(&timeline.to_csv());
     out.push('\n');
@@ -641,38 +637,12 @@ fn fig11(mode: Mode, args: &Args) -> Experiment {
 }
 
 fn fig11_profile(n: usize, slabs: usize, seed: u64) -> Result<PointOutput, RunnerError> {
-    let tag = "fig11";
-    let machine = System::Summit.machine(seed);
-    let gpu = Arc::new(GpuDevice::new(
-        0,
-        GpuParams::default(),
-        machine.socket_shared(0),
-    ));
-    let mut cluster = ClusterSim::new(machine, ProcessGrid::new(8, 8), 2);
+    let (mut cluster, gpu) = gpu_cluster(seed, ProcessGrid::new(8, 8));
     let rank = GpuFft3dRank::new(&mut cluster, Arc::clone(&gpu), n, slabs);
-    let papi = profile_papi(tag, &cluster, &gpu)?;
-
-    let mut profiler =
-        Profiler::start(&papi, profile_columns()).map_err(|e| perr(tag, "profiler start", e))?;
-    let mut tick_err: Option<papi_sim::PapiError> = None;
-    rank.run(&mut cluster, |phase, cl| {
-        let now = cl.machine().socket_shared(0).now_seconds();
-        if tick_err.is_none() {
-            if let Err(e) = profiler.tick(phase, now) {
-                tick_err = Some(e);
-            }
-        }
-    });
-    if let Some(e) = tick_err {
-        return Err(perr(tag, "sample", e));
-    }
-    let timeline = profiler
-        .finish()
-        .map_err(|e| perr(tag, "profiler stop", e))?;
-    Ok(PointOutput::with_bytes(
-        timeline_text(&timeline),
-        nest_bytes(cluster.machine()),
-    ))
+    profile_point("fig11", cluster, &gpu, |cluster, tick| {
+        rank.run(cluster, tick);
+        String::new()
+    })
 }
 
 /// Figure 12: the multi-component performance profile of a single
@@ -711,41 +681,15 @@ fn fig12(mode: Mode, args: &Args) -> Experiment {
 }
 
 fn fig12_profile(cfg: QmcConfig) -> Result<PointOutput, RunnerError> {
-    let tag = "fig12";
-    let machine = System::Summit.machine(cfg.seed);
-    let gpu = Arc::new(GpuDevice::new(
-        0,
-        GpuParams::default(),
-        machine.socket_shared(0),
-    ));
-    let mut cluster = ClusterSim::new(machine, ProcessGrid::new(4, 4), 2);
+    let (mut cluster, gpu) = gpu_cluster(cfg.seed, ProcessGrid::new(4, 4));
     let app = QmcApp::new(&mut cluster, Arc::clone(&gpu), cfg);
-    let papi = profile_papi(tag, &cluster, &gpu)?;
-
-    let mut profiler =
-        Profiler::start(&papi, profile_columns()).map_err(|e| perr(tag, "profiler start", e))?;
-    let mut tick_err: Option<papi_sim::PapiError> = None;
-    let result = app.run(&mut cluster, |phase, cl| {
-        let now = cl.machine().socket_shared(0).now_seconds();
-        if tick_err.is_none() {
-            if let Err(e) = profiler.tick(phase, now) {
-                tick_err = Some(e);
-            }
-        }
-    });
-    if let Some(e) = tick_err {
-        return Err(perr(tag, "sample", e));
-    }
-    let timeline = profiler
-        .finish()
-        .map_err(|e| perr(tag, "profiler stop", e))?;
-    let mut out = timeline_text(&timeline);
-    out.push('\n');
-    out.push_str(&format!(
-        "# physics check: E(vmc)={:.4}, E(vmc-drift)={:.4}, E(dmc)={:.4} (exact 1.5)\n",
-        result.vmc_energy, result.vmc_drift_energy, result.dmc_energy
-    ));
-    Ok(PointOutput::with_bytes(out, nest_bytes(cluster.machine())))
+    profile_point("fig12", cluster, &gpu, |cluster, tick| {
+        let result = app.run(cluster, tick);
+        format!(
+            "\n# physics check: E(vmc)={:.4}, E(vmc-drift)={:.4}, E(dmc)={:.4} (exact 1.5)\n",
+            result.vmc_energy, result.vmc_drift_energy, result.dmc_energy
+        )
+    })
 }
 
 // --- Tables and listings ----------------------------------------------
@@ -821,9 +765,8 @@ fn table2_text() -> String {
     use papi_sim::papi::setup_node;
     let machine = SimMachine::summit(1);
     // A two-rail node NIC, as on Summit.
-    let nic = ib_sim::NodeNic::new(machine.arch().node.ib_ports);
-    let hcas: Vec<Arc<ib_sim::Hca>> = nic.hcas.clone();
-    let setup = setup_node(&machine, hcas);
+    let nic = NodeNic::new(machine.arch().node.ib_ports);
+    let setup = setup_node(&machine, nic.hcas);
 
     let mut out = String::new();
     out.push_str("TABLE II: Supplemental Performance Events\n");

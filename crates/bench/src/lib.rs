@@ -24,6 +24,7 @@ use papi_sim::papi::{setup_node, NodeSetup};
 pub mod experiments;
 pub mod figures;
 pub mod obsreport;
+pub mod profile;
 pub mod runner;
 
 /// Minimal `--key value` / `--flag` argument parser (no external deps).
@@ -31,6 +32,7 @@ pub mod runner;
 pub struct Args {
     pairs: Vec<(String, String)>,
     flags: Vec<String>,
+    positional: Vec<String>,
 }
 
 impl Args {
@@ -53,6 +55,7 @@ impl Args {
                     i += 1;
                 }
             } else {
+                out.positional.push(a.clone());
                 i += 1;
             }
         }
@@ -92,6 +95,13 @@ impl Args {
     pub fn keys(&self) -> impl Iterator<Item = &str> {
         let pairs = self.pairs.iter().map(|(k, _)| k.as_str());
         pairs.chain(self.flags.iter().map(String::as_str))
+    }
+
+    /// Every token that is neither a `--key` nor the value right after
+    /// one (`table2` in `--only table1 table2`) — what a binary that takes
+    /// no positional arguments rejects.
+    pub fn positional(&self) -> &[String] {
+        &self.positional
     }
 }
 
@@ -168,9 +178,10 @@ pub fn node(system: System, seed: u64) -> (SimMachine, NodeSetup) {
 }
 
 /// The GEMM problem-size sweep used by Figs. 2–4. Full extends to the
-/// paper's largest sizes (slower); Quick keeps one point either side of
-/// the Eq. 3/4 cache-region bounds so the golden suite still exercises
-/// the crossover.
+/// paper's largest sizes (slower). Quick stops at N = 256, below the
+/// Eq. 3/4 cache-region bounds (N ≈ 467–809), so a quick run never
+/// reaches the crossover; only `tests/paper_shapes.rs` checks the jump
+/// past them.
 pub fn gemm_sizes_for(mode: Mode) -> Vec<u64> {
     let mut v = match mode {
         Mode::Quick => return vec![64, 96, 128, 192, 256],

@@ -1,4 +1,4 @@
-//! # papi-profiling — multi-component timeline profiles
+//! The multi-component timeline profiler behind Figs. 11 and 12.
 //!
 //! Figures 11 and 12 of the paper are *performance profiles*: several
 //! orthogonal hardware signals (host memory read/write traffic via the
@@ -8,12 +8,20 @@
 //!
 //! [`Profiler`] owns one multi-component [`papi_sim::EventSet`]. The
 //! instrumented applications (`fft3d::gpu::GpuFft3dRank`,
-//! `qmc_mini::QmcApp`) invoke a tick callback after every slab of work;
-//! the profiler samples there, timestamped with the socket's simulated
-//! clock. Counter-like events are reported as *rates* over the sample
-//! window; gauge events (GPU power) are reported as instantaneous values.
+//! `qmc_mini::app::QmcApp`) invoke a tick callback after every slab of
+//! work; the profiler samples there, timestamped with the socket's
+//! simulated clock. Counter-like events are reported as *rates* over the
+//! sample window; gauge events (GPU power) are reported as instantaneous
+//! values. [`columns`] is the event set both figures monitor and
+//! [`cluster_papi`] the PAPI stack they read it through.
 
+use std::sync::Arc;
+
+use papi_sim::components::{IbComponent, NvmlComponent, PcpComponent};
 use papi_sim::{EventSet, Papi, PapiError};
+use pcp_sim::{PcpContext, Pmcd, PmcdConfig, PmcdError, Pmns};
+use ranksim::nvml::GpuDevice;
+use ranksim::ClusterSim;
 
 /// How an event's samples should be interpreted.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -121,33 +129,11 @@ impl Timeline {
         }
         out
     }
-
-    /// A coarse ASCII strip chart of one column (for terminal inspection).
-    pub fn ascii_chart(&self, column: usize, width: usize) -> String {
-        let max = self
-            .samples
-            .iter()
-            .map(|s| s.values[column])
-            .fold(0.0f64, f64::max)
-            .max(1e-12);
-        let mut out = format!("{} (max {:.3e})\n", self.columns[column].label, max);
-        for s in &self.samples {
-            let bar = ((s.values[column] / max) * width as f64) as usize;
-            out.push_str(&format!(
-                "{:>10.6}s {:<10} |{}\n",
-                s.time_s,
-                s.phase,
-                "#".repeat(bar)
-            ));
-        }
-        out
-    }
 }
 
 /// The live profiler.
 pub struct Profiler {
     es: EventSet,
-    columns: Vec<Column>,
     timeline: Timeline,
     last_time: f64,
     last_values: Vec<i64>,
@@ -165,7 +151,6 @@ impl Profiler {
         let n = columns.len();
         Ok(Profiler {
             es,
-            columns: columns.clone(),
             timeline: Timeline {
                 columns,
                 samples: Vec::new(),
@@ -180,6 +165,7 @@ impl Profiler {
         let values = self.es.read()?;
         let dt = (now_s - self.last_time).max(1e-12);
         let row = self
+            .timeline
             .columns
             .iter()
             .enumerate()
@@ -208,11 +194,54 @@ impl Profiler {
     }
 }
 
+/// The four columns both application profiles monitor (Table II events).
+pub fn columns() -> Vec<Column> {
+    vec![
+        Column::gauge("nvml:::Tesla_V100-SXM2-16GB:device_0:power", "gpu_power_mW"),
+        Column::counter(
+            "pcp:::perfevent.hwcounters.nest_mba0_imc.PM_MBA0_READ_BYTES.value:cpu87",
+            "mem_read_Bps",
+        )
+        .scaled(8.0),
+        Column::counter(
+            "pcp:::perfevent.hwcounters.nest_mba0_imc.PM_MBA0_WRITE_BYTES.value:cpu87",
+            "mem_write_Bps",
+        )
+        .scaled(8.0),
+        Column::counter(
+            "infiniband:::mlx5_0_1_ext:port_recv_data",
+            "ib_recv_words_ps",
+        )
+        .scaled(2.0),
+    ]
+}
+
+/// Wire a cluster's PAPI stack: PCP over the instrumented node's
+/// sockets, NVML over the pipeline's GPU, InfiniBand over node 0's
+/// rails.
+pub fn cluster_papi(cluster: &ClusterSim, gpu: &Arc<GpuDevice>) -> Result<Papi, PmcdError> {
+    let pmns = Pmns::for_machine(cluster.machine().arch());
+    let sockets: Vec<_> = (0..cluster.machine().num_sockets())
+        .map(|s| cluster.machine().socket_shared(s))
+        .collect();
+    let pmcd = Pmcd::spawn_system(pmns.clone(), sockets.clone(), PmcdConfig::default())?;
+    let ctx = PcpContext::connect(pmcd, Some(cluster.machine().socket_shared(0)));
+    let mut papi = Papi::new();
+    papi.register(Box::new(PcpComponent::new(ctx, pmns, sockets)));
+    papi.register(Box::new(NvmlComponent::new(vec![Arc::clone(gpu)])));
+    papi.register(Box::new(IbComponent::new(
+        cluster.fabric().node(0).hcas.clone(),
+    )));
+    Ok(papi)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use p9_memsim::{Direction, SimMachine};
     use papi_sim::papi::setup_node;
+    use ranksim::nvml::{GpuOp, GpuParams};
+    use ranksim::ProcessGrid;
 
     fn mem_columns(cpu: usize) -> Vec<Column> {
         vec![
@@ -269,7 +298,7 @@ mod tests {
     }
 
     #[test]
-    fn csv_and_ascii_render() {
+    fn csv_renders_a_header_and_one_row_per_sample() {
         let m = SimMachine::quiet(p9_arch::Machine::summit(), 83);
         let setup = setup_node(&m, Vec::new());
         let shared = m.socket_shared(0);
@@ -280,8 +309,112 @@ mod tests {
         let csv = t.to_csv();
         assert!(csv.starts_with("time_s,phase,mem-rd,gpu-mW\n"));
         assert_eq!(csv.lines().count(), 2);
-        let chart = t.ascii_chart(1, 40);
-        assert!(chart.contains("gpu-mW"));
-        assert!(chart.contains("only"));
+    }
+
+    /// The raw counters behind [`columns`]' three counter columns, read
+    /// directly: MBA0 read bytes, MBA0 write bytes (socket 0) and node 0's
+    /// first-rail `port_recv_data`.
+    fn direct(cluster: &ClusterSim) -> [u64; 3] {
+        let c = cluster.machine().socket_shared(0).counters().snapshot();
+        [
+            c.channel(0, Direction::Read),
+            c.channel(0, Direction::Write),
+            cluster.fabric().node(0).hcas[0].port.recv_data(),
+        ]
+    }
+
+    /// Σ rate·Δt over every counter column is `scale` × the counter's own
+    /// delta, over the whole run and phase by phase, however unevenly the
+    /// ticks fall. A row's window runs from the previous sample; the first
+    /// row's runs from t = 0, where the profiler starts its clock.
+    #[test]
+    fn counter_columns_conserve_their_counters() {
+        let machine = SimMachine::quiet(p9_arch::Machine::summit(), 84);
+        let gpu = Arc::new(GpuDevice::new(
+            0,
+            GpuParams::default(),
+            machine.socket_shared(0),
+        ));
+        let mut cluster = ClusterSim::new(machine, ProcessGrid::new(2, 2), 2);
+        let papi = cluster_papi(&cluster, &gpu).unwrap();
+        let shared = cluster.machine().socket_shared(0);
+        let cols = columns();
+
+        let start = direct(&cluster);
+        let mut p = Profiler::start(&papi, cols.clone()).unwrap();
+        // (phase, GPU op, all-to-all bytes per pair): odd sizes so the
+        // per-channel striping leaves remainders, durations from ~1e-10 s
+        // to ~10 ms.
+        let steps = [
+            ("copy-in", Some(GpuOp::H2D { bytes: 470_000_003 }), 0),
+            ("copy-in", Some(GpuOp::H2D { bytes: 12_345_677 }), 0),
+            (
+                "compute",
+                Some(GpuOp::Kernel {
+                    flops: 3.1e9,
+                    mem_bytes: 1 << 30,
+                }),
+                0,
+            ),
+            ("exchange", None, (1 << 20) + 12),
+            ("exchange", None, 333),
+            ("copy-out", Some(GpuOp::D2H { bytes: 98_765_431 }), 0),
+            ("copy-out", Some(GpuOp::D2H { bytes: 7 }), 0),
+        ];
+        let mut phase_direct: Vec<(&str, [u64; 3])> = Vec::new();
+        let mut before = start;
+        for (phase, op, a2a) in steps {
+            if let Some(op) = op {
+                gpu.submit_sync(op);
+            }
+            if a2a > 0 {
+                cluster.alltoall(a2a);
+            }
+            p.tick(phase, shared.now_seconds()).unwrap();
+            let now = direct(&cluster);
+            let d: [u64; 3] = std::array::from_fn(|k| now[k] - before[k]);
+            match phase_direct.last_mut() {
+                Some((last, acc)) if *last == phase => {
+                    acc.iter_mut().zip(d).for_each(|(a, x)| *a += x)
+                }
+                _ => phase_direct.push((phase, d)),
+            }
+            before = now;
+        }
+        let t = p.finish().unwrap();
+        let end = direct(&cluster);
+
+        let close = |got: f64, want: f64| (got - want).abs() <= 1e-9 * want.abs().max(1.0);
+        let counters = cols
+            .iter()
+            .enumerate()
+            .filter(|(_, c)| c.kind == EventKind::Counter);
+        for (k, (c, col)) in counters.enumerate() {
+            // Σ rate·Δt per phase.
+            let mut per_phase: Vec<(&str, f64)> = Vec::new();
+            let mut prev = 0.0;
+            for s in &t.samples {
+                let moved = s.values[c] * (s.time_s - prev);
+                prev = s.time_s;
+                match per_phase.last_mut() {
+                    Some((last, sum)) if *last == s.phase => *sum += moved,
+                    _ => per_phase.push((&s.phase, moved)),
+                }
+            }
+            let whole = col.scale * (end[k] - start[k]) as f64;
+            assert!(whole > 0.0, "{}: the run must move this counter", col.label);
+            let summed: f64 = per_phase.iter().map(|(_, v)| v).sum();
+            assert!(close(summed, whole), "{}: {summed} != {whole}", col.label);
+            assert_eq!(per_phase.len(), phase_direct.len());
+            for ((phase, got), (want_phase, d)) in per_phase.iter().zip(&phase_direct) {
+                assert_eq!(phase, want_phase);
+                let want = col.scale * d[k] as f64;
+                assert!(
+                    close(*got, want),
+                    "{} in {phase}: {got} != {want}",
+                    col.label
+                );
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use crate::fft1d::fft_flops;
 use crate::resort::{LocalDims, S1cfCombined, S2cf};
-use nvml_sim::{GpuDevice, GpuOp};
+use ranksim::nvml::{GpuDevice, GpuOp};
 use ranksim::ClusterSim;
 
 /// The phase sequence of one forward transform.
@@ -168,9 +168,9 @@ impl GpuFft3dRank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvml_sim::GpuParams;
     use p9_arch::Machine;
     use p9_memsim::SimMachine;
+    use ranksim::nvml::GpuParams;
     use ranksim::ProcessGrid;
 
     fn job(_n: usize, rows: usize, cols: usize) -> (ClusterSim, Arc<GpuDevice>) {

@@ -200,11 +200,6 @@ impl Aggregator {
         &self.store
     }
 
-    /// Scrape targets' hostnames, in index order.
-    pub fn host_names(&self) -> Vec<String> {
-        self.targets.iter().map(|t| t.name.clone()).collect()
-    }
-
     /// Point host slot `index` at a different address. A fault-injection
     /// lever: tests retarget a slot at a listener that accepts but never
     /// answers to manufacture a straggler (or at a closed port to kill

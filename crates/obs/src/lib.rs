@@ -16,7 +16,7 @@
 //! * **Exporters**: Chrome `trace_event` JSON ([`chrome`]) for
 //!   `chrome://tracing`/Perfetto and folded stacks ([`flame`]) for
 //!   flamegraphs.
-//! * **Live monitoring** ([`series`], [`derive`], [`openmetrics`],
+//! * **Live monitoring** ([`series`], [`derive`](mod@derive), [`openmetrics`],
 //!   [`stitch`]): `pmie`-style rate/delta/ewma derivations over sample
 //!   windows and threshold rules that keep only the windows they watch,
 //!   OpenMetrics text exposition with a strict round-trip parser, and

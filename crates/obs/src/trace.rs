@@ -5,7 +5,7 @@
 //! short-lived threads (scoped workers, request handlers) recycle
 //! page-warm rings and the ring count is bounded by the peak number of
 //! *concurrent* recorders. A ring costs what its thread records: it
-//! starts as one [`FIRST_BLOCK`]-record block and doubles, on the
+//! starts as one `FIRST_BLOCK`-record block and doubles, on the
 //! producer's cold path, only when it is really full — up to
 //! [`RING_CAPACITY`], where new records are dropped and counted rather
 //! than blocking. Ring creation (pool empty) and those at most

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use crate::component::{Component, EventGroup, EventInfo};
 use crate::error::PapiError;
 use crate::event::EventName;
-use ib_sim::Hca;
+use ranksim::ib::Hca;
 
 /// Which port counter an event reads.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -140,7 +140,7 @@ impl EventGroup for IbGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ib_sim::Fabric;
+    use ranksim::ib::Fabric;
 
     fn setup() -> (Fabric, IbComponent) {
         let f = Fabric::new(2, 2);
@@ -154,7 +154,7 @@ mod tests {
         let ev = [EventName::parse("infiniband:::mlx5_0_1_ext:port_recv_data").unwrap()];
         let mut g = comp.create_group(&ev).unwrap();
         g.start().unwrap();
-        f.send(1, 0, 8000); // striped over 2 rails: 4000 B = 1000 words each
+        f.alltoall(1, 8000); // striped over 2 rails: 4000 B = 1000 words each
         assert_eq!(g.read().unwrap(), vec![1000]);
         assert_eq!(g.stop().unwrap(), vec![1000]);
     }
@@ -169,9 +169,11 @@ mod tests {
         ];
         let mut g = comp.create_group(&evs).unwrap();
         g.start().unwrap();
-        f.send(0, 1, 8000);
-        f.send(1, 0, 16000);
-        assert_eq!(g.read().unwrap(), vec![2000, 2000, 1000]);
+        // 8000 B each way per rail = 2000 words, then 1000 more words
+        // sent on rail 0 alone.
+        f.alltoall(1, 16000);
+        f.node(0).hcas[0].port.record_xmit(4000);
+        assert_eq!(g.read().unwrap(), vec![2000, 2000, 3000]);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use crate::component::{Component, EventGroup, EventInfo};
 use crate::error::PapiError;
 use crate::event::EventName;
-use nvml_sim::GpuDevice;
+use ranksim::nvml::GpuDevice;
 
 /// The `nvml` component.
 pub struct NvmlComponent {
@@ -119,9 +119,9 @@ impl EventGroup for NvmlGroup {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvml_sim::{GpuOp, GpuParams};
     use p9_arch::Machine;
     use p9_memsim::SimMachine;
+    use ranksim::nvml::{GpuOp, GpuParams};
 
     fn setup() -> (SimMachine, Arc<GpuDevice>, NvmlComponent) {
         let m = SimMachine::quiet(Machine::summit(), 2);

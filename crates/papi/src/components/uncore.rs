@@ -1,19 +1,34 @@
 //! The `perf_uncore` component: direct, privileged nest-counter access.
 //!
-//! This is the Tellico path. On a machine where the calling context lacks
-//! elevation (Summit users), group creation fails with `PAPI_EPERM`, and
-//! [`crate::papi::Papi`] surfaces the component as *disabled* — the exact
-//! situation that motivates the PCP component.
+//! This is the Tellico path. On the testbed the study had elevated
+//! privileges, so PAPI could program the nest IMC directly through
+//! `perf_event`-style uncore PMUs — no PCP daemon in the path. The paper
+//! defines the events "using the Nest IMC Memory Offsets" from the POWER9
+//! PMU user's guide ([`events`]), addressed as:
+//!
+//! ```text
+//! power9_nest_mba0::PM_MBA0_READ_BYTES:cpu=0
+//! power9_nest_mba3::PM_MBA3_WRITE_BYTES:cpu=0
+//! ```
+//!
+//! Opening a counter through the privileged PMU handle ([`pmu`]) without
+//! an elevated [`p9_memsim::PrivilegeToken`] fails. On a machine where the
+//! calling context lacks elevation (Summit users), group creation fails
+//! with `PAPI_EPERM`, and [`crate::papi::Papi`] surfaces the component as
+//! *disabled* — the exact situation that motivates the PCP component.
+
+pub mod events;
+pub mod pmu;
 
 use std::sync::Arc;
 
 use crate::component::{Component, EventGroup, EventInfo};
 use crate::error::PapiError;
 use crate::event::EventName;
+use events::{parse_event_string, NEST_IMC_EVENTS};
 use p9_memsim::machine::SocketShared;
 use p9_memsim::PrivilegeToken;
-use perf_uncore_sim::events::{parse_event_string, NEST_IMC_EVENTS};
-use perf_uncore_sim::{UncoreCounter, UncoreError, UncorePmu};
+pub use pmu::{UncoreCounter, UncoreError, UncorePmu};
 
 /// The `perf_uncore` component.
 pub struct UncoreComponent {

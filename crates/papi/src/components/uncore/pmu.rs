@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use crate::events::NestEventDef;
+use super::events::NestEventDef;
 use p9_memsim::machine::SocketShared;
 use p9_memsim::{PrivilegeError, PrivilegeToken};
 
@@ -106,7 +106,7 @@ impl UncoreCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::lookup;
+    use crate::components::uncore::events::lookup;
     use p9_arch::Machine;
     use p9_memsim::{Direction, SimMachine};
 

@@ -3,12 +3,13 @@
 use std::sync::Arc;
 
 use crate::component::{Component, EventInfo};
+use crate::components::uncore::UncorePmu;
 use crate::components::{CoreComponent, IbComponent, NvmlComponent, PcpComponent, UncoreComponent};
 use crate::error::PapiError;
-use nvml_sim::{GpuDevice, GpuParams};
 use p9_memsim::SimMachine;
 use pcp_sim::{PcpContext, Pmcd, PmcdConfig, Pmns};
-use perf_uncore_sim::UncorePmu;
+use ranksim::ib::Hca;
+use ranksim::nvml::{GpuDevice, GpuParams};
 
 /// Registration state of one component.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -105,7 +106,7 @@ pub struct NodeSetup {
 ///   elevated privileges — Tellico yes, Summit no (registered disabled).
 /// * `nvml` appears when the node has GPUs; `infiniband` when the caller
 ///   supplies HCAs (cluster jobs).
-pub fn setup_node(machine: &SimMachine, hcas: Vec<Arc<ib_sim::Hca>>) -> NodeSetup {
+pub fn setup_node(machine: &SimMachine, hcas: Vec<Arc<Hca>>) -> NodeSetup {
     let arch = machine.arch();
     let sockets: Vec<_> = (0..machine.num_sockets())
         .map(|s| machine.socket_shared(s))

@@ -104,13 +104,6 @@ impl WireClient {
         stream.flush()
     }
 
-    /// Read one PDU off the connection, bypassing the request path. Pairs
-    /// with [`WireClient::send_raw`] in tests.
-    pub fn recv_pdu(&self) -> Result<Pdu, PcpError> {
-        let mut stream = self.stream.lock();
-        read_pdu(&mut *stream, self.max_payload).map_err(wire_err)
-    }
-
     /// Fetch the server's OpenMetrics text exposition over the PDU
     /// channel (the same document the HTTP scrape listener serves).
     pub fn scrape_exposition(&self) -> Result<String, PcpError> {

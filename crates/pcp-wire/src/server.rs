@@ -2,7 +2,7 @@
 //!
 //! Architecture (std only, no async runtime):
 //!
-//! * an **accept thread** blocks in `accept()` ([`accept_loop`], the one
+//! * an **accept thread** blocks in `accept()` (`accept_loop`, the one
 //!   accept loop of the crate, shared with [`crate::ScrapeListener`]).
 //!   New connections go into a bounded queue; when every worker is busy
 //!   and the queue is full the server answers `Error{Busy}` and closes —

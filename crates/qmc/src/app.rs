@@ -20,8 +20,8 @@
 
 use std::sync::Arc;
 
-use nvml_sim::{GpuDevice, GpuOp};
 use p9_memsim::Region;
+use ranksim::nvml::{GpuDevice, GpuOp};
 use ranksim::ClusterSim;
 
 use crate::dmc::{DmcParams, DmcSampler};
@@ -189,9 +189,9 @@ impl QmcApp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nvml_sim::GpuParams;
     use p9_arch::Machine;
     use p9_memsim::SimMachine;
+    use ranksim::nvml::GpuParams;
     use ranksim::ProcessGrid;
 
     fn setup() -> (ClusterSim, Arc<GpuDevice>) {

@@ -10,7 +10,7 @@
 //! and (b) the synchronization time rank 0 spends in those collectives.
 
 use crate::grid::ProcessGrid;
-use ib_sim::Fabric;
+use crate::ib::Fabric;
 use p9_memsim::SimMachine;
 
 /// A cluster job: `grid.size()` ranks on `nodes` dual-socket nodes.
@@ -44,11 +44,6 @@ impl ClusterSim {
     /// The process grid.
     pub fn grid(&self) -> ProcessGrid {
         self.grid
-    }
-
-    /// Number of nodes in the job.
-    pub fn num_nodes(&self) -> usize {
-        self.fabric.num_nodes()
     }
 
     /// The instrumented rank's machine (rank 0 lives on socket 0).
@@ -113,13 +108,6 @@ mod tests {
     fn cluster(rows: usize, cols: usize) -> ClusterSim {
         let m = SimMachine::quiet(Machine::summit(), 3);
         ClusterSim::new(m, ProcessGrid::new(rows, cols), 2)
-    }
-
-    #[test]
-    fn node_count_follows_grid() {
-        assert_eq!(cluster(2, 4).num_nodes(), 4);
-        assert_eq!(cluster(4, 8).num_nodes(), 16);
-        assert_eq!(cluster(8, 8).num_nodes(), 32);
     }
 
     #[test]

@@ -29,27 +29,6 @@ impl ProcessGrid {
         assert!(row < self.rows && col < self.cols);
         row * self.cols + col
     }
-
-    /// Ranks in the same grid row as `rank` (the row communicator of the
-    /// FFT's first transpose).
-    pub fn row_peers(&self, rank: usize) -> Vec<usize> {
-        let (r, _) = self.coords(rank);
-        (0..self.cols).map(|c| self.rank(r, c)).collect()
-    }
-
-    /// Ranks in the same grid column as `rank`.
-    pub fn col_peers(&self, rank: usize) -> Vec<usize> {
-        let (_, c) = self.coords(rank);
-        (0..self.rows).map(|r| self.rank(r, c)).collect()
-    }
-
-    /// The local pencil dimensions for a global `N³` array: each rank holds
-    /// an `(N/rows) × (N/cols) × N` block. Panics unless both divide.
-    pub fn local_dims(&self, n: usize) -> (usize, usize, usize) {
-        assert_eq!(n % self.rows, 0, "N must be divisible by grid rows");
-        assert_eq!(n % self.cols, 0, "N must be divisible by grid cols");
-        (n / self.rows, n / self.cols, n)
-    }
 }
 
 #[cfg(test)]
@@ -65,27 +44,5 @@ mod tests {
             assert_eq!(g.rank(r, c), rank);
         }
         assert_eq!(g.coords(5), (1, 1));
-    }
-
-    #[test]
-    fn peer_sets() {
-        let g = ProcessGrid::new(2, 4);
-        assert_eq!(g.row_peers(5), vec![4, 5, 6, 7]);
-        assert_eq!(g.col_peers(5), vec![1, 5]);
-    }
-
-    #[test]
-    fn local_pencil_dims() {
-        let g = ProcessGrid::new(2, 4);
-        assert_eq!(g.local_dims(8), (4, 2, 8));
-        // Paper's Fig. 10 job: 4x8 grid, N = 1344.
-        let g = ProcessGrid::new(4, 8);
-        assert_eq!(g.local_dims(1344), (336, 168, 1344));
-    }
-
-    #[test]
-    #[should_panic]
-    fn indivisible_n_rejected() {
-        ProcessGrid::new(2, 4).local_dims(10);
     }
 }

@@ -1,4 +1,4 @@
-//! # ib-sim — a simulated Mellanox InfiniBand fabric
+//! A simulated Mellanox InfiniBand fabric.
 //!
 //! Summit nodes carry dual-rail ConnectX-5 EDR HCAs (`mlx5_0`, `mlx5_1`).
 //! The paper monitors the extended port counter `port_recv_data` through
@@ -124,22 +124,9 @@ impl Fabric {
         }
     }
 
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// A node's NIC.
     pub fn node(&self, i: usize) -> &NodeNic {
         &self.nodes[i]
-    }
-
-    /// Point-to-point transfer; returns the modeled duration.
-    pub fn send(&self, src: usize, dst: usize, bytes: u64) -> f64 {
-        assert_ne!(src, dst, "loopback does not touch the fabric");
-        self.nodes[src].record_xmit(bytes);
-        self.nodes[dst].record_recv(bytes);
-        bytes as f64 / self.nodes[src].bandwidth()
     }
 
     /// All-to-all among `ranks_per_node`-rank nodes: every pair of distinct
@@ -176,25 +163,6 @@ mod tests {
         assert_eq!(p.recv_data(), 100);
         p.record_xmit(7); // rounds down
         assert_eq!(p.xmit_data(), 1);
-    }
-
-    #[test]
-    fn send_updates_both_endpoints() {
-        let f = Fabric::new(2, 2);
-        let t = f.send(0, 1, 1_000_000);
-        assert!(t > 0.0);
-        // Striped across 2 rails: 500_000 bytes = 125_000 words each.
-        assert_eq!(f.node(0).hcas[0].port.xmit_data(), 125_000);
-        assert_eq!(f.node(0).hcas[1].port.xmit_data(), 125_000);
-        assert_eq!(f.node(1).hcas[0].port.recv_data(), 125_000);
-        assert_eq!(f.node(0).hcas[0].port.recv_data(), 0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn loopback_send_panics() {
-        let f = Fabric::new(2, 1);
-        f.send(1, 1, 10);
     }
 
     #[test]

@@ -21,10 +21,6 @@ impl LocalComm {
         self.grid
     }
 
-    pub fn size(&self) -> usize {
-        self.grid.size()
-    }
-
     /// All-to-all among a subgroup of ranks. `bufs[i]` is rank
     /// `group[i]`'s send buffer, partitioned into `group.len()` equal
     /// chunks; chunk `j` of rank `group[i]` lands in chunk `i` of rank
@@ -48,17 +44,6 @@ impl LocalComm {
                 // receiver i gets chunk i from each sender, in sender order.
                 out_i.extend_from_slice(&buf[i * chunk..(i + 1) * chunk]);
             }
-        }
-        out
-    }
-
-    /// Gather all ranks' buffers into rank-order concatenation (testing /
-    /// result collection).
-    pub fn gather_all<T: Clone>(&self, bufs: &[Vec<T>]) -> Vec<T> {
-        assert_eq!(bufs.len(), self.size());
-        let mut out = Vec::with_capacity(bufs.iter().map(Vec::len).sum());
-        for b in bufs {
-            out.extend_from_slice(b);
         }
         out
     }
@@ -102,13 +87,6 @@ mod tests {
         let once = comm.alltoall_group(&group, &bufs);
         let twice = comm.alltoall_group(&group, &once);
         assert_eq!(twice, bufs);
-    }
-
-    #[test]
-    fn gather_concatenates_in_rank_order() {
-        let comm = LocalComm::new(ProcessGrid::new(1, 2));
-        let g = comm.gather_all(&[vec![1, 2], vec![3]]);
-        assert_eq!(g, vec![1, 2, 3]);
     }
 
     #[test]

@@ -1,9 +1,9 @@
-//! # nvml-sim — a simulated NVIDIA Tesla V100 with NVML power telemetry
+//! A simulated NVIDIA Tesla V100 with NVML power telemetry.
 //!
 //! Figure 11 of the paper correlates three signals during a GPU-accelerated
 //! 3D-FFT: host memory reads (H2D copies), a GPU power spike (the batched
-//! cuFFT kernels), and host memory writes (D2H copies). This crate provides
-//! the GPU side of that story:
+//! cuFFT kernels), and host memory writes (D2H copies). This module
+//! provides the GPU side of that story:
 //!
 //! * [`GpuDevice`] — an execution model. Work is submitted as
 //!   [`GpuOp`]s; each op occupies the device for a modeled duration and

@@ -5,7 +5,7 @@
 //! sample buffer) in a hash map keyed by the series' cached hash, so a
 //! sample costs one lookup of one word, and a new series one insert.
 //! When a head reaches `chunk_samples` it is sealed into an immutable
-//! compressed [`Chunk`](crate::chunk::Chunk) — encoded into one scratch
+//! compressed [`Chunk`] — encoded into one scratch
 //! buffer reused across seals, then copied once into a buffer of
 //! exactly its size — and staged by series; when the staged bytes reach
 //! `segment_bytes` the series with staged chunks are sorted by key and
@@ -31,11 +31,11 @@
 //! builds replacement segments off to the side and swaps the list in
 //! one lock acquisition — readers holding the old list keep reading
 //! the old immutable segments, whose bytes outlive their files (see
-//! [`MemFs`](crate::memfs::MemFs)).
+//! [`MemFs`]).
 //!
 //! So every sealed byte lives once: in its segment file, which the
 //! chunks of a compacted or freshly written segment view exactly as a
-//! decoded one's do (see [`segment`](crate::segment)); what the store
+//! decoded one's do (see [`segment`]); what the store
 //! holds beside the files is its heads, its staged chunks and one
 //! `Entry` per chunk.
 //!

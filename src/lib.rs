@@ -14,29 +14,23 @@
 //! * [`pcp`] — the simulated Performance Co-Pilot daemon and client.
 //! * [`wire`] — the networked PMCD: binary PDU protocol, multi-client TCP
 //!   server, `WireClient` transport (which `pcp::PmLogger` records over).
-//! * [`perfuncore`] — direct (privileged) nest counter access.
 //! * [`papi`] — the PAPI-style multi-component middleware (the paper's
-//!   central artifact).
+//!   central artifact), including direct (privileged) nest counter access.
 //! * [`kernels`] — GEMV / capped GEMV / GEMM benchmarks and their analytic
 //!   traffic models.
 //! * [`fft3d`] — the distributed, GPU-accelerated 3D-FFT mini-app.
 //! * [`qmc`] — the QMCPACK-like Monte Carlo mini-app.
-//! * [`nvml`] / [`ib`] — GPU power and InfiniBand substrates.
-//! * [`ranks`] — the MPI-like distributed execution substrate.
-//! * [`profiling`] — the multi-component timeline profiler (Figs. 11–12).
+//! * [`ranks`] — the cluster a rank runs on: process grid, collectives,
+//!   the InfiniBand fabric ([`ranks::ib`]) and GPUs ([`ranks::nvml`]).
 //! * [`refute`] — the CounterPoint-style model-refutation harness.
 
 pub use blas_kernels as kernels;
 pub use fft3d;
-pub use ib_sim as ib;
-pub use nvml_sim as nvml;
 pub use p9_arch as arch;
 pub use p9_memsim as memsim;
-pub use papi_profiling as profiling;
 pub use papi_sim as papi;
 pub use pcp_sim as pcp;
 pub use pcp_wire as wire;
-pub use perf_uncore_sim as perfuncore;
 pub use qmc_mini as qmc;
 pub use ranksim as ranks;
 pub use refute;

@@ -4,10 +4,10 @@
 use std::sync::Arc;
 
 use papi_repro::memsim::{PrivilegeToken, SimMachine};
-use papi_repro::nvml::{GpuDevice, GpuParams};
 use papi_repro::papi::papi::setup_node;
 use papi_repro::papi::{EventSet, PapiError};
 use papi_repro::pcp::{Pmcd, PmcdConfig, Pmns};
+use papi_repro::ranks::nvml::{GpuDevice, GpuParams};
 
 /// The whole reason PCP exists: a Summit user cannot take the direct
 /// path, but measures the very same counters through the daemon.
