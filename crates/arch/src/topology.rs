@@ -37,19 +37,9 @@ pub struct SocketTopology {
 }
 
 impl SocketTopology {
-    /// Core pair index that owns `core`.
-    pub fn pair_of(&self, core: CoreId) -> usize {
-        core.0 / 2
-    }
-
     /// All usable cores of the socket.
     pub fn usable(&self) -> impl Iterator<Item = CoreId> + '_ {
         (0..self.usable_cores).map(CoreId)
-    }
-
-    /// Total L3 bytes on the socket.
-    pub fn l3_total_bytes(&self) -> u64 {
-        self.core_pairs as u64 * crate::L3_SLICE_BYTES
     }
 }
 
@@ -99,20 +89,6 @@ mod tests {
     use crate::machine::Machine;
 
     #[test]
-    fn pair_mapping() {
-        let st = SocketTopology {
-            physical_cores: 22,
-            usable_cores: 21,
-            core_pairs: 11,
-            smt: 4,
-        };
-        assert_eq!(st.pair_of(CoreId(0)), 0);
-        assert_eq!(st.pair_of(CoreId(1)), 0);
-        assert_eq!(st.pair_of(CoreId(2)), 1);
-        assert_eq!(st.pair_of(CoreId(21)), 10);
-    }
-
-    #[test]
     fn summit_nest_cpu_qualifiers_match_paper() {
         // Table I: `...value:cpu[87|175]`.
         let m = Machine::summit();
@@ -127,14 +103,5 @@ mod tests {
         assert_eq!(cores.len(), 21);
         assert_eq!(cores[0], CoreId(0));
         assert_eq!(cores[20], CoreId(20));
-    }
-
-    #[test]
-    fn summit_l3_total() {
-        let m = Machine::summit();
-        assert_eq!(
-            m.node.socket(SocketId(0)).l3_total_bytes(),
-            110 * 1024 * 1024
-        );
     }
 }

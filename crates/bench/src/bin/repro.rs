@@ -10,15 +10,13 @@
 //! per experiment, points/s, simulated bytes/s — never part of
 //! experiment output) are printed as a summary table and kept nowhere:
 //! speed is measured by `bash benchmark/run.sh --only catalog_quick`.
-//! `--only <tag>` with the per-figure knobs is how a single figure is
-//! regenerated.
+//! `--only <tag>` is how a single figure is regenerated; sizes and
+//! repetition counts follow the mode (`--quick`, default, `--full`).
 //!
 //! ```text
 //! repro [--quick|--full] [--workers N] [--only fig2,fig5,…]
 //!       [--out DIR] [--write-golden]
-//!       [--system summit|tellico] [--mode both|single|batched]
-//!       [--seed N] [--runs N] [--m N] [--n N] [--slabs N]
-//!       [--walkers N] [--blocks N] [--steps N]
+//!       [--system summit|tellico] [--seed N]
 //! ```
 //!
 //! Any other option is a usage error. `--write-golden` additionally
@@ -55,15 +53,7 @@ const KNOWN_KEYS: &[&str] = &[
     "out",
     "write-golden",
     "system",
-    "mode",
     "seed",
-    "runs",
-    "m",
-    "n",
-    "slabs",
-    "walkers",
-    "blocks",
-    "steps",
 ];
 
 fn main() -> ExitCode {
@@ -249,6 +239,9 @@ mod tests {
             (&["--onyl", "fig2"][..], "--onyl"),
             (&["--quick", removed, "FILE"], removed),
             (&["--only", "fig2", "--verbose"], "--verbose"),
+            // Sizes and repetition counts follow the mode alone.
+            (&["--only", "fig3", "--mode", "single"], "--mode"),
+            (&["--only", "fig6", "--runs", "3"], "--runs"),
             // `--only` forgotten, or a tag list written with spaces
             // instead of commas: the stray tag is named, not dropped.
             (&["fig2"], "'fig2'"),

@@ -56,11 +56,11 @@ fn perr(tag: &'static str, label: &str, e: impl fmt::Display) -> RunnerError {
 }
 
 /// Build one experiment. Returns `None` for an unknown tag. `args`
-/// supplies the per-figure knobs (`--seed`, `--system`, `--mode`,
-/// `--runs`, `--n`, …).
+/// supplies the two per-figure knobs, `--seed` and `--system`; sizes
+/// and repetition counts follow `mode`.
 pub fn build(tag: &str, mode: Mode, args: &Args) -> Option<Experiment> {
     match tag {
-        "fig1" => Some(fig1(args)),
+        "fig1" => Some(fig1()),
         "fig2" => Some(fig2(mode, args)),
         "fig3" => Some(gemm_adaptive(
             "fig3",
@@ -145,9 +145,8 @@ fn make_s2cf_4x8(m: &mut SimMachine, n: usize) -> Box<dyn ResortTrace> {
 /// actual kernel model. The shaded band is the allocated (capped) part of
 /// matrix A (`P × N`, `P = min(M, N)`); the hatched area below is the
 /// memory a plain GEMV of output size `M` would have needed.
-fn fig1(args: &Args) -> Experiment {
-    let m = args.get_u64("m", 4096).max(1);
-    let n = args.get_u64("n", 1280).max(1);
+fn fig1() -> Experiment {
+    let (m, n) = (4096, 1280);
     let mut exp = Experiment::new("fig1", "Capped-GEMV memory-usage schematic");
     exp.push(Point::run("schematic", move || {
         Ok(PointOutput::text(fig1_text(m, n)))
@@ -261,9 +260,9 @@ fn fig2(mode: Mode, args: &Args) -> Experiment {
 }
 
 /// Figs. 3 and 4: GEMM with the adaptive repetition scheme (Eq. 5),
-/// `--mode single` (a) vs `--mode batched` (b, one GEMM per usable
-/// core), on Summit/PCP (Fig. 3) or directly with perf_uncore on the
-/// Tellico testbed (Fig. 4 — the single-thread divergence is not a PCP
+/// single-threaded (a) vs batched (b, one GEMM per usable core), on
+/// Summit/PCP (Fig. 3) or directly with perf_uncore on the Tellico
+/// testbed (Fig. 4 — the single-thread divergence is not a PCP
 /// artifact).
 ///
 /// Expected shape: repetition averaging removes the noise floor; the
@@ -280,7 +279,6 @@ fn gemm_adaptive(
     mode: Mode,
     args: &Args,
 ) -> Experiment {
-    let run_mode = args.get_or("mode", "both");
     let sizes = gemm_sizes_for(mode);
     let seed = args.get_u64("seed", default_seed);
     let fig_no = if tag == "fig3" { 3 } else { 4 };
@@ -293,13 +291,7 @@ fn gemm_adaptive(
         tag,
         format!("GEMM single vs batched, adaptive repetitions ({events_label})"),
     );
-    let mut sections: Vec<(&str, usize)> = Vec::new();
-    if run_mode == "single" || run_mode == "both" {
-        sections.push(("single", 1));
-    }
-    if run_mode == "batched" || run_mode == "both" {
-        sections.push(("batched", batched_threads));
-    }
+    let sections = [("single", 1), ("batched", batched_threads)];
     for (sec, (label, threads)) in sections.into_iter().enumerate() {
         exp.push(Point::fixed(header_lines(
             &format!("Fig. {fig_no} ({label}): GEMM, {scheme}"),
@@ -359,9 +351,12 @@ fn fig5(mode: Mode, args: &Args) -> Experiment {
 
 // --- Figs. 6–9: re-sorting sweeps -------------------------------------
 
-fn resort_runs(mode: Mode, args: &Args) -> usize {
-    let default = if mode == Mode::Quick { 1 } else { 2 };
-    args.get_usize("runs", default).max(1)
+fn resort_runs(mode: Mode) -> usize {
+    if mode == Mode::Quick {
+        1
+    } else {
+        2
+    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -407,7 +402,7 @@ fn resort_figure(
     args: &Args,
 ) -> Experiment {
     let sizes = fft_sizes_for(mode);
-    let runs = resort_runs(mode, args);
+    let runs = resort_runs(mode);
     let seed = args.get_u64("seed", default_seed);
     let fig_no = if tag == "fig6" { 6 } else { 9 };
     let mut exp = Experiment::new(tag, format!("{routine} memory traffic"));
@@ -437,7 +432,7 @@ fn resort_figure(
 /// share and 8 ranks).
 fn fig7(mode: Mode, args: &Args) -> Experiment {
     let sizes = fft_sizes_for(mode);
-    let runs = resort_runs(mode, args);
+    let runs = resort_runs(mode);
     let seed = args.get_u64("seed", 7);
     let bound = fft3d::model::eq7_bound(p9_arch::L3_PER_CORE_BYTES, 8);
     let mut exp = Experiment::new("fig7", "S1CF loop nest 2 memory traffic");
@@ -470,7 +465,7 @@ fn fig7(mode: Mode, args: &Args) -> Experiment {
 /// S1CF".
 fn fig8(mode: Mode, args: &Args) -> Experiment {
     let sizes = fft_sizes_for(mode);
-    let runs = resort_runs(mode, args);
+    let runs = resort_runs(mode);
     let seed = args.get_u64("seed", 8);
     let mut exp = Experiment::new("fig8", "S1CF combined loop nest memory traffic");
     exp.push(Point::fixed(header_lines(
@@ -615,13 +610,11 @@ fn timeline_text(timeline: &Timeline) -> String {
 /// ~2:1 read:write, phases 2/4 ~1:1 with higher bandwidth; the two
 /// All2All phases are the only network activity.
 fn fig11(mode: Mode, args: &Args) -> Experiment {
-    let (dn, ds) = if mode == Mode::Quick {
+    let (n, slabs) = if mode == Mode::Quick {
         (448, 2)
     } else {
         (896, 6)
     };
-    let n = args.get_usize("n", dn);
-    let slabs = args.get_usize("slabs", ds);
     let seed = args.get_u64("seed", 11);
     let mut exp = Experiment::new("fig11", "Multi-component profile of a 3D-FFT rank");
     exp.push(Point::fixed(header_lines(
@@ -654,16 +647,16 @@ fn fig11_profile(n: usize, slabs: usize, seed: u64) -> Result<PointOutput, Runne
 /// moves more host memory and runs heavier GPU kernels; only DMC (walker
 /// load balancing) touches the network.
 fn fig12(mode: Mode, args: &Args) -> Experiment {
-    let (dw, db, dst) = if mode == Mode::Quick {
+    let (walkers, blocks_per_phase, steps_per_block) = if mode == Mode::Quick {
         (256, 3, 10)
     } else {
         (1024, 10, 30)
     };
     let seed = args.get_u64("seed", 12);
     let cfg = QmcConfig {
-        walkers: args.get_usize("walkers", dw),
-        blocks_per_phase: args.get_usize("blocks", db),
-        steps_per_block: args.get_usize("steps", dst),
+        walkers,
+        blocks_per_phase,
+        steps_per_block,
         alpha: 0.85,
         seed,
     };

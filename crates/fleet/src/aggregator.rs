@@ -393,48 +393,9 @@ impl Aggregator {
         // Close the pass span before draining so its record is in the
         // ring; everything below is bookkeeping outside the pass wall.
         drop(pass_span);
-        let n_hosts = self.targets.len();
-        let children: std::collections::HashSet<u64> = (0..n_hosts)
-            .map(|i| stitch::fanout_child_id(pass_id, i as u64))
-            .collect();
-        // Keep only this pass's events: the pass span and its child
-        // scrapes (matched by id), phase spans from the pass thread
-        // inside the pass window, and codec and connect spans a worker
-        // recorded inside one of its host scrapes (matched by thread +
-        // time, like the stitch does). Anything else in the rings —
-        // previous-pass leftovers, the host servers' own codec work,
-        // unrelated spans from tests sharing the process — is dropped.
-        let drained = obs::trace::drain();
-        let inside = |outer: &obs::trace::SpanEvent, e: &obs::trace::SpanEvent| {
-            e.tid == outer.tid && stitch::contains(outer, e)
-        };
-        let pass_ev = drained
-            .iter()
-            .find(|e| e.label == stitch::PASS_SPAN && e.arg == pass_id)
-            .copied();
-        let host_evs: Vec<_> = drained
-            .iter()
-            .filter(|e| e.label == stitch::HOST_SCRAPE_SPAN && children.contains(&e.arg))
-            .copied()
-            .collect();
-        let mut events: Vec<_> = drained
-            .into_iter()
-            .filter(|e| {
-                (e.label == stitch::PASS_SPAN && e.arg == pass_id)
-                    || children.contains(&e.arg)
-                    || (matches!(
-                        e.label,
-                        stitch::PASS_FANOUT_SPAN
-                            | stitch::PASS_MERGE_SPAN
-                            | stitch::PASS_INGEST_SPAN
-                    ) && pass_ev.is_some_and(|p| inside(&p, e)))
-                    || ((stitch::CODEC_SPANS.contains(&e.label)
-                        || e.label == stitch::CLIENT_CONNECT_SPAN)
-                        && host_evs.iter().any(|h| inside(h, e)))
-            })
-            .collect();
-        events.sort_unstable_by_key(|e| (e.start_ns, e.tid, e.label));
-        let trace = FanoutTrace::stitch(&events, pass_id, n_hosts);
+        // Keep only this pass's events (obs::stitch owns which ones
+        // belong) and stitch them.
+        let (events, trace) = stitch::stitch_pass(obs::trace::drain(), pass_id, self.targets.len());
         if let Some(t) = &trace {
             self.straggler_ns.record(t.straggler_ns());
             self.skew_ratio.set(t.skew_ratio_permille());

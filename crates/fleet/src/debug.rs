@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use obs::stitch::FanoutTrace;
+use obs::stitch::{self, FanoutTrace};
 use obs::sync::{Mutex, Rank};
 use obs::trace::SpanEvent;
 use pcp_wire::scrape::HttpResponse;
@@ -125,7 +125,9 @@ impl DebugPlane {
     pub fn render_trace(&self) -> String {
         let (events, lane_of) = self.collect_events();
         obs::chrome::chrome_trace_json_with_pids(&events, &|e: &SpanEvent| {
-            lane_of.get(&e.arg).copied().unwrap_or(1)
+            stitch::child_id(e)
+                .and_then(|c| lane_of.get(&c).copied())
+                .unwrap_or(1)
         })
     }
 
@@ -155,12 +157,12 @@ impl DebugPlane {
                 Some(t) => match t.straggler_share() {
                     Some(h) => out.push_str(&format!(
                         " wall {} ns straggler host {:04} chain {} ns skew {}/1000\n",
-                        t.wall_ns,
+                        t.total(),
                         h.host_index,
-                        h.chain_ns,
+                        h.chain.total(),
                         t.skew_ratio_permille()
                     )),
-                    None => out.push_str(&format!(" wall {} ns straggler none\n", t.wall_ns)),
+                    None => out.push_str(&format!(" wall {} ns straggler none\n", t.total())),
                 },
                 None => out.push_str(" untraced\n"),
             }
@@ -366,7 +368,6 @@ pub fn parse_selector(s: &str) -> Result<Selector, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::stitch;
     use obs::trace::Kind;
     use store::{SeriesKey, StoreConfig};
 
@@ -394,6 +395,11 @@ mod tests {
             span(stitch::PASS_MERGE_SPAN, 1, base + 7_100, 2_000, 0),
             span(stitch::PASS_INGEST_SPAN, 1, base + 9_200, 700, 0),
         ];
+        recorded(pass_id, t_ns, events)
+    }
+
+    /// A recorded two-host pass over `events`, stitched.
+    fn recorded(pass_id: u64, t_ns: u64, events: Vec<SpanEvent>) -> PassRecord {
         let trace = FanoutTrace::stitch(&events, pass_id, 2);
         PassRecord {
             pass_id,
@@ -453,6 +459,74 @@ mod tests {
         // Both host lanes and the aggregator lane are present.
         let pids: std::collections::BTreeSet<u64> = parsed.iter().map(|e| e.pid).collect();
         assert_eq!(pids.into_iter().collect::<Vec<_>>(), vec![1, 2, 3]);
+    }
+
+    /// A drained ring holding more than pass 2: pass 1's leftovers, the
+    /// host servers' own codec spans, unrelated spans, and codec spans
+    /// whose payload-size `arg` happens to equal one of pass 2's child
+    /// ids. Only the four child-id labels match by arg, so the server
+    /// thread's colliding decode is dropped, and the worker's colliding
+    /// decode — inside a host scrape, so kept — stays on the
+    /// aggregator's lane instead of a host's.
+    #[test]
+    fn pass_membership_matches_child_ids_only_on_the_labels_that_carry_them() {
+        let (old, pass_id, base) = (1, 2, 1_000_000);
+        let child = |i| stitch::fanout_child_id(pass_id, i);
+        let decode = "wire.pdu.decode";
+        let mut fail = span(stitch::HOST_FAIL_INSTANT, 3, base + 4_900, 0, child(1));
+        fail.kind = Kind::Instant;
+        let keep = vec![
+            span(stitch::PASS_SPAN, 1, base, 10_000, pass_id),
+            span(stitch::PASS_FANOUT_SPAN, 1, base, 7_000, 0),
+            span(stitch::HOST_SCRAPE_SPAN, 2, base + 100, 4_000, child(0)),
+            span("wire.pdu.encode", 2, base + 200, 50, 12),
+            span(stitch::CLIENT_SCRAPE_SPAN, 2, base + 300, 3_000, child(0)),
+            span(stitch::SERVER_SCRAPE_SPAN, 10, base + 500, 1_000, child(0)),
+            span(decode, 2, base + 3_500, 100, child(1)),
+            span(stitch::HOST_SCRAPE_SPAN, 3, base + 200, 6_500, child(1)),
+            span(stitch::CLIENT_CONNECT_SPAN, 3, base + 300, 800, 0),
+            fail,
+            span(stitch::PASS_MERGE_SPAN, 1, base + 7_100, 2_000, 0),
+            span(stitch::PASS_INGEST_SPAN, 1, base + 9_200, 700, 0),
+        ];
+        let old_child = stitch::fanout_child_id(old, 0);
+        let drop = vec![
+            // Pass 1's leftovers.
+            span(stitch::PASS_SPAN, 1, 0, 10_000, old),
+            span(stitch::PASS_FANOUT_SPAN, 1, 0, 7_000, 0),
+            span(stitch::HOST_SCRAPE_SPAN, 2, 100, 4_000, old_child),
+            span("wire.pdu.encode", 2, 200, 50, 12),
+            span(stitch::SERVER_SCRAPE_SPAN, 10, 500, 1_000, old_child),
+            // The host server's request decode and reply encode.
+            span(decode, 10, base + 400, 40, 8),
+            span("wire.pdu.encode", 10, base + 1_550, 60, 4_000),
+            // The colliding decode: its payload size is child 0's id.
+            span(decode, 10, base + 1_700, 90, child(0)),
+            // Unrelated work, inside the pass window and out of it.
+            span("memsim.run_single", 1, base + 9_950, 20, 7),
+            span("pmcd.fetch", 5, base + 50, 500, 0),
+        ];
+        let mut drained: Vec<SpanEvent> = keep.iter().chain(&drop).copied().collect();
+        drained.reverse();
+        let (kept, trace) = stitch::stitch_pass(drained, pass_id, 2);
+        let mut want = keep.clone();
+        want.sort_unstable_by_key(|e| (e.start_ns, e.tid, e.label));
+        assert_eq!(kept, want);
+        assert_eq!(trace.map(|t| t.hosts.len()), Some(2));
+
+        let p = plane(2);
+        p.record_pass(recorded(pass_id, base, kept));
+        let parsed = obs::chrome::parse_chrome_trace(&p.render_trace()).expect("valid chrome doc");
+        assert_eq!(parsed.len(), keep.len());
+        for ev in &parsed {
+            let lane = match ev.arg {
+                _ if ev.name == decode => 1,
+                Some(a) if a == child(0) => 2,
+                Some(a) if a == child(1) => 3,
+                _ => 1,
+            };
+            assert_eq!(ev.pid, lane, "event {} arg {:?}", ev.name, ev.arg);
+        }
     }
 
     #[test]

@@ -59,20 +59,21 @@ fn traced_pass_conserves_wall_time_end_to_end() {
         // Exactness: phase shares sum to the measured wall time, and
         // every host's components sum to its chain — no time invented
         // or lost anywhere in the tree.
-        assert_eq!(trace.total(), trace.wall_ns, "phases must sum to wall");
+        let phases: u64 = trace.wall.parts().iter().map(|(_, v)| v).sum();
+        assert_eq!(phases, trace.wall.total(), "phases must sum to wall");
         assert_eq!(trace.hosts.len(), 6, "every slot has a chain");
         for h in &trace.hosts {
-            let parts: u64 = h.components.iter().map(|(_, v)| v).sum();
-            assert_eq!(parts, h.chain_ns, "host {} components", h.host_index);
+            let parts: u64 = h.chain.parts().iter().map(|(_, v)| v).sum();
+            assert_eq!(parts, h.chain.total(), "host {} components", h.host_index);
             assert!(h.ok, "clean pass: host {} ok", h.host_index);
             // A host that answered is charged its own render and codec
             // time; neither hides in `wire`.
             for spent in ["server.render", "codec"] {
-                assert!(h.component(spent) > 0, "host {} {spent}", h.host_index);
+                assert!(h.chain.get(spent) > 0, "host {} {spent}", h.host_index);
             }
             // Sessions persist: only the first pass opens one per host,
             // and a warm pass spends exactly nothing on connecting.
-            let connect = h.component("connect");
+            let connect = h.chain.get("connect");
             if pass == 1 {
                 assert!(connect > 0, "host {} opened its session", h.host_index);
             } else {
@@ -82,7 +83,8 @@ fn traced_pass_conserves_wall_time_end_to_end() {
         // The straggler is the argmax chain, and skew is >= 1000 by
         // definition (max >= mean).
         let straggler = trace.straggler_share().expect("6 hosts -> straggler");
-        assert!(trace.hosts.iter().all(|h| h.chain_ns <= straggler.chain_ns));
+        let worst = straggler.chain.total();
+        assert!(trace.hosts.iter().all(|h| h.chain.total() <= worst));
         assert!(trace.skew_ratio_permille() >= 1000);
     }
 }
@@ -113,24 +115,25 @@ fn mid_pass_stall_attributes_straggler_to_exactly_that_host() {
     assert_eq!(report.stale, vec![host_name(2)]);
 
     let trace = report.trace.as_ref().expect("stalled pass still traced");
-    assert_eq!(trace.straggler, Some(2), "straggler is the stalled slot");
+    let straggler = trace.straggler_share().map(|h| h.host_index);
+    assert_eq!(straggler, Some(2), "straggler is the stalled slot");
     let victim = trace.straggler_share().expect("share");
     assert!(!victim.ok, "the straggler slot is marked failed");
     assert!(
-        victim.chain_ns >= timeout.as_nanos() as u64 / 2,
+        victim.chain.total() >= timeout.as_nanos() as u64 / 2,
         "victim chain ({} ns) reflects the stall",
-        victim.chain_ns
+        victim.chain.total()
     );
     // The stall is charged to the connect: the retarget dropped the
     // slot's session, and the stalled read is the CREDS handshake's (no
     // server render ever happened).
-    assert_eq!(victim.component("server.render"), 0);
-    assert!(victim.component("connect") >= timeout.as_nanos() as u64 / 2);
+    assert_eq!(victim.chain.get("server.render"), 0);
+    assert!(victim.chain.get("connect") >= timeout.as_nanos() as u64 / 2);
     for h in trace.hosts.iter().filter(|h| h.host_index != 2) {
         assert!(h.ok);
-        assert!(h.chain_ns < victim.chain_ns);
+        assert!(h.chain.total() < victim.chain.total());
         assert!(
-            h.component("server.render") > 0,
+            h.chain.get("server.render") > 0,
             "only the victim never rendered"
         );
     }

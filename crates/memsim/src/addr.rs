@@ -7,8 +7,6 @@
 //! per-rank FFT pencils of Fig. 10) can thus be traced without allocating
 //! host memory.
 
-use crate::SECTOR_BYTES;
-
 /// Alignment of fresh regions. 64 KiB pages, matching the large base pages
 /// commonly configured on POWER9 Linux.
 pub const REGION_ALIGN: u64 = 64 * 1024;
@@ -115,16 +113,6 @@ fn round_up(v: u64, align: u64) -> u64 {
     v.div_ceil(align) * align
 }
 
-/// Number of sectors a `len`-byte object starting at `base` touches.
-pub fn sectors_spanned(base: u64, len: u64) -> u64 {
-    if len == 0 {
-        return 0;
-    }
-    let first = base / SECTOR_BYTES;
-    let last = (base + len - 1) / SECTOR_BYTES;
-    last - first + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,16 +145,6 @@ mod tests {
         let mut asp = AddressSpace::new();
         let a = asp.alloc(64);
         let _ = a.slice(32, 64);
-    }
-
-    #[test]
-    fn sector_spans() {
-        assert_eq!(sectors_spanned(0, 0), 0);
-        assert_eq!(sectors_spanned(0, 1), 1);
-        assert_eq!(sectors_spanned(0, 64), 1);
-        assert_eq!(sectors_spanned(0, 65), 2);
-        assert_eq!(sectors_spanned(63, 2), 2);
-        assert_eq!(sectors_spanned(64, 64), 1);
     }
 
     #[test]

@@ -140,11 +140,6 @@ impl SetAssocCache {
         }
     }
 
-    /// Construct from an architectural geometry description.
-    pub fn from_geometry(geo: &p9_arch::CacheGeometry) -> Self {
-        Self::new(geo.capacity_bytes, geo.ways)
-    }
-
     /// Capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
         self.sets as u64 * self.ways as u64 * crate::SECTOR_BYTES
@@ -457,14 +452,6 @@ mod tests {
         }
         assert!(evictions >= 1);
         assert!(c.resident() <= 64);
-    }
-
-    #[test]
-    fn geometry_roundtrip() {
-        let c = SetAssocCache::from_geometry(&p9_arch::CacheGeometry::p9_l1d());
-        assert_eq!(c.capacity_bytes(), 32 * 1024);
-        // 64 B sectors: twice the line count of the 128 B-line geometry.
-        assert_eq!(c.sets() * c.ways(), 512);
     }
 
     #[test]

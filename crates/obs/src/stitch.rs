@@ -1,4 +1,4 @@
-//! Cross-process trace stitching and critical-path decomposition.
+//! Cross-process trace stitching and conserved time decomposition.
 //!
 //! A `WireClient` stamps every fetch PDU with a process-unique trace id
 //! (see [`crate::trace::next_trace_id`]); the server echoes that id as
@@ -12,12 +12,80 @@
 //! rtt = server.fetch + server.dispatch + codec.client + codec.server + wire
 //! ```
 //!
-//! Each component is clamped against the budget remaining after the
-//! ones before it, so the shares always sum to the client RTT *exactly*
-//! — the decomposition can be wrong about attribution in pathological
-//! traces, but it can never invent or lose time.
+//! Every decomposition here — a fetch's RTT, a host's scrape chain, a
+//! fleet pass's wall time — is one [`Split`]: a measured total whose
+//! named parts are charged in order against what the earlier parts
+//! left, the last part taking the remainder. The shares therefore sum
+//! to the total *exactly*: attribution can be wrong in a pathological
+//! trace, but time is never invented or lost.
+
+use std::collections::HashSet;
+use std::fmt;
 
 use crate::trace::{Kind, SpanEvent};
+
+/// A measured total and its named parts, which sum to it exactly.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Split {
+    total: u64,
+    parts: Vec<(&'static str, u64)>,
+}
+
+impl Split {
+    /// Charge `wants[i]` to `names[i]` in order, each clamped to what
+    /// the earlier parts left of `total`; the last name, which has no
+    /// want, takes the remainder. This is the one budget clamp every
+    /// decomposition in this module uses.
+    pub fn charge(total: u64, names: &[&'static str], wants: &[u64]) -> Split {
+        debug_assert_eq!(
+            names.len(),
+            wants.len() + 1,
+            "the last part is the remainder"
+        );
+        let mut left = total;
+        let parts = names
+            .iter()
+            .zip(wants.iter().copied().chain(std::iter::once(u64::MAX)))
+            .map(|(&name, want)| {
+                let got = want.min(left);
+                left -= got;
+                (name, got)
+            })
+            .collect();
+        Split { total, parts }
+    }
+
+    /// The measured total the parts were charged against.
+    pub fn total(&self) -> u64 {
+        self.total
+    }
+
+    /// `(name, nanoseconds)` in charge order.
+    pub fn parts(&self) -> &[(&'static str, u64)] {
+        &self.parts
+    }
+
+    /// Nanoseconds charged to `name` (0 for an unknown name).
+    pub fn get(&self, name: &str) -> u64 {
+        self.parts
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map_or(0, |(_, v)| *v)
+    }
+}
+
+/// `name v + name v + …` in charge order.
+impl fmt::Display for Split {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, (name, v)) in self.parts.iter().enumerate() {
+            if i > 0 {
+                f.write_str(" + ")?;
+            }
+            write!(f, "{name} {v}")?;
+        }
+        Ok(())
+    }
+}
 
 /// Label of the client-side span wrapping one wire fetch round trip;
 /// its `arg` is the trace id carried in the fetch PDU.
@@ -34,7 +102,7 @@ const FETCH_INNER_SPAN: &str = "pmcd.fetch";
 
 /// Labels of the PDU codec spans (matched by thread + time
 /// containment; their args carry payload sizes, not trace ids).
-pub const CODEC_SPANS: [&str; 2] = ["wire.pdu.encode", "wire.pdu.decode"];
+const CODEC_SPANS: [&str; 2] = ["wire.pdu.encode", "wire.pdu.decode"];
 
 /// Component names of the decomposition, in attribution order.
 pub const COMPONENTS: [&str; 5] = [
@@ -51,34 +119,21 @@ pub struct CriticalPath {
     /// Trace id linking the client and server spans (0 for an averaged
     /// path from [`mean_critical_path`]).
     pub trace_id: u64,
-    /// The client-measured round trip in nanoseconds.
-    pub rtt_ns: u64,
-    /// `(component, nanoseconds)` in [`COMPONENTS`] order; sums to
-    /// `rtt_ns` exactly.
-    pub components: Vec<(&'static str, u64)>,
-}
-
-impl CriticalPath {
-    /// Nanoseconds attributed to `name` (0 for unknown components).
-    pub fn component(&self, name: &str) -> u64 {
-        self.components
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| *v)
-    }
-
-    /// Sum of all component shares — equal to `rtt_ns` by construction.
-    pub fn total(&self) -> u64 {
-        self.components.iter().map(|(_, v)| v).sum()
-    }
+    /// The client-measured round trip, split over [`COMPONENTS`].
+    pub rtt: Split,
 }
 
 /// True when `inner` lies wholly inside `outer`'s time window (threads
 /// are the caller's business).
-pub fn contains(outer: &SpanEvent, inner: &SpanEvent) -> bool {
+fn contains(outer: &SpanEvent, inner: &SpanEvent) -> bool {
     inner.start_ns >= outer.start_ns
         && inner.start_ns.saturating_add(inner.dur_ns)
             <= outer.start_ns.saturating_add(outer.dur_ns)
+}
+
+/// True when `inner` was recorded on `outer`'s thread, inside its window.
+fn nested(outer: &SpanEvent, inner: &SpanEvent) -> bool {
+    inner.tid == outer.tid && contains(outer, inner)
 }
 
 fn span_with_arg<'a>(events: &'a [SpanEvent], label: &str, arg: u64) -> Option<&'a SpanEvent> {
@@ -88,8 +143,7 @@ fn span_with_arg<'a>(events: &'a [SpanEvent], label: &str, arg: u64) -> Option<&
 }
 
 /// Sum the durations of codec spans on thread `tid` that fall inside
-/// `window`, excluding any that also fall inside `exclude` (used to
-/// avoid double-charging server-side codec work into the server span).
+/// `window`'s time range.
 fn codec_ns(events: &[SpanEvent], tid: u64, window: &SpanEvent) -> u64 {
     events
         .iter()
@@ -123,46 +177,30 @@ pub fn critical_path(events: &[SpanEvent], trace_id: u64) -> Option<CriticalPath
 
     let fetch_inner = events
         .iter()
-        .filter(|e| {
-            e.kind == Kind::Span
-                && e.label == FETCH_INNER_SPAN
-                && e.tid == server.tid
-                && contains(server, e)
-        })
+        .filter(|e| e.kind == Kind::Span && e.label == FETCH_INNER_SPAN && nested(server, e))
         .map(|e| e.dur_ns)
-        .sum::<u64>();
-    let server_ns = server.dur_ns;
+        .sum::<u64>()
+        .min(server.dur_ns);
     let codec_client = codec_ns(events, client.tid, client);
     // Server-side request decode and reply encode run on the server
     // thread before/after its handling span, inside the client window.
     let codec_server =
         codec_ns(events, server.tid, client).saturating_sub(codec_ns(events, server.tid, server));
 
-    // Charge each component against the budget left by the previous
-    // ones; whatever remains is wire + scheduling time. The shares
-    // therefore sum to the RTT exactly, by construction.
-    let mut budget = client.dur_ns;
-    let mut take = |want: u64| {
-        let got = want.min(budget);
-        budget -= got;
-        got
-    };
-    let fetch = take(fetch_inner.min(server_ns));
-    let dispatch = take(server_ns - fetch_inner.min(server_ns));
-    let cc = take(codec_client);
-    let cs = take(codec_server);
-    let wire = budget;
-
+    // Whatever the server and both codecs leave of the RTT is wire +
+    // scheduling time.
     Some(CriticalPath {
         trace_id,
-        rtt_ns: client.dur_ns,
-        components: vec![
-            (COMPONENTS[0], fetch),
-            (COMPONENTS[1], dispatch),
-            (COMPONENTS[2], cc),
-            (COMPONENTS[3], cs),
-            (COMPONENTS[4], wire),
-        ],
+        rtt: Split::charge(
+            client.dur_ns,
+            &COMPONENTS,
+            &[
+                fetch_inner,
+                server.dur_ns - fetch_inner,
+                codec_client,
+                codec_server,
+            ],
+        ),
     })
 }
 
@@ -177,27 +215,17 @@ pub fn mean_critical_path(events: &[SpanEvent]) -> Option<CriticalPath> {
         return None;
     }
     let n = paths.len() as u64;
-    let mut components: Vec<(&'static str, u64)> = COMPONENTS
+    let mean = |part: &dyn Fn(&Split) -> u64| paths.iter().map(|p| part(&p.rtt)).sum::<u64>() / n;
+    // Integer division may drop up to `n-1` nanoseconds per component;
+    // charging the means against the mean RTT hands that remainder to
+    // the wire share, so the mean path still sums to its RTT.
+    let wants: Vec<u64> = COMPONENTS[..COMPONENTS.len() - 1]
         .iter()
-        .map(|name| {
-            (
-                *name,
-                paths.iter().map(|p| p.component(name)).sum::<u64>() / n,
-            )
-        })
+        .map(|name| mean(&|s| s.get(name)))
         .collect();
-    // Integer division may drop up to `len-1` nanoseconds per
-    // component; fold the remainder into the wire share so the mean
-    // path keeps the sums-to-rtt invariant.
-    let rtt_ns = paths.iter().map(|p| p.rtt_ns).sum::<u64>() / n;
-    let partial: u64 = components.iter().map(|(_, v)| v).sum();
-    if let Some(last) = components.last_mut() {
-        last.1 += rtt_ns.saturating_sub(partial);
-    }
     Some(CriticalPath {
         trace_id: 0,
-        rtt_ns,
-        components,
+        rtt: Split::charge(mean(&Split::total), &COMPONENTS, &wants),
     })
 }
 
@@ -240,6 +268,9 @@ pub const SERVER_SCRAPE_SPAN: &str = "wire.server.scrape";
 /// included (matched like the codec spans, by thread + containment).
 pub const CLIENT_CONNECT_SPAN: &str = "wire.client.connect";
 
+/// The aggregator phase spans, in [`PASS_PHASES`] order.
+const PHASE_SPANS: [&str; 3] = [PASS_FANOUT_SPAN, PASS_MERGE_SPAN, PASS_INGEST_SPAN];
+
 /// Component names of one host chain's decomposition, in attribution
 /// order. `queue` is time spent waiting for a fan-out worker,
 /// `server.render` is the host PMCD's exposition render (matched by
@@ -261,6 +292,62 @@ pub fn fanout_child_id(pass_id: u64, host_index: u64) -> u64 {
     pass_id.wrapping_shl(17) | ((host_index & 0xFFFF) + 1)
 }
 
+/// The fan-out child id `e` carries. Only four labels carry one; any
+/// other label's `arg` means something else (a codec span's is its
+/// payload size), so an equal number there places nothing in a slot.
+pub fn child_id(e: &SpanEvent) -> Option<u64> {
+    let carries = [
+        HOST_SCRAPE_SPAN,
+        HOST_FAIL_INSTANT,
+        CLIENT_SCRAPE_SPAN,
+        SERVER_SCRAPE_SPAN,
+    ];
+    carries.contains(&e.label).then_some(e.arg)
+}
+
+/// Select pass `pass_id`'s events out of a drained ring and stitch them
+/// into its [`FanoutTrace`]. An event belongs to the pass when it is
+///
+/// - the pass span itself ([`PASS_SPAN`] with arg `pass_id`);
+/// - an event whose [`child_id`] is one of the pass's `n_hosts` slots;
+/// - a phase span on the pass thread, inside the pass window;
+/// - a codec or connect span a worker recorded inside one of the
+///   pass's host scrapes (matched by thread + time, as the stitch
+///   charges them).
+///
+/// Everything else — a previous pass's leftovers, the host servers' own
+/// codec work, unrelated spans from whatever shares the process — is
+/// dropped. The kept events come back sorted by start, thread, label.
+pub fn stitch_pass(
+    drained: Vec<SpanEvent>,
+    pass_id: u64,
+    n_hosts: usize,
+) -> (Vec<SpanEvent>, Option<FanoutTrace>) {
+    let children: HashSet<u64> = (0..n_hosts as u64)
+        .map(|i| fanout_child_id(pass_id, i))
+        .collect();
+    let ours = |e: &SpanEvent| child_id(e).is_some_and(|c| children.contains(&c));
+    let pass = span_with_arg(&drained, PASS_SPAN, pass_id).copied();
+    let scrapes: Vec<SpanEvent> = drained
+        .iter()
+        .filter(|e| e.label == HOST_SCRAPE_SPAN && ours(e))
+        .copied()
+        .collect();
+    let mut events: Vec<SpanEvent> = drained
+        .into_iter()
+        .filter(|e| {
+            (e.label == PASS_SPAN && e.arg == pass_id)
+                || ours(e)
+                || (PHASE_SPANS.contains(&e.label) && pass.is_some_and(|p| nested(&p, e)))
+                || ((CODEC_SPANS.contains(&e.label) || e.label == CLIENT_CONNECT_SPAN)
+                    && scrapes.iter().any(|h| nested(h, e)))
+        })
+        .collect();
+    events.sort_unstable_by_key(|e| (e.start_ns, e.tid, e.label));
+    let trace = FanoutTrace::stitch(&events, pass_id, n_hosts);
+    (events, trace)
+}
+
 /// One host's share of a scrape pass.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HostShare {
@@ -270,46 +357,26 @@ pub struct HostShare {
     pub trace_id: u64,
     /// False when a [`HOST_FAIL_INSTANT`] names this slot.
     pub ok: bool,
-    /// Queue wait + scrape duration: this host's contribution to the
-    /// fan-out critical path, on the aggregator's clock.
-    pub chain_ns: u64,
-    /// `(component, nanoseconds)` in [`FANOUT_COMPONENTS`] order; sums
-    /// to `chain_ns` exactly.
-    pub components: Vec<(&'static str, u64)>,
-}
-
-impl HostShare {
-    /// Nanoseconds attributed to `name` (0 for unknown components).
-    pub fn component(&self, name: &str) -> u64 {
-        self.components
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| *v)
-    }
+    /// Queue wait + scrape duration — this host's contribution to the
+    /// fan-out critical path, on the aggregator's clock — split over
+    /// [`FANOUT_COMPONENTS`].
+    pub chain: Split,
 }
 
 /// One scrape pass stitched into a tree: the aggregator's pass span at
 /// the root, its phase spans below, and one decomposed chain per host.
-///
-/// Conservation holds exactly, by the same budget clamp as
-/// [`critical_path`]: the phase shares sum to `wall_ns`, and every
-/// host's components sum to its `chain_ns`. Attribution can be wrong in
-/// pathological traces; time is never invented or lost.
+/// The pass wall and every host chain are each a [`Split`], so both
+/// conserve exactly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FanoutTrace {
     /// Pass-level trace id (the `arg` of [`PASS_SPAN`]).
     pub pass_id: u64,
-    /// Measured pass wall time: the duration of [`PASS_SPAN`].
-    pub wall_ns: u64,
-    /// `(phase, nanoseconds)` in [`PASS_PHASES`] order; sums to
-    /// `wall_ns` exactly.
-    pub phases: Vec<(&'static str, u64)>,
+    /// The measured pass wall time (the duration of [`PASS_SPAN`]),
+    /// split over [`PASS_PHASES`].
+    pub wall: Split,
     /// Per-host chains, in host-slot order (slots with no span at all —
     /// e.g. a pass raced with ring eviction — are simply absent).
     pub hosts: Vec<HostShare>,
-    /// Slot index of the straggler: the first host attaining the
-    /// maximum `chain_ns`. `None` for a hostless pass.
-    pub straggler: Option<u64>,
 }
 
 impl FanoutTrace {
@@ -318,14 +385,12 @@ impl FanoutTrace {
     /// span itself is missing.
     pub fn stitch(events: &[SpanEvent], pass_id: u64, n_hosts: usize) -> Option<FanoutTrace> {
         let pass = span_with_arg(events, PASS_SPAN, pass_id)?;
-        let phase_span = |label: &str| {
-            events.iter().find(|e| {
-                e.kind == Kind::Span && e.label == label && e.tid == pass.tid && contains(pass, e)
-            })
-        };
-        let fanout = phase_span(PASS_FANOUT_SPAN);
-        let merge = phase_span(PASS_MERGE_SPAN);
-        let ingest = phase_span(PASS_INGEST_SPAN);
+        let phase_spans = PHASE_SPANS.map(|label| {
+            events
+                .iter()
+                .find(|e| e.kind == Kind::Span && e.label == label && nested(pass, e))
+        });
+        let fanout = phase_spans[0];
 
         let mut hosts = Vec::new();
         for i in 0..n_hosts as u64 {
@@ -340,99 +405,63 @@ impl FanoutTrace {
             // worker pickup), so it is skew-free; the scrape itself is
             // decomposed against the worker-measured span duration.
             let queue = fanout.map_or(0, |f| host.start_ns.saturating_sub(f.start_ns));
-            let mut budget = host.dur_ns;
-            let mut take = |want: u64| {
-                let got = want.min(budget);
-                budget -= got;
-                got
-            };
             // A connect's duration, and the handshake codec inside it,
             // which is part of the connect rather than of `codec`.
-            let (connect_ns, handshake_codec) = events
+            let (connect, handshake_codec) = events
                 .iter()
                 .filter(|e| {
-                    e.kind == Kind::Span
-                        && e.label == CLIENT_CONNECT_SPAN
-                        && e.tid == host.tid
-                        && contains(host, e)
+                    e.kind == Kind::Span && e.label == CLIENT_CONNECT_SPAN && nested(host, e)
                 })
                 .fold((0, 0), |(dur, codec), c| {
                     (dur + c.dur_ns, codec + codec_ns(events, host.tid, c))
                 });
-            let server =
-                take(span_with_arg(events, SERVER_SCRAPE_SPAN, child).map_or(0, |s| s.dur_ns));
-            let codec = take(codec_ns(events, host.tid, host).saturating_sub(handshake_codec));
-            let connect = take(connect_ns);
-            let wire = budget;
+            let server = span_with_arg(events, SERVER_SCRAPE_SPAN, child).map_or(0, |s| s.dur_ns);
+            let codec = codec_ns(events, host.tid, host).saturating_sub(handshake_codec);
             hosts.push(HostShare {
                 host_index: i,
                 trace_id: child,
                 ok: !failed,
-                chain_ns: queue + host.dur_ns,
-                components: vec![
-                    (FANOUT_COMPONENTS[0], queue),
-                    (FANOUT_COMPONENTS[1], server),
-                    (FANOUT_COMPONENTS[2], codec),
-                    (FANOUT_COMPONENTS[3], connect),
-                    (FANOUT_COMPONENTS[4], wire),
-                ],
+                // Queue is charged first and always fits, so the rest
+                // is charged against the scrape span alone.
+                chain: Split::charge(
+                    queue + host.dur_ns,
+                    &FANOUT_COMPONENTS,
+                    &[queue, server, codec, connect],
+                ),
             });
-        }
-
-        let mut budget = pass.dur_ns;
-        let mut take = |want: u64| {
-            let got = want.min(budget);
-            budget -= got;
-            got
-        };
-        let fanout_ns = take(fanout.map_or(0, |e| e.dur_ns));
-        let merge_ns = take(merge.map_or(0, |e| e.dur_ns));
-        let ingest_ns = take(ingest.map_or(0, |e| e.dur_ns));
-        let other_ns = budget;
-
-        let mut straggler: Option<(u64, u64)> = None;
-        for h in &hosts {
-            if straggler.is_none_or(|(_, best)| h.chain_ns > best) {
-                straggler = Some((h.host_index, h.chain_ns));
-            }
         }
 
         Some(FanoutTrace {
             pass_id,
-            wall_ns: pass.dur_ns,
-            phases: vec![
-                (PASS_PHASES[0], fanout_ns),
-                (PASS_PHASES[1], merge_ns),
-                (PASS_PHASES[2], ingest_ns),
-                (PASS_PHASES[3], other_ns),
-            ],
+            wall: Split::charge(
+                pass.dur_ns,
+                &PASS_PHASES,
+                &phase_spans.map(|e| e.map_or(0, |e| e.dur_ns)),
+            ),
             hosts,
-            straggler: straggler.map(|(i, _)| i),
         })
     }
 
     /// Nanoseconds attributed to phase `name` (0 for unknown phases).
     pub fn phase(&self, name: &str) -> u64 {
-        self.phases
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map_or(0, |(_, v)| *v)
+        self.wall.get(name)
     }
 
-    /// Sum of all phase shares — equal to `wall_ns` by construction.
+    /// The measured pass wall time, which the phases sum to.
     pub fn total(&self) -> u64 {
-        self.phases.iter().map(|(_, v)| v).sum()
+        self.wall.total()
     }
 
-    /// The straggler's [`HostShare`], when the pass had any hosts.
+    /// The straggler — the first host attaining the maximum chain —
+    /// when the pass had any hosts.
     pub fn straggler_share(&self) -> Option<&HostShare> {
-        let idx = self.straggler?;
-        self.hosts.iter().find(|h| h.host_index == idx)
+        // `max_by_key` keeps the last maximum; reversed, that is the first.
+        self.hosts.iter().rev().max_by_key(|h| h.chain.total())
     }
 
     /// The straggler's chain time (0 for a hostless pass).
     pub fn straggler_ns(&self) -> u64 {
-        self.straggler_share().map_or(0, |h| h.chain_ns)
+        self.straggler_share().map_or(0, |h| h.chain.total())
     }
 
     /// Straggler skew as permille of the mean host chain:
@@ -440,7 +469,7 @@ impl FanoutTrace {
     /// `max * 1000 * n / sum` to stay in integers. 1000 means a
     /// perfectly balanced fan-out; 0 means no (or all-zero) chains.
     pub fn skew_ratio_permille(&self) -> u64 {
-        let sum: u64 = self.hosts.iter().map(|h| h.chain_ns).sum();
+        let sum: u64 = self.hosts.iter().map(|h| h.chain.total()).sum();
         if sum == 0 {
             return 0;
         }
@@ -453,32 +482,25 @@ impl FanoutTrace {
     /// regardless of how many workers executed the fan-out.
     pub fn summary(&self) -> String {
         let mut out = format!(
-            "pass {}: wall {} ns = fanout {} + merge {} + ingest {} + other {}\n",
+            "pass {}: wall {} ns = {}\n",
             self.pass_id,
-            self.wall_ns,
-            self.phase(PASS_PHASES[0]),
-            self.phase(PASS_PHASES[1]),
-            self.phase(PASS_PHASES[2]),
-            self.phase(PASS_PHASES[3]),
+            self.wall.total(),
+            self.wall
         );
         for h in &self.hosts {
             out.push_str(&format!(
-                "  host {:04}{}: chain {} ns = queue {} + server.render {} + codec {} + connect {} + wire {}\n",
+                "  host {:04}{}: chain {} ns = {}\n",
                 h.host_index,
                 if h.ok { "" } else { " FAILED" },
-                h.chain_ns,
-                h.component(FANOUT_COMPONENTS[0]),
-                h.component(FANOUT_COMPONENTS[1]),
-                h.component(FANOUT_COMPONENTS[2]),
-                h.component(FANOUT_COMPONENTS[3]),
-                h.component(FANOUT_COMPONENTS[4]),
+                h.chain.total(),
+                h.chain,
             ));
         }
         match self.straggler_share() {
             Some(h) => out.push_str(&format!(
                 "straggler: host {:04}, chain {} ns, skew {}/1000\n",
                 h.host_index,
-                h.chain_ns,
+                h.chain.total(),
                 self.skew_ratio_permille()
             )),
             None => out.push_str("straggler: none\n"),
@@ -490,6 +512,11 @@ impl FanoutTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The parts of `split`, summed here rather than read back from it.
+    fn parts(split: &Split) -> u64 {
+        split.parts().iter().map(|(_, v)| v).sum()
+    }
 
     fn span(label: &'static str, tid: u64, start_ns: u64, dur_ns: u64, arg: u64) -> SpanEvent {
         SpanEvent {
@@ -516,17 +543,27 @@ mod tests {
         ]
     }
 
+    /// Each part is clamped to what the earlier ones left, and the last
+    /// takes the remainder, whatever the wants add up to.
+    #[test]
+    fn split_charges_in_order_and_the_last_part_takes_the_rest() {
+        let s = Split::charge(100, &["a", "b", "rest"], &[70, 50]);
+        assert_eq!(s.parts(), &[("a", 70), ("b", 30), ("rest", 0)]);
+        assert_eq!((s.get("b"), s.get("nope")), (30, 0));
+        assert_eq!(s.to_string(), "a 70 + b 30 + rest 0");
+    }
+
     #[test]
     fn shares_sum_to_rtt_exactly() {
         let events = round_trip(7, 100_000);
         let path = critical_path(&events, 7).unwrap();
-        assert_eq!(path.rtt_ns, 1000);
-        assert_eq!(path.total(), path.rtt_ns);
-        assert_eq!(path.component("server.fetch"), 300);
-        assert_eq!(path.component("server.dispatch"), 100);
-        assert_eq!(path.component("codec.client"), 80);
-        assert_eq!(path.component("codec.server"), 100);
-        assert_eq!(path.component("wire"), 420);
+        assert_eq!(path.rtt.total(), 1000);
+        assert_eq!(parts(&path.rtt), path.rtt.total());
+        assert_eq!(path.rtt.get("server.fetch"), 300);
+        assert_eq!(path.rtt.get("server.dispatch"), 100);
+        assert_eq!(path.rtt.get("codec.client"), 80);
+        assert_eq!(path.rtt.get("codec.server"), 100);
+        assert_eq!(path.rtt.get("wire"), 420);
     }
 
     #[test]
@@ -547,8 +584,8 @@ mod tests {
             span(FETCH_INNER_SPAN, 2, 1100, 4_000, 1),
         ];
         let path = critical_path(&events, 3).unwrap();
-        assert_eq!(path.total(), 500);
-        assert_eq!(path.component("wire"), 0);
+        assert_eq!(parts(&path.rtt), 500);
+        assert_eq!(path.rtt.get("wire"), 0);
     }
 
     /// Shift every server-side (tid 2) event by a constant clock skew,
@@ -578,17 +615,17 @@ mod tests {
             let mut events = round_trip(9, 10_000_000_000_000);
             skew_server(&mut events, skew);
             let path = critical_path(&events, 9).unwrap();
-            assert_eq!(path.rtt_ns, 1000, "skew {skew}");
-            assert_eq!(path.total(), path.rtt_ns, "skew {skew}");
+            assert_eq!(path.rtt.total(), 1000, "skew {skew}");
+            assert_eq!(parts(&path.rtt), path.rtt.total(), "skew {skew}");
             // Durations are per-clock, so single-host components keep
             // their shares under any constant skew.
-            assert_eq!(path.component("server.fetch"), 300, "skew {skew}");
-            assert_eq!(path.component("server.dispatch"), 100, "skew {skew}");
-            assert_eq!(path.component("codec.client"), 80, "skew {skew}");
+            assert_eq!(path.rtt.get("server.fetch"), 300, "skew {skew}");
+            assert_eq!(path.rtt.get("server.dispatch"), 100, "skew {skew}");
+            assert_eq!(path.rtt.get("codec.client"), 80, "skew {skew}");
         }
         // Zero skew is the calibrated baseline the loop must agree with.
         let path = critical_path(&round_trip(9, 10_000_000_000_000), 9).unwrap();
-        assert_eq!(path.component("codec.server"), 100);
+        assert_eq!(path.rtt.get("codec.server"), 100);
     }
 
     /// With a skewed server clock the cross-clock containment test for
@@ -606,10 +643,10 @@ mod tests {
         }
         for id in trace_ids(&events) {
             let path = critical_path(&events, id).unwrap();
-            assert_eq!(path.total(), path.rtt_ns, "trace {id}");
+            assert_eq!(parts(&path.rtt), path.rtt.total(), "trace {id}");
         }
         let mean = mean_critical_path(&events).unwrap();
-        assert_eq!(mean.total(), mean.rtt_ns);
+        assert_eq!(parts(&mean.rtt), mean.rtt.total());
     }
 
     #[test]
@@ -618,9 +655,9 @@ mod tests {
         events.extend(round_trip(2, 1_000_000));
         assert_eq!(trace_ids(&events), vec![1, 2]);
         let mean = mean_critical_path(&events).unwrap();
-        assert_eq!(mean.rtt_ns, 1000);
-        assert_eq!(mean.total(), mean.rtt_ns);
-        assert_eq!(mean.component("server.fetch"), 300);
+        assert_eq!(mean.rtt.total(), 1000);
+        assert_eq!(parts(&mean.rtt), mean.rtt.total());
+        assert_eq!(mean.rtt.get("server.fetch"), 300);
         assert!(mean_critical_path(&[]).is_none());
     }
 
@@ -660,8 +697,8 @@ mod tests {
     #[test]
     fn fanout_phases_sum_to_wall_exactly() {
         let t = FanoutTrace::stitch(&fanout_pass(5, 1_000), 5, 3).unwrap();
-        assert_eq!(t.wall_ns, 10_000);
-        assert_eq!(t.total(), t.wall_ns);
+        assert_eq!(t.wall.total(), 10_000);
+        assert_eq!(parts(&t.wall), t.wall.total());
         assert_eq!(t.phase("fanout"), 6_000);
         assert_eq!(t.phase("merge"), 2_500);
         assert_eq!(t.phase("ingest"), 900);
@@ -673,18 +710,18 @@ mod tests {
         let t = FanoutTrace::stitch(&fanout_pass(5, 1_000), 5, 3).unwrap();
         assert_eq!(t.hosts.len(), 3);
         for h in &t.hosts {
-            let sum: u64 = h.components.iter().map(|(_, v)| v).sum();
-            assert_eq!(sum, h.chain_ns, "host {}", h.host_index);
+            let sum: u64 = parts(&h.chain);
+            assert_eq!(sum, h.chain.total(), "host {}", h.host_index);
         }
         let h0 = &t.hosts[0];
-        assert_eq!(h0.chain_ns, 4_000);
-        assert_eq!(h0.component("queue"), 0);
-        assert_eq!(h0.component("server.render"), 1_500);
-        assert_eq!(h0.component("codec"), 250);
-        assert_eq!(h0.component("wire"), 2_250);
+        assert_eq!(h0.chain.total(), 4_000);
+        assert_eq!(h0.chain.get("queue"), 0);
+        assert_eq!(h0.chain.get("server.render"), 1_500);
+        assert_eq!(h0.chain.get("codec"), 250);
+        assert_eq!(h0.chain.get("wire"), 2_250);
         let h1 = &t.hosts[1];
-        assert_eq!(h1.component("queue"), 1_000);
-        assert_eq!(h1.chain_ns, 6_000);
+        assert_eq!(h1.chain.get("queue"), 1_000);
+        assert_eq!(h1.chain.total(), 6_000);
     }
 
     /// A connect span is charged whole to `connect`, the handshake's
@@ -700,19 +737,19 @@ mod tests {
         events.push(span("wire.pdu.decode", 3, base + 2_000, 40, 0));
         let t = FanoutTrace::stitch(&events, 5, 3).unwrap();
         let h1 = &t.hosts[1];
-        assert_eq!(h1.component("connect"), 800);
-        assert_eq!(h1.component("codec"), 40);
-        assert_eq!(h1.component("server.render"), 2_000);
-        assert_eq!(h1.component("wire"), 5_000 - 2_000 - 40 - 800);
-        let sum: u64 = h1.components.iter().map(|(_, v)| v).sum();
-        assert_eq!(sum, h1.chain_ns);
-        assert_eq!(t.hosts[0].component("connect"), 0);
+        assert_eq!(h1.chain.get("connect"), 800);
+        assert_eq!(h1.chain.get("codec"), 40);
+        assert_eq!(h1.chain.get("server.render"), 2_000);
+        assert_eq!(h1.chain.get("wire"), 5_000 - 2_000 - 40 - 800);
+        let sum: u64 = parts(&h1.chain);
+        assert_eq!(sum, h1.chain.total());
+        assert_eq!(t.hosts[0].chain.get("connect"), 0);
     }
 
     #[test]
     fn straggler_and_failure_attribution() {
         let t = FanoutTrace::stitch(&fanout_pass(5, 1_000), 5, 3).unwrap();
-        assert_eq!(t.straggler, Some(1));
+        assert_eq!(t.straggler_share().map(|h| h.host_index), Some(1));
         assert_eq!(t.straggler_ns(), 6_000);
         assert!(t.hosts[0].ok && t.hosts[1].ok);
         assert!(!t.hosts[2].ok, "fail instant must mark exactly host 2");
@@ -768,12 +805,12 @@ mod tests {
                 && e.label != SERVER_SCRAPE_SPAN
         });
         let t = FanoutTrace::stitch(&events, 3, 3).unwrap();
-        assert_eq!(t.total(), t.wall_ns);
-        assert_eq!(t.phase("other"), t.wall_ns);
+        assert_eq!(parts(&t.wall), t.wall.total());
+        assert_eq!(t.phase("other"), t.wall.total());
         for h in &t.hosts {
-            assert_eq!(h.component("queue"), 0, "no fanout span -> no queue");
-            let sum: u64 = h.components.iter().map(|(_, v)| v).sum();
-            assert_eq!(sum, h.chain_ns);
+            assert_eq!(h.chain.get("queue"), 0, "no fanout span -> no queue");
+            let sum: u64 = parts(&h.chain);
+            assert_eq!(sum, h.chain.total());
         }
         // An absent pass span cannot be stitched at all.
         assert!(FanoutTrace::stitch(&events, 4, 3).is_none());

@@ -17,7 +17,7 @@ use obs::sync::{Mutex, Rank};
 use pcp_sim::pmns::{InstanceId, MetricDesc, MetricId};
 use pcp_sim::{PcpError, PmApi};
 
-use crate::pdu::{read_pdu, write_pdu, ErrorCode, Pdu, WireError, PROTOCOL_VERSION};
+use crate::pdu::{read_pdu, write_pdu, ErrorCode, Pdu, WireError, MAX_STRING, PROTOCOL_VERSION};
 use crate::server::{decode_direction, decode_semantics};
 
 /// Default per-call I/O timeout: long enough for a loaded loopback
@@ -88,11 +88,15 @@ impl WireClient {
         self.peer
     }
 
-    /// One request/response round trip.
+    /// One request/response round trip; an `Error` reply is the
+    /// [`PcpError`] it stands for.
     fn call(&self, request: &Pdu) -> Result<Pdu, PcpError> {
         let mut stream = self.stream.lock();
         write_pdu(&mut *stream, request).map_err(wire_err)?;
-        read_pdu(&mut *stream, self.max_payload).map_err(wire_err)
+        match read_pdu(&mut *stream, self.max_payload).map_err(wire_err)? {
+            Pdu::Error { code, detail } => Err(server_error(code, detail)),
+            reply => Ok(reply),
+        }
     }
 
     /// Write raw bytes onto the connection, bypassing the codec. Exists
@@ -118,7 +122,6 @@ impl WireClient {
         let _span = (trace_id != 0).then(|| obs::span!(obs::stitch::CLIENT_SCRAPE_SPAN, trace_id));
         match self.call(&Pdu::Exposition { trace_id })? {
             Pdu::ExpositionResult { text } => Ok(text),
-            Pdu::Error { code, detail } => Err(server_error(code, detail)),
             other => Err(unexpected(&other)),
         }
     }
@@ -156,33 +159,32 @@ fn server_error(code: ErrorCode, detail: String) -> PcpError {
     match code {
         ErrorCode::NoSuchMetric => PcpError::NoSuchMetric(detail),
         ErrorCode::BadMetricId => PcpError::BadMetricId,
-        ErrorCode::BadInstance => PcpError::BadInstance,
-        ErrorCode::BadPdu
-        | ErrorCode::BadVersion
-        | ErrorCode::Busy
-        | ErrorCode::TooLarge
-        | ErrorCode::Internal => PcpError::Protocol(format!("{code:?}: {detail}")),
+        ErrorCode::BadPdu | ErrorCode::BadVersion | ErrorCode::Busy | ErrorCode::TooLarge => {
+            PcpError::Protocol(format!("{code:?}: {detail}"))
+        }
     }
 }
 
-/// Units interning: `MetricDesc.units` is `&'static str`; the handful of
-/// unit names in this system are known, so unknown strings (which can
-/// only come from a newer server) are leaked once each.
-fn intern_units(units: String) -> &'static str {
-    match units.as_str() {
-        "byte" => "byte",
-        "count" => "count",
-        "second" => "second",
-        "nanosecond" => "nanosecond",
-        _ => Box::leak(units.into_boxed_str()),
+/// `MetricDesc.units` is `&'static str`, and a PMCD serves only these
+/// three; any other string is a protocol error, never a new allocation
+/// the peer can repeat without bound.
+fn intern_units(units: &str) -> Result<&'static str, PcpError> {
+    match units {
+        "byte" => Ok("byte"),
+        "count" => Ok("count"),
+        "nanosecond" => Ok("nanosecond"),
+        other => Err(PcpError::Protocol(format!("unknown units {other:?}"))),
     }
 }
 
 impl PmApi for WireClient {
     fn pm_lookup_name(&self, name: &str) -> Result<MetricId, PcpError> {
+        // No PMNS name is this long, and the frame could not carry it.
+        if name.len() > MAX_STRING {
+            return Err(PcpError::NoSuchMetric(name.to_owned()));
+        }
         match self.call(&Pdu::Lookup { name: name.into() })? {
             Pdu::LookupResult { id } => Ok(MetricId(id)),
-            Pdu::Error { code, detail } => Err(server_error(code, detail)),
             other => Err(unexpected(&other)),
         }
     }
@@ -201,22 +203,24 @@ impl PmApi for WireClient {
                 name,
                 semantics: decode_semantics(semantics)
                     .ok_or_else(|| PcpError::Protocol(format!("bad semantics byte {semantics}")))?,
-                units: intern_units(units),
+                units: intern_units(&units)?,
                 channel: channel as usize,
                 direction: decode_direction(direction)
                     .ok_or_else(|| PcpError::Protocol(format!("bad direction byte {direction}")))?,
             }),
-            Pdu::Error { code, detail } => Err(server_error(code, detail)),
             other => Err(unexpected(&other)),
         }
     }
 
     fn pm_get_children(&self, prefix: &str) -> Result<Vec<String>, PcpError> {
+        // Nothing lives under a prefix longer than any PMNS name.
+        if prefix.len() > MAX_STRING {
+            return Ok(Vec::new());
+        }
         match self.call(&Pdu::Children {
             prefix: prefix.into(),
         })? {
             Pdu::ChildrenResult { names } => Ok(names),
-            Pdu::Error { code, detail } => Err(server_error(code, detail)),
             other => Err(unexpected(&other)),
         }
     }
@@ -246,7 +250,6 @@ impl PmApi for WireClient {
                     .map(|v| v.ok_or(PcpError::BadInstance))
                     .collect()
             }
-            Pdu::Error { code, detail } => Err(server_error(code, detail)),
             other => Err(unexpected(&other)),
         }
     }

@@ -33,8 +33,10 @@ pub const HEADER_LEN: usize = 8;
 pub const DEFAULT_MAX_PAYLOAD: u32 = 1 << 20;
 
 /// Hard caps on variable-length fields (defense in depth beyond the
-/// frame-level payload cap).
-const MAX_STRING: usize = 4096;
+/// frame-level payload cap). A string's length must also fit its `u16`
+/// prefix; callers that encode outside input check it against
+/// [`MAX_STRING`] first.
+pub(crate) const MAX_STRING: usize = 4096;
 const MAX_FETCH: usize = 65_536;
 const MAX_NAMES: usize = 65_536;
 /// Cap on an exposition document — far above a realistic registry
@@ -50,8 +52,6 @@ const T_DESC: u8 = 0x05;
 const T_DESC_RESULT: u8 = 0x06;
 const T_CHILDREN: u8 = 0x07;
 const T_CHILDREN_RESULT: u8 = 0x08;
-const T_INSTANCE: u8 = 0x09;
-const T_INSTANCE_RESULT: u8 = 0x0a;
 const T_FETCH: u8 = 0x0b;
 const T_FETCH_RESULT: u8 = 0x0c;
 const T_ERROR: u8 = 0x0d;
@@ -65,12 +65,10 @@ const T_MAX: u8 = T_EXPOSITION_RESULT;
 pub enum ErrorCode {
     NoSuchMetric,
     BadMetricId,
-    BadInstance,
     BadPdu,
     BadVersion,
     Busy,
     TooLarge,
-    Internal,
 }
 
 impl ErrorCode {
@@ -78,12 +76,10 @@ impl ErrorCode {
         match self {
             ErrorCode::NoSuchMetric => 1,
             ErrorCode::BadMetricId => 2,
-            ErrorCode::BadInstance => 3,
             ErrorCode::BadPdu => 4,
             ErrorCode::BadVersion => 5,
             ErrorCode::Busy => 6,
             ErrorCode::TooLarge => 7,
-            ErrorCode::Internal => 8,
         }
     }
 
@@ -91,12 +87,10 @@ impl ErrorCode {
         Some(match v {
             1 => ErrorCode::NoSuchMetric,
             2 => ErrorCode::BadMetricId,
-            3 => ErrorCode::BadInstance,
             4 => ErrorCode::BadPdu,
             5 => ErrorCode::BadVersion,
             6 => ErrorCode::Busy,
             7 => ErrorCode::TooLarge,
-            8 => ErrorCode::Internal,
             _ => return None,
         })
     }
@@ -139,13 +133,6 @@ pub enum Pdu {
     },
     ChildrenResult {
         names: Vec<String>,
-    },
-    /// Instance-domain query (`pmGetInDom` analogue).
-    Instance,
-    InstanceResult {
-        num_cpus: u32,
-        /// Publishing CPU per socket, socket order.
-        nest_cpus: Vec<u32>,
     },
     /// `pmFetch`: batched `(metric id, instance)` reads. `trace_id`
     /// is the propagated span context: a non-zero id links the
@@ -246,7 +233,8 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 impl Pdu {
-    fn type_tag(&self) -> u8 {
+    /// The frame's type byte.
+    pub(crate) fn type_tag(&self) -> u8 {
         match self {
             Pdu::Creds { .. } => T_CREDS,
             Pdu::CredsAck { .. } => T_CREDS_ACK,
@@ -256,8 +244,6 @@ impl Pdu {
             Pdu::DescResult { .. } => T_DESC_RESULT,
             Pdu::Children { .. } => T_CHILDREN,
             Pdu::ChildrenResult { .. } => T_CHILDREN_RESULT,
-            Pdu::Instance => T_INSTANCE,
-            Pdu::InstanceResult { .. } => T_INSTANCE_RESULT,
             Pdu::Fetch { .. } => T_FETCH,
             Pdu::FetchResult { .. } => T_FETCH_RESULT,
             Pdu::Error { .. } => T_ERROR,
@@ -297,17 +283,6 @@ impl Pdu {
                 put_u32(&mut p, names.len() as u32);
                 for n in names {
                     put_str(&mut p, n);
-                }
-            }
-            Pdu::Instance => {}
-            Pdu::InstanceResult {
-                num_cpus,
-                nest_cpus,
-            } => {
-                put_u32(&mut p, *num_cpus);
-                put_u32(&mut p, nest_cpus.len() as u32);
-                for c in nest_cpus {
-                    put_u32(&mut p, *c);
                 }
             }
             Pdu::Fetch { trace_id, requests } => {
@@ -500,25 +475,6 @@ pub fn decode_payload(type_tag: u8, payload: &[u8]) -> Result<Pdu, PduError> {
                 names.push(c.string()?);
             }
             Pdu::ChildrenResult { names }
-        }
-        T_INSTANCE => Pdu::Instance,
-        T_INSTANCE_RESULT => {
-            let num_cpus = c.u32()?;
-            let n = c.u32()? as usize;
-            if n > MAX_NAMES {
-                return Err(PduError::FieldTooLarge);
-            }
-            if n > c.remaining() / 4 {
-                return Err(PduError::Truncated);
-            }
-            let mut nest_cpus = Vec::with_capacity(n);
-            for _ in 0..n {
-                nest_cpus.push(c.u32()?);
-            }
-            Pdu::InstanceResult {
-                num_cpus,
-                nest_cpus,
-            }
         }
         T_FETCH => {
             let trace_id = c.u64()?;
@@ -743,11 +699,6 @@ mod tests {
             Pdu::ChildrenResult {
                 names: vec!["a.b".into(), "a.c".into()],
             },
-            Pdu::Instance,
-            Pdu::InstanceResult {
-                num_cpus: 176,
-                nest_cpus: vec![87, 175],
-            },
             Pdu::Fetch {
                 trace_id: 0,
                 requests: vec![(0, 87), (1, 175)],
@@ -795,7 +746,7 @@ mod tests {
 
     #[test]
     fn oversized_length_rejected_before_allocation() {
-        let mut frame = Pdu::Instance.encode();
+        let mut frame = Pdu::LookupResult { id: 3 }.encode();
         // Rewrite the length field to a hostile value.
         frame[4..8].copy_from_slice(&u32::MAX.to_be_bytes());
         match decode_frame(&frame, DEFAULT_MAX_PAYLOAD) {
@@ -809,7 +760,7 @@ mod tests {
 
     #[test]
     fn bad_magic_version_and_type_rejected() {
-        let good = Pdu::Instance.encode();
+        let good = Pdu::LookupResult { id: 3 }.encode();
 
         let mut bad = good.clone();
         bad[0] = 0xff;
@@ -825,12 +776,15 @@ mod tests {
             Err(PduError::BadVersion(99))
         ));
 
-        let mut bad = good;
-        bad[3] = 0x7f;
-        assert!(matches!(
-            decode_frame(&bad, DEFAULT_MAX_PAYLOAD),
-            Err(PduError::BadType(0x7f))
-        ));
+        // 0x09 and 0x0a were the retired instance-domain query and reply.
+        for tag in [0x09, 0x0a, 0x7f] {
+            let mut bad = good.clone();
+            bad[3] = tag;
+            assert!(matches!(
+                decode_frame(&bad, DEFAULT_MAX_PAYLOAD),
+                Err(PduError::BadType(t)) if t == tag
+            ));
+        }
     }
 
     #[test]

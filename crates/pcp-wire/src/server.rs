@@ -555,10 +555,6 @@ fn handle_request(shared: &Shared, pdu: Pdu) -> Pdu {
         Pdu::Children { prefix } => Pdu::ChildrenResult {
             names: core.children(&prefix),
         },
-        Pdu::Instance => Pdu::InstanceResult {
-            num_cpus: core.pmns().num_instances(),
-            nest_cpus: core.pmns().nest_cpus().to_vec(),
-        },
         Pdu::Fetch { trace_id, requests } => {
             // Echo the client's trace id as the span argument so the
             // drained rings stitch into one cross-process critical path
@@ -594,9 +590,11 @@ fn handle_request(shared: &Shared, pdu: Pdu) -> Pdu {
             }
         }
         // Anything else is a server-to-client PDU arriving backwards.
+        // The detail names only its type: the PDU's own fields are the
+        // peer's, and may not fit a reply string.
         other => Pdu::Error {
             code: ErrorCode::BadPdu,
-            detail: format!("unexpected pdu {other:?}"),
+            detail: format!("unexpected pdu type {:#04x}", other.type_tag()),
         },
     }
 }

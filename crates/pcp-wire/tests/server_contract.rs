@@ -2,16 +2,16 @@
 //! private registry is served coherently on every PMAPI path, and the
 //! handshake speaks exactly one protocol version.
 
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
 use p9_memsim::SimMachine;
-use pcp_sim::{InstanceId, PcpError, PmApi, Pmns};
+use pcp_sim::{InstanceId, MetricId, PcpError, PmApi, Pmns};
 use pcp_wire::pdu::{read_pdu, write_pdu, DEFAULT_MAX_PAYLOAD};
 use pcp_wire::server::MAX_FETCH_BATCH;
 use pcp_wire::{ErrorCode, Pdu, PmcdServer, WireClient, WireConfig, PROTOCOL_VERSION};
 
-fn bind(registry: Option<Arc<obs::Registry>>) -> PmcdServer {
+fn bind(registry: Option<Arc<obs::Registry>>, config: WireConfig) -> PmcdServer {
     let machine = SimMachine::quiet(p9_arch::Machine::tellico(), 3);
     let sockets = (0..machine.num_sockets())
         .map(|s| machine.socket_shared(s))
@@ -20,7 +20,7 @@ fn bind(registry: Option<Arc<obs::Registry>>) -> PmcdServer {
         "127.0.0.1:0",
         Pmns::for_machine(machine.arch()),
         sockets,
-        WireConfig::default(),
+        config,
         registry,
     )
     .expect("bind server")
@@ -34,7 +34,7 @@ fn private_registry_is_the_only_registry_a_server_serves() {
     obs::registry().counter("global.only").add(7);
     let private = Arc::new(obs::Registry::new());
     private.counter("private.only").add(41);
-    let server = bind(Some(private));
+    let server = bind(Some(private), WireConfig::default());
     let client = WireClient::connect(server.local_addr()).expect("connect");
 
     let id = client
@@ -60,7 +60,7 @@ fn private_registry_is_the_only_registry_a_server_serves() {
 /// and a closed connection.
 #[test]
 fn creds_handshake_rejects_both_neighbours_of_the_protocol_version() {
-    let server = bind(None);
+    let server = bind(None, WireConfig::default());
     for bad in [PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1] {
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
         write_pdu(&mut stream, &Pdu::Creds { version: bad }).expect("send creds");
@@ -85,7 +85,7 @@ fn creds_handshake_rejects_both_neighbours_of_the_protocol_version() {
 /// batch of exactly the cap.
 #[test]
 fn oversized_fetch_batch_is_refused_and_the_connection_lives_on() {
-    let server = bind(None);
+    let server = bind(None, WireConfig::default());
     let client = WireClient::connect(server.local_addr()).expect("connect");
     let id = client
         .pm_lookup_name("pmcd.pdu.error")
@@ -111,4 +111,99 @@ fn oversized_fetch_batch_is_refused_and_the_connection_lives_on() {
         .pm_fetch(&batch(MAX_FETCH_BATCH))
         .expect("fetch at the cap");
     assert_eq!(values, vec![errors_before + 1; MAX_FETCH_BATCH]);
+}
+
+/// A PDU only a server sends, arriving at the server after CREDS, is
+/// answered with a decodable `Error{BadPdu}` that names its type and
+/// not its contents: a 5 KB `ExpositionResult` would not fit a reply
+/// string. The server's one worker then serves the next client.
+#[test]
+fn a_backwards_pdu_too_big_for_a_reply_string_is_refused_by_type() {
+    let server = bind(
+        None,
+        WireConfig {
+            workers: 1,
+            ..WireConfig::default()
+        },
+    );
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    // A worker that dies mid-request leaves the socket open: fail, not hang.
+    let timeout = Some(std::time::Duration::from_secs(5));
+    stream.set_read_timeout(timeout).expect("read timeout");
+    let creds = Pdu::Creds {
+        version: PROTOCOL_VERSION,
+    };
+    write_pdu(&mut stream, &creds).expect("send creds");
+    assert!(matches!(
+        read_pdu(&mut stream, DEFAULT_MAX_PAYLOAD),
+        Ok(Pdu::CredsAck { .. })
+    ));
+    let backwards = Pdu::ExpositionResult {
+        text: "x".repeat(5000),
+    };
+    write_pdu(&mut stream, &backwards).expect("send 5 KB pdu");
+    assert_eq!(
+        read_pdu(&mut stream, DEFAULT_MAX_PAYLOAD).expect("a decodable reply"),
+        Pdu::Error {
+            code: ErrorCode::BadPdu,
+            detail: "unexpected pdu type 0x0f".into(),
+        }
+    );
+    drop(stream);
+    let next = WireClient::connect(server.local_addr()).expect("the worker lives on");
+    assert!(next.pm_lookup_name("pmcd.pdu.in").is_ok());
+}
+
+/// A name or prefix longer than a wire string is answered locally, as
+/// `PcpContext` answers it: no such metric, and no children.
+#[test]
+fn overlong_names_are_answered_without_a_round_trip() {
+    let server = bind(None, WireConfig::default());
+    let client = WireClient::connect(server.local_addr()).expect("connect");
+    let pdu_in = server.stats().pdu_in;
+    let name = "n".repeat(5000);
+    assert_eq!(
+        client.pm_lookup_name(&name),
+        Err(PcpError::NoSuchMetric(name.clone()))
+    );
+    assert_eq!(client.pm_get_children(&name), Ok(Vec::new()));
+    assert_eq!(server.stats().pdu_in, pdu_in, "nothing went on the wire");
+}
+
+/// Units outside the three a PMCD serves are a protocol error: the
+/// client keeps no copy of whatever string a peer sends.
+#[test]
+fn unknown_units_from_a_peer_are_a_protocol_error() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind fake peer");
+    let addr = listener.local_addr().expect("addr");
+    // The peer answers CREDS and two DESCs up front, then drains
+    // whatever the client sends until it hangs up.
+    let peer = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().expect("accept");
+        let ack = Pdu::CredsAck {
+            version: PROTOCOL_VERSION,
+            client_id: 1,
+        };
+        write_pdu(&mut s, &ack).expect("ack");
+        for units in ["furlong", "byte"] {
+            let desc = Pdu::DescResult {
+                id: 0,
+                semantics: 0,
+                channel: 0,
+                direction: 0,
+                units: units.into(),
+                name: "a.b".into(),
+            };
+            write_pdu(&mut s, &desc).expect("desc");
+        }
+        std::io::copy(&mut s, &mut std::io::sink()).expect("drain");
+    });
+    let client = WireClient::connect(addr).expect("connect to fake peer");
+    match client.pm_get_desc(MetricId(0)) {
+        Err(PcpError::Protocol(detail)) => assert!(detail.contains("furlong"), "{detail}"),
+        other => panic!("unknown units answered with {other:?}"),
+    }
+    assert_eq!(client.pm_get_desc(MetricId(0)).map(|d| d.units), Ok("byte"));
+    drop(client);
+    peer.join().expect("fake peer");
 }

@@ -101,22 +101,6 @@ impl Archive {
             .position(|w| w[1].values[idx] < w[0].values[idx])
             .map(|i| (i, i + 1))
     }
-
-    /// Counter-semantics rate of metric `idx` over the interval ending at
-    /// the first sample at or after `t` (units/second), `None` at the
-    /// archive edges.
-    pub fn rate_at(&self, idx: usize, t: f64) -> Option<f64> {
-        let pos = self.records.iter().position(|r| r.time_s >= t)?;
-        if pos == 0 {
-            return None;
-        }
-        let (a, b) = (&self.records[pos - 1], &self.records[pos]);
-        let dt = b.time_s - a.time_s;
-        if dt <= 0.0 {
-            return None;
-        }
-        Some((b.values[idx].wrapping_sub(a.values[idx])) as f64 / dt)
-    }
 }
 
 /// [`PmLogger::new`] refused a sampling interval that is not finite
@@ -279,7 +263,7 @@ mod tests {
     }
 
     #[test]
-    fn archive_replay_and_rates() {
+    fn archive_replay() {
         let (m, d, pmns) = setup();
         let ctx = PcpContext::connect(d.handle(), None);
         let mut logger = PmLogger::new(ctx, vec![read_metric(&pmns)], 1.0).unwrap();
@@ -300,12 +284,6 @@ mod tests {
         assert_eq!(archive.at(0.5).unwrap().values, vec![0]);
         assert_eq!(archive.at(1.5).unwrap().values, vec![64]);
         assert!(archive.at(-0.1).is_none());
-        // Rates: 64 B/s over [0,1], 128 B/s over [1,2].
-        let r1 = archive.rate_at(0, 1.0).unwrap();
-        let r2 = archive.rate_at(0, 2.0).unwrap();
-        assert!((r1 - 64.0).abs() < 1.0, "{r1}");
-        assert!((r2 - 128.0).abs() < 1.0, "{r2}");
-        assert!(archive.rate_at(0, 0.0).is_none(), "no interval before t0");
     }
 
     #[test]
@@ -316,7 +294,6 @@ mod tests {
         let archive = logger.close();
         assert!(archive.is_empty());
         assert!(archive.at(100.0).is_none());
-        assert!(archive.rate_at(0, 1.0).is_none());
     }
 
     #[test]

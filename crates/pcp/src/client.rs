@@ -85,30 +85,29 @@ impl PcpContext {
     pub fn connect(pmcd: Pmcd, host: Option<Arc<SocketShared>>) -> Self {
         PcpContext { pmcd, host }
     }
+}
 
-    /// Resolve a metric name (`pmLookupName`).
-    pub fn pm_lookup_name(&self, name: &str) -> Result<MetricId, PcpError> {
+impl PmApi for PcpContext {
+    fn pm_lookup_name(&self, name: &str) -> Result<MetricId, PcpError> {
         self.pmcd
             .serve(|core| core.lookup(name))
             .ok_or_else(|| PcpError::NoSuchMetric(name.to_owned()))
     }
 
-    /// Metric descriptor (`pmLookupDesc`).
-    pub fn pm_get_desc(&self, id: MetricId) -> Result<MetricDesc, PcpError> {
+    fn pm_get_desc(&self, id: MetricId) -> Result<MetricDesc, PcpError> {
         self.pmcd
             .serve(|core| core.desc(id))
             .ok_or(PcpError::BadMetricId)
     }
 
-    /// Names under a prefix (`pmGetChildren`, flattened).
-    pub fn pm_get_children(&self, prefix: &str) -> Result<Vec<String>, PcpError> {
+    fn pm_get_children(&self, prefix: &str) -> Result<Vec<String>, PcpError> {
         Ok(self.pmcd.serve(|core| core.children(prefix)))
     }
 
-    /// Fetch current values (`pmFetch`). One round trip for the whole
-    /// group — PAPI batches all PCP events of an event set into a single
-    /// fetch, and the round-trip latency is charged once.
-    pub fn pm_fetch(&self, requests: &[(MetricId, InstanceId)]) -> Result<Vec<u64>, PcpError> {
+    /// One round trip for the whole group — PAPI batches all PCP events
+    /// of an event set into a single fetch, and the round-trip latency
+    /// is charged once.
+    fn pm_fetch(&self, requests: &[(MetricId, InstanceId)]) -> Result<Vec<u64>, PcpError> {
         // No connection queue in front of a function call: depth 0.
         let values = self
             .pmcd
@@ -120,24 +119,6 @@ impl PcpContext {
             .into_iter()
             .map(|v| v.ok_or(PcpError::BadInstance))
             .collect()
-    }
-}
-
-impl PmApi for PcpContext {
-    fn pm_lookup_name(&self, name: &str) -> Result<MetricId, PcpError> {
-        PcpContext::pm_lookup_name(self, name)
-    }
-
-    fn pm_get_desc(&self, id: MetricId) -> Result<MetricDesc, PcpError> {
-        PcpContext::pm_get_desc(self, id)
-    }
-
-    fn pm_get_children(&self, prefix: &str) -> Result<Vec<String>, PcpError> {
-        PcpContext::pm_get_children(self, prefix)
-    }
-
-    fn pm_fetch(&self, requests: &[(MetricId, InstanceId)]) -> Result<Vec<u64>, PcpError> {
-        PcpContext::pm_fetch(self, requests)
     }
 
     fn fetch_latency_s(&self) -> f64 {

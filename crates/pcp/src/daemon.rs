@@ -143,6 +143,7 @@ impl Pmcd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::PmApi;
     use crate::fetchcore::{OBS_METRIC_BASE, SELF_METRIC_BASE};
     use crate::pmns::{InstanceId, MetricId};
     use p9_arch::Machine;

@@ -138,17 +138,6 @@ impl Pmns {
     pub fn valid_instance(&self, cpu: InstanceId) -> bool {
         cpu.0 < self.num_cpus
     }
-
-    /// Number of CPU instances in the per-CPU instance domain.
-    pub fn num_instances(&self) -> u32 {
-        self.num_cpus
-    }
-
-    /// Publishing CPU instance of every socket, in socket order (the
-    /// instance-domain payload of the wire protocol's INSTANCE PDU).
-    pub fn nest_cpus(&self) -> &[u32] {
-        &self.nest_cpu
-    }
 }
 
 #[cfg(test)]

@@ -249,18 +249,20 @@ fn stitched_trace_decomposes_wire_fetch_latency() {
     for tid in &ids {
         let path = obs::critical_path(&events, *tid)
             .unwrap_or_else(|| panic!("trace {tid} did not stitch"));
+        let parts: u64 = path.rtt.parts().iter().map(|(_, v)| v).sum();
         assert_eq!(
-            path.total(),
-            path.rtt_ns,
+            parts,
+            path.rtt.total(),
             "decomposition must conserve the RTT exactly: {path:?}"
         );
-        assert!(path.rtt_ns > 0, "{path:?}");
+        assert!(path.rtt.total() > 0, "{path:?}");
     }
     let mean = obs::stitch::mean_critical_path(&events).expect("mean path");
-    assert_eq!(mean.total(), mean.rtt_ns);
+    let parts: u64 = mean.rtt.parts().iter().map(|(_, v)| v).sum();
+    assert_eq!(parts, mean.rtt.total());
     // The server did real work on the critical path, not just wire.
     assert!(
-        mean.component("server.fetch") + mean.component("server.dispatch") > 0,
+        mean.rtt.get("server.fetch") + mean.rtt.get("server.dispatch") > 0,
         "{mean:?}"
     );
 

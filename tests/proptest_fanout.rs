@@ -126,21 +126,22 @@ proptest! {
                 .expect("pass span present");
 
             // Exact conservation at the pass level...
-            prop_assert_eq!(trace.total(), trace.wall_ns);
+            let phases: u64 = trace.wall.parts().iter().map(|(_, v)| v).sum();
+            prop_assert_eq!(phases, trace.wall.total());
             // ...and per host: components sum to the chain, and the
             // chain itself is the aggregator-side queue + scrape time,
             // untouched by the host's (possibly wild) clock skew.
             prop_assert_eq!(trace.hosts.len(), hosts.len());
             for (h, plan) in trace.hosts.iter().zip(&hosts) {
-                let parts: u64 = h.components.iter().map(|(_, v)| v).sum();
-                prop_assert_eq!(parts, h.chain_ns);
-                prop_assert_eq!(h.chain_ns, plan.queue_ns + plan.scrape_ns);
+                let parts: u64 = h.chain.parts().iter().map(|(_, v)| v).sum();
+                prop_assert_eq!(parts, h.chain.total());
+                prop_assert_eq!(h.chain.total(), plan.queue_ns + plan.scrape_ns);
                 prop_assert!(h.ok);
             }
 
             // The straggler is an argmax over chains.
             let best = trace.straggler_share().expect("nonempty fleet");
-            prop_assert!(trace.hosts.iter().all(|h| h.chain_ns <= best.chain_ns));
+            prop_assert!(trace.hosts.iter().all(|h| h.chain.total() <= best.chain.total()));
             prop_assert!(trace.skew_ratio_permille() >= 1000);
 
             summaries.push(trace.summary());
@@ -185,13 +186,14 @@ proptest! {
             })
             .collect();
         let trace = FanoutTrace::stitch(&events, pass_id, plans.len()).expect("pass span");
-        prop_assert_eq!(trace.total(), trace.wall_ns);
+        let phases: u64 = trace.wall.parts().iter().map(|(_, v)| v).sum();
+        prop_assert_eq!(phases, trace.wall.total());
         let kept = hosts.iter().filter(|h| h.3).count();
         prop_assert_eq!(trace.hosts.len(), kept);
         for h in &trace.hosts {
-            let parts: u64 = h.components.iter().map(|(_, v)| v).sum();
-            prop_assert_eq!(parts, h.chain_ns);
+            let parts: u64 = h.chain.parts().iter().map(|(_, v)| v).sum();
+            prop_assert_eq!(parts, h.chain.total());
         }
-        prop_assert_eq!(trace.straggler.is_some(), kept > 0);
+        prop_assert_eq!(trace.straggler_share().is_some(), kept > 0);
     }
 }
