@@ -18,10 +18,9 @@ use std::time::{Duration, Instant};
 use obs::derive::{Monitor, Predicate, Rule};
 use obs::openmetrics::{from_exported, render, MetricKind, Value};
 use obs::stitch::{self, FanoutTrace};
-use obs::sync::{Mutex, Rank};
-use pcp_wire::pool::{BoundedQueue, Pop};
-use pcp_wire::scrape::{HttpResponse, RequestHandler, CONTENT_TYPE};
-use pcp_wire::{ScrapeListener, WireClient};
+use pcp_wire::pool::BoundedQueue;
+use pcp_wire::scrape::RequestHandler;
+use pcp_wire::{ScrapeListener, WireClient, WireConfig};
 use store::{SeriesKey, Store, StoreConfig};
 
 use crate::debug::{DebugPlane, PassRecord, DEFAULT_DEBUG_PASSES};
@@ -112,10 +111,9 @@ pub struct Aggregator {
     prev_sim_bytes: u64,
     monitor: Monitor,
     store: Arc<Store>,
+    /// The pass ring, the published fleet document and the HTTP route
+    /// table.
     debug: Arc<DebugPlane>,
-    /// The fleet document: written at the end of a pass, cloned out by
-    /// the scrape provider.
-    published: Arc<Mutex<String>>,
     listener: Option<ScrapeListener>,
 }
 
@@ -185,7 +183,6 @@ impl Aggregator {
             prev_sim_bytes: 0,
             store,
             debug,
-            published: Arc::new(Mutex::new(Rank::FLEET_PUBLISHED, String::from("# EOF\n"))),
             listener: None,
         }
     }
@@ -275,28 +272,23 @@ impl Aggregator {
                 .map(|_| {
                     scope.spawn(move || {
                         let mut done = Vec::new();
-                        loop {
-                            match queue.pop_timeout(Duration::from_millis(10)) {
-                                Pop::Item((i, mut session)) => {
-                                    let child = stitch::fanout_child_id(pass_id, i as u64);
-                                    let started = Instant::now();
-                                    let result = {
-                                        let _host = obs::span!(stitch::HOST_SCRAPE_SPAN, child);
-                                        this.scrape_one(&this.targets[i], &mut session, child)
-                                    };
-                                    if result.is_err() {
-                                        obs::instant!(stitch::HOST_FAIL_INSTANT, child);
-                                        // Whatever failed, the session is
-                                        // suspect: the next pass re-dials.
-                                        session = None;
-                                    }
-                                    let lat = started.elapsed().as_nanos().min(u64::MAX as u128);
-                                    done.push((i, result, session, lat as u64));
-                                }
-                                Pop::TimedOut => {}
-                                Pop::Closed => return done,
+                        while let Some((i, mut session)) = queue.pop() {
+                            let child = stitch::fanout_child_id(pass_id, i as u64);
+                            let started = Instant::now();
+                            let result = {
+                                let _host = obs::span!(stitch::HOST_SCRAPE_SPAN, child);
+                                this.scrape_one(&this.targets[i], &mut session, child)
+                            };
+                            if result.is_err() {
+                                obs::instant!(stitch::HOST_FAIL_INSTANT, child);
+                                // Whatever failed, the session is suspect:
+                                // the next pass re-dials.
+                                session = None;
                             }
+                            let lat = started.elapsed().as_nanos().min(u64::MAX as u128);
+                            done.push((i, result, session, lat as u64));
                         }
+                        done
                     })
                 })
                 .collect();
@@ -420,10 +412,7 @@ impl Aggregator {
         doc.push_str(host_text.trim_end_matches("# EOF\n"));
         let fleet_section = render(&from_exported(&snap.scalars), None);
         doc.push_str(&fleet_section);
-        {
-            let mut published = self.published.lock();
-            *published = doc;
-        }
+        self.debug.publish(doc);
 
         self.debug.record_pass(PassRecord {
             pass_id,
@@ -452,7 +441,7 @@ impl Aggregator {
 
     /// The currently published fleet document (what `/metrics` serves).
     pub fn published(&self) -> String {
-        self.published.lock().clone()
+        self.debug.published().to_string()
     }
 
     /// Expose the fleet document on `/metrics` (and `/`) plus the
@@ -463,16 +452,14 @@ impl Aggregator {
         &mut self,
         addr: A,
     ) -> Result<SocketAddr, FleetError> {
-        let published = Arc::clone(&self.published);
         let debug = Arc::clone(&self.debug);
-        let handler: RequestHandler = Arc::new(move |path: &str, query: &str| {
-            if path == "/metrics" || path == "/" {
-                let doc = published.lock().clone();
-                return Some(HttpResponse::ok(CONTENT_TYPE, doc));
-            }
-            debug.handle(path, query)
-        });
-        let listener = ScrapeListener::bind_handler(addr, handler, 2, 16)?;
+        let handler: RequestHandler =
+            Arc::new(move |path: &str, query: &str| debug.handle(path, query));
+        let config = WireConfig {
+            workers: 2,
+            pending: 16,
+        };
+        let listener = ScrapeListener::bind_handler(addr, handler, config)?;
         let bound = listener.local_addr();
         self.listener = Some(listener);
         Ok(bound)

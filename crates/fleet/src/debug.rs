@@ -3,8 +3,10 @@
 //!
 //! [`DebugPlane`] keeps a ring of the last K [`PassRecord`]s — each a
 //! pass summary, its stitched [`FanoutTrace`] and the raw span events
-//! behind it — and renders four endpoints off that bounded state:
+//! behind it — beside the published fleet document, and is the whole
+//! route table of the fleet's HTTP listener:
 //!
+//! * `/metrics` (and `/`) — the fleet document of the newest pass;
 //! * `/debug/trace` — Chrome-trace JSON of the retained passes, one
 //!   `pid` lane per host (child-id → host mapping from the stitch);
 //! * `/debug/flame` — folded stacks over the same events;
@@ -15,9 +17,10 @@
 //!   [`Store`] through the existing [`Selector`] + `obs::derive`
 //!   machinery.
 //!
-//! Every render is a pure function of ring + store state, so repeated
-//! renders under a simulated clock are byte-identical, and memory is
-//! bounded by `K × events-per-pass` regardless of fleet uptime.
+//! Every `/debug/*` render is a pure function of ring + store state,
+//! so repeated renders under a simulated clock are byte-identical, and
+//! memory is bounded by `K × events-per-pass` regardless of fleet
+//! uptime.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -26,7 +29,7 @@ use std::sync::Arc;
 use obs::stitch::{self, FanoutTrace};
 use obs::sync::{Mutex, Rank};
 use obs::trace::SpanEvent;
-use pcp_wire::scrape::HttpResponse;
+use pcp_wire::scrape::{HttpResponse, CONTENT_TYPE};
 use store::{Derivation, Selector, SeriesData, Store};
 
 /// Passes the aggregator's plane retains (the K in "last K passes").
@@ -59,12 +62,21 @@ pub struct PassRecord {
     pub events: Vec<SpanEvent>,
 }
 
-/// Bounded diagnostics state + the `/debug/*` route table.
+/// What the plane's one lock guards.
+struct Retained {
+    passes: VecDeque<PassRecord>,
+    /// The fleet document `/metrics` serves: replaced whole at the end
+    /// of a pass, so a scrape clones the `Arc` and not the text.
+    published: Arc<str>,
+}
+
+/// Bounded diagnostics state, the published fleet document, and the
+/// fleet listener's route table.
 pub struct DebugPlane {
     capacity: usize,
     /// Renders copy what they need out under the lock and never touch
     /// the store while holding it.
-    ring: Mutex<VecDeque<PassRecord>>,
+    ring: Mutex<Retained>,
     store: Arc<Store>,
 }
 
@@ -76,7 +88,10 @@ impl DebugPlane {
             capacity,
             ring: Mutex::new(
                 Rank::FLEET_DEBUG_RING,
-                VecDeque::with_capacity(capacity.min(64)),
+                Retained {
+                    passes: VecDeque::with_capacity(capacity.min(64)),
+                    published: Arc::from("# EOF\n"),
+                },
             ),
             store,
         }
@@ -89,7 +104,7 @@ impl DebugPlane {
 
     /// Passes currently retained.
     pub fn len(&self) -> usize {
-        self.ring.lock().len()
+        self.ring.lock().passes.len()
     }
 
     /// True when no pass has been recorded yet.
@@ -100,17 +115,29 @@ impl DebugPlane {
     /// Record one pass, evicting the oldest beyond the capacity.
     pub fn record_pass(&self, mut record: PassRecord) {
         record.events.truncate(MAX_EVENTS_PER_PASS);
-        let mut ring = self.ring.lock();
-        ring.push_back(record);
-        while ring.len() > self.capacity {
-            ring.pop_front();
+        let passes = &mut self.ring.lock().passes;
+        passes.push_back(record);
+        while passes.len() > self.capacity {
+            passes.pop_front();
         }
     }
 
-    /// Route one `/debug/*` request; `None` for unknown paths (the
-    /// listener turns that into a 404).
+    /// Replace the fleet document `/metrics` serves.
+    pub fn publish(&self, document: String) {
+        let document: Arc<str> = Arc::from(document);
+        self.ring.lock().published = document;
+    }
+
+    /// The fleet document `/metrics` serves right now.
+    pub fn published(&self) -> Arc<str> {
+        Arc::clone(&self.ring.lock().published)
+    }
+
+    /// Route one request; `None` for unknown paths (the listener turns
+    /// that into a 404).
     pub fn handle(&self, path: &str, query: &str) -> Option<HttpResponse> {
         match path {
+            "/metrics" | "/" => Some(HttpResponse::ok(CONTENT_TYPE, self.published().to_string())),
             "/debug/trace" => Some(HttpResponse::ok("application/json", self.render_trace())),
             "/debug/flame" => Some(HttpResponse::text(200, "OK", self.render_flame())),
             "/debug/passes" => Some(HttpResponse::text(200, "OK", self.render_passes())),
@@ -141,7 +168,7 @@ impl DebugPlane {
     /// stitched per-host decomposition of each. Deterministic: no
     /// clocks, no thread ids, no hash-order iteration.
     pub fn render_passes(&self) -> String {
-        let ring = self.ring.lock();
+        let ring = &self.ring.lock().passes;
         let mut out = String::with_capacity(256 * ring.len().max(1));
         out.push_str("# fleet passes (last ");
         out.push_str(&ring.len().to_string());
@@ -229,7 +256,7 @@ impl DebugPlane {
         // forever.
         let t_to = {
             let ring = self.ring.lock();
-            ring.back().map_or(u64::MAX, |r| r.t_ns)
+            ring.passes.back().map_or(u64::MAX, |r| r.t_ns)
         };
         let t_from = t_to.saturating_sub(window_ns);
         match self.store.query(&selector, t_from, t_to) {
@@ -244,7 +271,7 @@ impl DebugPlane {
         let ring = self.ring.lock();
         let mut events = Vec::new();
         let mut lane_of = HashMap::new();
-        for r in ring.iter() {
+        for r in ring.passes.iter() {
             if let Some(t) = &r.trace {
                 for h in &t.hosts {
                     lane_of.insert(h.trace_id, h.host_index + 2);
@@ -608,6 +635,6 @@ mod tests {
         assert!(p.handle("/debug/passes", "").is_some());
         assert!(p.handle("/debug/series", "sel=*").is_some());
         assert!(p.handle("/debug/unknown", "").is_none());
-        assert!(p.handle("/metrics", "").is_none());
+        assert!(p.handle("/metrics", "").is_some());
     }
 }

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use p9_arch::Machine;
 use p9_memsim::machine::SocketShared;
-use p9_memsim::{Direction, NoiseConfig};
+use p9_memsim::{Direction, NoiseConfig, PrivilegeToken};
 use pcp_sim::pmns::Pmns;
 use pcp_wire::{PmcdServer, WireConfig};
 
@@ -87,10 +87,11 @@ impl SimHost {
             workers: 2,
             pending: 4,
         };
-        let server = PmcdServer::bind_system_with_registry(
+        let server = PmcdServer::bind(
             "127.0.0.1:0",
             pmns,
             sockets.clone(),
+            &PrivilegeToken::elevated(),
             config,
             Some(Arc::clone(&registry)),
         )?;

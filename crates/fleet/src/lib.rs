@@ -22,10 +22,12 @@
 //!   the document does not depend on which worker scraped which host
 //!   or when — the same determinism discipline as the parallel
 //!   experiment runner.
-//! * The merged document is re-exposed on one fleet-wide `/metrics`
-//!   (via [`pcp_wire::ScrapeListener::bind_provider`]), ingested into
-//!   a [`store::Store`], and fed to fleet-level rules on an
-//!   [`obs::Monitor`] — any host shedding, per-host scrape staleness.
+//! * The merged document is published on the [`DebugPlane`] and
+//!   re-exposed on one fleet-wide `/metrics` (via
+//!   [`pcp_wire::ScrapeListener::bind_handler`], whose route table is
+//!   [`DebugPlane::handle`]), ingested into a [`store::Store`], and fed
+//!   to fleet-level rules on an [`obs::Monitor`] — any host shedding,
+//!   per-host scrape staleness.
 //!
 //! * Every pass is traced end to end (DESIGN.md §16): the aggregator
 //!   mints a pass-level trace id, each host scrape carries a fan-out

@@ -12,7 +12,7 @@ use fleet::{
 };
 use obs::openmetrics::{render, MetricKind, OmSample, Value};
 use p9_memsim::machine::SocketShared;
-use p9_memsim::NoiseConfig;
+use p9_memsim::{NoiseConfig, PrivilegeToken};
 use pcp_sim::pmns::Pmns;
 use pcp_wire::{PmcdServer, WireConfig};
 use proptest::prelude::*;
@@ -168,10 +168,11 @@ fn standalone_pmcd(addr: std::net::SocketAddr) -> PmcdServer {
     let sockets = (0..machine.node.num_sockets())
         .map(|s| SocketShared::standalone(NoiseConfig::none(), s as u64 + 1, machine.clock_hz))
         .collect();
-    PmcdServer::bind_system_with_registry(
+    PmcdServer::bind(
         addr,
         Pmns::for_machine(&machine),
         sockets,
+        &PrivilegeToken::elevated(),
         WireConfig::default(),
         Some(Arc::new(obs::Registry::new())),
     )

@@ -55,14 +55,12 @@ impl Rank {
 /// because any code may record a span or bump a counter under any
 /// lock; the `memsim` and `bench` locks are leaves just before it.
 impl Rank {
-    /// `Aggregator`'s published fleet document.
-    pub const FLEET_PUBLISHED: Rank = Rank::new(10, "fleet.published");
-    /// `DebugPlane`'s pass-record ring.
+    /// `DebugPlane`'s pass-record ring and published fleet document.
     pub const FLEET_DEBUG_RING: Rank = Rank::new(11, "fleet.debug_ring");
     /// `WireClient`'s socket: serialises whole request/response exchanges.
     pub const WIRE_STREAM: Rank = Rank::new(21, "wire.stream").held_across_io();
-    /// A `PmcdServer` worker's slot naming the connection it serves;
-    /// `shutdown` closes that connection's read half under it.
+    /// A connection-service worker's slot naming the connection it
+    /// serves; `shutdown` closes that connection's read half under it.
     pub const WIRE_SERVING: Rank = Rank::new(22, "wire.serving");
     /// `Store`: one compaction/retention pass at a time; flushes ingest.
     pub const STORE_COMPACTING: Rank = Rank::new(30, "store.compacting");

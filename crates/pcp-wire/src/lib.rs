@@ -11,19 +11,23 @@
 //!   with a bad magic, unknown version, oversized length, or truncated
 //!   payload are rejected with an error, never a panic or an unbounded
 //!   allocation.
-//! * [`server`] — [`PmcdServer`]: accepts on a `TcpListener`, serves each
-//!   client from a bounded worker pool with read/write timeouts and
-//!   per-fetch batch limits (backpressure), survives malformed input and
-//!   mid-request disconnects, shuts down gracefully, and exports its own
+//! * [`pool`] — the one connection service behind both listeners below
+//!   (accept loop, [`BoundedQueue`], named worker pool, shutdown), and
+//!   the queue itself: a `std` mutex and condvar whose accept/shutdown
+//!   contract (bounded Busy rejection, graceful drain-then-join) its
+//!   tests run over 256 thread schedules each. A worker whose
+//!   per-connection code panics closes that connection, counts
+//!   `wire.worker.panics` and serves the next one.
+//! * [`server`] — [`PmcdServer`]: serves each client from the bounded
+//!   worker pool with read/write timeouts and per-fetch batch limits
+//!   (backpressure), survives malformed input and mid-request
+//!   disconnects, shuts down gracefully, and exports its own
 //!   operational counters (`pmcd.*`) through the same PMNS it serves —
 //!   the daemon profiles itself.
-//! * [`pool`] — [`BoundedQueue`]: the worker-pool connection queue, a
-//!   `std` mutex and condvar whose accept/shutdown contract (bounded Busy
-//!   rejection, graceful drain-then-join) its tests run over 256 thread
-//!   schedules each.
-//! * [`scrape`] — [`ScrapeListener`]: an HTTP sidecar serving the same
-//!   OpenMetrics exposition as `Pdu::Exposition`, so `curl` and
-//!   Prometheus can watch the daemon without speaking PDUs.
+//! * [`scrape`] — [`ScrapeListener`]: an HTTP sidecar on the same
+//!   service, serving the same OpenMetrics exposition as
+//!   `Pdu::Exposition`, so `curl` and Prometheus can watch the daemon
+//!   without speaking PDUs.
 //! * [`client`] — [`WireClient`]: implements `pcp_sim::PmApi`, so the
 //!   PAPI PCP component runs against either transport unchanged, and
 //!   `pcp_sim::PmLogger` records archives over it on its caller's clock.

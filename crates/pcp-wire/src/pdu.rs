@@ -40,8 +40,12 @@ pub(crate) const MAX_STRING: usize = 4096;
 const MAX_FETCH: usize = 65_536;
 const MAX_NAMES: usize = 65_536;
 /// Cap on an exposition document — far above a realistic registry
-/// (hundreds of metrics at ~64 bytes/line) but bounded.
-const MAX_EXPOSITION: usize = 1 << 20;
+/// (hundreds of metrics at ~64 bytes/line) but bounded. It is the
+/// largest text whose `ExpositionResult` payload (a `u32` length, then
+/// the text) fits [`DEFAULT_MAX_PAYLOAD`], so a client accepts every
+/// document a server sends; the server answers a bigger one
+/// `Error{TooLarge}`.
+pub(crate) const MAX_EXPOSITION: usize = DEFAULT_MAX_PAYLOAD as usize - 4;
 
 /// PDU type tags.
 const T_CREDS: u8 = 0x01;

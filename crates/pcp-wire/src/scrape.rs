@@ -10,11 +10,11 @@
 //! `GET /metrics` (or `/`) answered with `200` and
 //! `application/openmetrics-text`, unknown paths with `404`, non-GET
 //! methods with `405`, a malformed request line with `400`, always
-//! `Connection: close`. The transport is the PDU server's: the same
-//! blocking accept loop feeds the same [`BoundedQueue`] discipline —
-//! accepted sockets queue for a small worker pool, and when the queue
-//! is full the connection is shed at the door with `503` (counted by
-//! `wire.scrape.shed`) — and shutdown wakes the acceptor the same way.
+//! `Connection: close`. The transport is the PDU server's connection
+//! service (`pool::Service`): the same accept loop, [`BoundedQueue`],
+//! worker pool and shutdown — accepted sockets queue for a small worker
+//! pool, and when the queue is full the connection is shed at the door
+//! with `503` (counted by `wire.scrape.shed`).
 //!
 //! [`ScrapeListener::bind_handler`] generalises the route table: a
 //! handler maps `(path, query)` to [`HttpResponse`]s, which is how the
@@ -24,22 +24,14 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::pool::BoundedQueue;
-use crate::server::{accept_loop, serve_queue, wake_acceptor, PmcdServer};
+use crate::pool::{BoundedQueue, Service};
+use crate::server::{PmcdServer, WireConfig};
 
 /// OpenMetrics content type served with every `200`.
 pub const CONTENT_TYPE: &str = "application/openmetrics-text; version=1.0.0; charset=utf-8";
-
-/// What a listener serves on `GET /metrics`: any callable producing the
-/// current exposition text. [`ScrapeListener::bind`] wires this to a
-/// [`PmcdServer`]'s renderer; the fleet aggregator passes its merged
-/// fleet document instead.
-pub type ExpositionProvider = Arc<dyn Fn() -> String + Send + Sync>;
 
 /// A route table: maps a request's `(path, query)` — the request-target
 /// split once at its first `?`, query empty when absent — to a
@@ -94,36 +86,27 @@ const IO_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// The HTTP sidecar serving a PMCD's exposition.
 pub struct ScrapeListener {
-    local_addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    queue: Arc<BoundedQueue<TcpStream>>,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    service: Service,
 }
 
 impl ScrapeListener {
-    /// Bind next to `server` with a small default pool (2 workers, 16
-    /// pending connections) — scrapes are periodic, not a fleet.
+    /// Bind next to `server`, serving its exposition on `/metrics` and
+    /// `/` with a small pool (2 workers, 16 pending connections) —
+    /// scrapes are periodic, not a fleet.
     pub fn bind<A: ToSocketAddrs>(addr: A, server: &PmcdServer) -> std::io::Result<Self> {
         let shared = server.shared();
-        let provider: ExpositionProvider = Arc::new(move || shared.exposition());
-        Self::bind_provider(addr, provider, 2, 16)
-    }
-
-    /// Bind serving an arbitrary exposition provider — the transport
-    /// (accept loop, bounded queue, shed-at-the-door 503, HTTP framing)
-    /// without the PMCD coupling, on the canonical `/metrics` + `/`
-    /// route table.
-    pub fn bind_provider<A: ToSocketAddrs>(
-        addr: A,
-        provider: ExpositionProvider,
-        workers: usize,
-        pending: usize,
-    ) -> std::io::Result<Self> {
         let handler: RequestHandler = Arc::new(move |path: &str, _query: &str| {
-            (path == "/metrics" || path == "/").then(|| HttpResponse::ok(CONTENT_TYPE, provider()))
+            (path == "/metrics" || path == "/")
+                .then(|| HttpResponse::ok(CONTENT_TYPE, shared.exposition()))
         });
-        Self::bind_handler(addr, handler, workers, pending)
+        Self::bind_handler(
+            addr,
+            handler,
+            WireConfig {
+                workers: 2,
+                pending: 16,
+            },
+        )
     }
 
     /// Bind serving an arbitrary route table. The fleet tier serves its
@@ -132,64 +115,28 @@ impl ScrapeListener {
     pub fn bind_handler<A: ToSocketAddrs>(
         addr: A,
         handler: RequestHandler,
-        workers: usize,
-        pending: usize,
+        config: WireConfig,
     ) -> std::io::Result<Self> {
-        assert!(workers >= 1, "scrape listener needs at least one worker");
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let queue = Arc::new(BoundedQueue::new(pending.max(1)));
-
-        let mut out = ScrapeListener {
-            local_addr,
-            shutdown: Arc::clone(&shutdown),
-            queue: Arc::clone(&queue),
-            accept_thread: None,
-            workers: Vec::with_capacity(workers),
-        };
-        for i in 0..workers {
-            let handler = Arc::clone(&handler);
-            let queue = Arc::clone(&queue);
-            let handle = std::thread::Builder::new()
-                .name(format!("pmcd-scrape-{i}"))
-                .spawn(move || serve_queue(&queue, |stream| serve_scrape(&handler, stream)));
-            match handle {
-                Ok(h) => out.workers.push(h),
-                Err(e) => return Err(e),
-            }
-        }
-        out.accept_thread = Some(
-            std::thread::Builder::new()
-                .name("pmcd-scrape-accept".into())
-                .spawn(move || accept_loop(&listener, &shutdown, &queue, shed))?,
-        );
-        Ok(out)
+        let service = Service::start(
+            TcpListener::bind(addr)?,
+            "pmcd-scrape",
+            config.workers,
+            Arc::new(BoundedQueue::new(config.pending)),
+            move |stream| serve_scrape(&handler, stream),
+            shed,
+        )?;
+        Ok(ScrapeListener { service })
     }
 
     /// The address to point `curl`/Prometheus at.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.service.local_addr()
     }
 
     /// Stop accepting, drain queued connections, join every thread.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            wake_acceptor(self.local_addr);
-            let _ = t.join();
-        }
-        self.queue.close();
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ScrapeListener {
-    fn drop(&mut self) {
-        self.shutdown();
+        self.service.shutdown();
     }
 }
 
@@ -340,6 +287,18 @@ mod tests {
         assert!(r.contains(&expected), "frame was: {r}");
     }
 
+    fn config(workers: usize, pending: usize) -> WireConfig {
+        WireConfig { workers, pending }
+    }
+
+    /// The canonical `/metrics` + `/` route table over a fixed document.
+    fn eof_metrics() -> RequestHandler {
+        Arc::new(|path: &str, _query: &str| {
+            (path == "/metrics" || path == "/")
+                .then(|| HttpResponse::ok(CONTENT_TYPE, "# EOF\n".into()))
+        })
+    }
+
     /// One-shot HTTP GET against a real listener socket, returning
     /// (status, headers, body).
     fn http_get(addr: SocketAddr, path: &str) -> (u16, String, String) {
@@ -360,9 +319,8 @@ mod tests {
 
     #[test]
     fn listener_routes_and_frames_over_a_real_socket() {
-        let provider: ExpositionProvider = Arc::new(|| "# EOF\n".to_string());
-        let listener =
-            ScrapeListener::bind_provider("127.0.0.1:0", provider, 1, 4).expect("bind provider");
+        let listener = ScrapeListener::bind_handler("127.0.0.1:0", eof_metrics(), config(1, 4))
+            .expect("bind handler");
         let addr = listener.local_addr();
 
         let (status, head, body) = http_get(addr, "/metrics");
@@ -397,9 +355,8 @@ mod tests {
 
     #[test]
     fn non_get_methods_get_405_not_400() {
-        let provider: ExpositionProvider = Arc::new(|| "# EOF\n".to_string());
-        let listener =
-            ScrapeListener::bind_provider("127.0.0.1:0", provider, 1, 4).expect("bind provider");
+        let listener = ScrapeListener::bind_handler("127.0.0.1:0", eof_metrics(), config(1, 4))
+            .expect("bind handler");
         let addr = listener.local_addr();
 
         for method in ["POST", "PUT", "DELETE", "HEAD", "OPTIONS"] {
@@ -426,8 +383,8 @@ mod tests {
             "/debug/passes" => Some(HttpResponse::text(200, "OK", routed.clone())),
             _ => None,
         });
-        let listener =
-            ScrapeListener::bind_handler("127.0.0.1:0", handler, 1, 4).expect("bind handler");
+        let listener = ScrapeListener::bind_handler("127.0.0.1:0", handler, config(1, 4))
+            .expect("bind handler");
         let addr = listener.local_addr();
 
         let (status, head, body) = http_get(addr, "/debug/passes");
@@ -457,8 +414,8 @@ mod tests {
             let _ = release_rx.lock().expect("release lock").recv();
             Some(HttpResponse::ok(CONTENT_TYPE, "# EOF\n".into()))
         });
-        let listener =
-            ScrapeListener::bind_handler("127.0.0.1:0", handler, 1, 1).expect("bind handler");
+        let listener = ScrapeListener::bind_handler("127.0.0.1:0", handler, config(1, 1))
+            .expect("bind handler");
         let addr = listener.local_addr();
         // Declared after the listener, so a failed assertion drops it
         // first: that frees the held worker the listener's drop joins.
@@ -494,9 +451,8 @@ mod tests {
     /// The wake-up connect reaches a listener bound to every interface.
     #[test]
     fn listener_bound_on_the_unspecified_address_shuts_down() {
-        let provider: ExpositionProvider = Arc::new(|| "# EOF\n".to_string());
-        let mut listener =
-            ScrapeListener::bind_provider("0.0.0.0:0", provider, 1, 4).expect("bind 0.0.0.0");
+        let mut listener = ScrapeListener::bind_handler("0.0.0.0:0", eof_metrics(), config(1, 4))
+            .expect("bind 0.0.0.0");
         assert!(listener.local_addr().ip().is_unspecified());
         listener.shutdown();
     }

@@ -2,9 +2,9 @@
 //!
 //! Architecture (std only, no async runtime):
 //!
-//! * an **accept thread** blocks in `accept()` (`accept_loop`, the one
-//!   accept loop of the crate, shared with [`crate::ScrapeListener`]).
-//!   New connections go into a bounded queue; when every worker is busy
+//! * the crate's one connection service (`pool::Service`, shared with
+//!   [`crate::ScrapeListener`]) accepts, queues and shuts down. New
+//!   connections go into a bounded queue; when every worker is busy
 //!   and the queue is full the server answers `Error{Busy}` and closes —
 //!   load is shed at the door instead of queueing unboundedly.
 //! * a **bounded worker pool** (default 32 threads) pulls connections off
@@ -12,12 +12,11 @@
 //!   request, so each client has at most one fetch in flight; batch size
 //!   is additionally capped by [`MAX_FETCH_BATCH`]. That pair
 //!   of bounds is the backpressure story.
-//! * [`PmcdServer::shutdown`] wakes the acceptor with one throw-away
-//!   connection, closes the read half of every connection a worker is
-//!   serving (a worker parked in `read` on an idle client sees EOF at
-//!   once; a reply being written still goes out), drains the queue and
-//!   joins every thread. The per-read timeout tick that remains is the
-//!   slowloris guard only.
+//! * [`PmcdServer::shutdown`] stops the acceptor, closes the read half
+//!   of every connection a worker is serving (a worker parked in `read`
+//!   on an idle client sees EOF at once; a reply being written still
+//!   goes out), drains the queue and joins every thread. The per-read
+//!   timeout tick that remains is the slowloris guard only.
 //! * a malformed PDU earns the offending client an `Error{BadPdu}` and a
 //!   closed connection — other clients are unaffected, the server stays
 //!   up. Disconnects mid-request are absorbed the same way.
@@ -29,15 +28,10 @@
 //! clients, sheds) and hands it the live accept-queue depth.
 
 use std::io::Write as _;
-use std::net::{
-    IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs,
-};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-use obs::sync::{Mutex, Rank};
 use p9_memsim::machine::SocketShared;
 use p9_memsim::{Direction, PrivilegeError, PrivilegeToken};
 use pcp_sim::pmns::{InstanceId, MetricId, MetricSemantics, Pmns};
@@ -45,27 +39,21 @@ use pcp_sim::FetchCore;
 pub use pcp_sim::StatsSnapshot;
 
 use crate::pdu::{
-    read_pdu, write_pdu, ErrorCode, Pdu, WireError, DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION,
+    read_pdu, write_pdu, ErrorCode, Pdu, WireError, DEFAULT_MAX_PAYLOAD, MAX_EXPOSITION,
+    PROTOCOL_VERSION,
 };
-use crate::pool::{BoundedQueue, Pop, PushError};
+use crate::pool::{BoundedQueue, Service};
 
 /// Per-write timeout; a client that stops draining its socket is
-/// disconnected rather than wedging a worker.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+/// disconnected rather than wedging a worker. It also bounds the
+/// connection service's wake-up connect.
+pub(crate) const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Per-read timeout tick on a served connection. Its one job is the
 /// slowloris guard: a peer silent mid-frame for 50 ticks is dropped
 /// (`pdu::read_pdu`). It is not an idle-disconnect timeout, and shutdown
 /// does not wait on it.
 const READ_TICK: Duration = Duration::from_millis(100);
-
-/// How long an idle pool worker waits on the queue before looking again.
-/// Closing the queue wakes every waiter at once, so nothing waits on it.
-const WORKER_TICK: Duration = Duration::from_secs(1);
-
-/// Pause after an accept error. The ones that recur (EMFILE: out of
-/// descriptors) would otherwise spin the acceptor until they clear.
-const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Largest number of `(metric, instance)` pairs in one fetch; a bigger
 /// batch is answered `Error{TooLarge}` and the connection stays up.
@@ -97,10 +85,6 @@ pub(crate) struct Shared {
     /// The accept queue, visible to workers so `pmcd.queue.depth` can be
     /// fetched like any other metric.
     queue: Arc<BoundedQueue<TcpStream>>,
-    shutdown: AtomicBool,
-    /// One slot per worker: a `try_clone` of the connection it is
-    /// serving, so [`PmcdServer::shutdown`] can close its read half.
-    serving: Box<[Mutex<Option<TcpStream>>]>,
 }
 
 impl Shared {
@@ -158,31 +142,18 @@ impl From<std::io::Error> for ServerError {
 /// export.
 pub struct PmcdServer {
     shared: Arc<Shared>,
-    queue: Arc<BoundedQueue<TcpStream>>,
-    local_addr: SocketAddr,
-    accept_thread: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    service: Service,
 }
 
 impl PmcdServer {
     /// Bind and start serving. `addr` is typically `127.0.0.1:0` (the
     /// chosen port is available from [`PmcdServer::local_addr`]).
+    /// `registry` is exported as `pmcd.obs.*`; `None` exports the
+    /// process-global obs registry. The fleet simulator runs hundreds
+    /// of servers in one process, and a private registry per server
+    /// keeps each host's exposition independent of its neighbours (and
+    /// of the test harness's own instrumentation).
     pub fn bind<A: ToSocketAddrs>(
-        addr: A,
-        pmns: Pmns,
-        sockets: Vec<Arc<SocketShared>>,
-        token: &PrivilegeToken,
-        config: WireConfig,
-    ) -> Result<Self, ServerError> {
-        Self::bind_with_registry(addr, pmns, sockets, token, config, None)
-    }
-
-    /// [`PmcdServer::bind`], but exporting `registry` as `pmcd.obs.*`
-    /// instead of the process-global obs registry. The fleet simulator
-    /// runs hundreds of servers in one process; a private registry per
-    /// server keeps each host's exposition independent of its
-    /// neighbours (and of the test harness's own instrumentation).
-    pub fn bind_with_registry<A: ToSocketAddrs>(
         addr: A,
         pmns: Pmns,
         sockets: Vec<Arc<SocketShared>>,
@@ -191,90 +162,47 @@ impl PmcdServer {
         registry: Option<Arc<obs::Registry>>,
     ) -> Result<Self, ServerError> {
         token.require_elevated()?;
-        assert!(config.workers >= 1, "server needs at least one worker");
         let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-
         let queue = Arc::new(BoundedQueue::new(config.pending));
         let shared = Arc::new(Shared {
             core: FetchCore::new(pmns, sockets, registry),
             queue: Arc::clone(&queue),
-            shutdown: AtomicBool::new(false),
-            serving: (0..config.workers)
-                .map(|_| Mutex::new(Rank::WIRE_SERVING, None))
-                .collect(),
         });
-
-        let mut server = PmcdServer {
-            shared: Arc::clone(&shared),
-            queue: Arc::clone(&queue),
-            local_addr,
-            accept_thread: None,
-            workers: Vec::with_capacity(config.workers),
-        };
-
-        for i in 0..config.workers {
-            let shared = Arc::clone(&shared);
-            let handle = std::thread::Builder::new()
-                .name(format!("pmcd-worker-{i}"))
-                .spawn(move || {
-                    serve_queue(&shared.queue, |stream| serve_client(&shared, i, stream));
-                });
-            match handle {
-                Ok(h) => server.workers.push(h),
-                // Partial construction: `server` drops here, which joins
-                // the workers already spawned.
-                Err(e) => return Err(ServerError::Io(e)),
-            }
-        }
-
-        let accept_thread = std::thread::Builder::new()
-            .name("pmcd-accept".into())
-            .spawn(move || {
-                accept_loop(&listener, &shared.shutdown, &shared.queue, |stream| {
-                    reject_busy(&shared, stream);
-                });
-            })
-            .map_err(ServerError::Io)?;
-        server.accept_thread = Some(accept_thread);
-
-        Ok(server)
+        let (serving, shedding) = (Arc::clone(&shared), Arc::clone(&shared));
+        let service = Service::start(
+            listener,
+            "pmcd",
+            config.workers,
+            queue,
+            move |stream| serve_client(&serving, stream),
+            move |stream| reject_busy(&shedding, stream),
+        )?;
+        Ok(PmcdServer { shared, service })
     }
 
-    /// Bind as the *system* would (mints the elevated token itself) —
-    /// mirrors `Pmcd::spawn_system`. Privilege cannot fail here, but the
-    /// bind or thread spawns still can.
+    /// Bind as the *system* would (mints the elevated token itself),
+    /// exporting the process-global registry — mirrors
+    /// `Pmcd::spawn_system`. Privilege cannot fail here, but the bind or
+    /// thread spawns still can.
     pub fn bind_system<A: ToSocketAddrs>(
         addr: A,
         pmns: Pmns,
         sockets: Vec<Arc<SocketShared>>,
         config: WireConfig,
     ) -> Result<Self, ServerError> {
-        Self::bind(addr, pmns, sockets, &PrivilegeToken::elevated(), config)
-    }
-
-    /// [`PmcdServer::bind_system`] with a private obs registry (see
-    /// [`PmcdServer::bind_with_registry`]).
-    pub fn bind_system_with_registry<A: ToSocketAddrs>(
-        addr: A,
-        pmns: Pmns,
-        sockets: Vec<Arc<SocketShared>>,
-        config: WireConfig,
-        registry: Option<Arc<obs::Registry>>,
-    ) -> Result<Self, ServerError> {
-        Self::bind_with_registry(
+        Self::bind(
             addr,
             pmns,
             sockets,
             &PrivilegeToken::elevated(),
             config,
-            registry,
+            None,
         )
     }
 
     /// The address clients should connect to.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.service.local_addr()
     }
 
     /// Current operational counters.
@@ -285,7 +213,7 @@ impl PmcdServer {
     /// Connections currently waiting for a free worker (also fetchable
     /// by any client as `pmcd.queue.depth`).
     pub fn queue_depth(&self) -> usize {
-        self.queue.len()
+        self.shared.queue.len()
     }
 
     /// The OpenMetrics exposition this server would serve right now —
@@ -308,88 +236,7 @@ impl PmcdServer {
     /// not waited for — its next call sees the connection closed.
     /// Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if let Some(t) = self.accept_thread.take() {
-            wake_acceptor(self.local_addr);
-            let _ = t.join();
-        }
-        // A worker registers its connection before it reads the flag, so
-        // every connection is either closed here or by its own worker.
-        for slot in self.shared.serving.iter() {
-            if let Some(stream) = slot.lock().as_ref() {
-                let _ = stream.shutdown(Shutdown::Read);
-            }
-        }
-        // With the accept loop gone nothing produces any more; closing
-        // lets workers drain the backlog and then exit.
-        self.queue.close();
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for PmcdServer {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// The one accept loop, behind [`PmcdServer`] and
-/// [`crate::ScrapeListener`] alike: block in `accept()`, queue each
-/// connection for the worker pool, and hand it to `shed` when the queue
-/// is full. `shutdown` is checked after every `accept()` returns, so the
-/// loop ends on the first connection after it is set — which
-/// [`wake_acceptor`] supplies.
-pub(crate) fn accept_loop(
-    listener: &TcpListener,
-    shutdown: &AtomicBool,
-    queue: &BoundedQueue<TcpStream>,
-    shed: impl Fn(TcpStream),
-) {
-    loop {
-        obs::sync::about_to_block("accept");
-        let accepted = listener.accept();
-        if shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        match accepted {
-            Ok((stream, _peer)) => match queue.try_push(stream) {
-                Ok(()) => {}
-                Err(PushError::Full(stream)) => shed(stream),
-                Err(PushError::Closed(_)) => return,
-            },
-            Err(_) => {
-                obs::counter!("wire.accept.errors").inc();
-                std::thread::sleep(ACCEPT_ERROR_BACKOFF);
-            }
-        }
-    }
-}
-
-/// Make an [`accept_loop`] blocked on `local_addr` return, with one
-/// throw-away connection (to loopback when the listener is bound to the
-/// unspecified address). Set the loop's shutdown flag first.
-pub(crate) fn wake_acceptor(local_addr: SocketAddr) {
-    let mut addr = local_addr;
-    if addr.ip().is_unspecified() {
-        addr.set_ip(match addr.ip() {
-            IpAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
-            IpAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
-        });
-    }
-    let _ = TcpStream::connect_timeout(&addr, WRITE_TIMEOUT);
-}
-
-/// The worker side of the pipeline: serve queued connections one at a
-/// time until the queue is closed and drained.
-pub(crate) fn serve_queue(queue: &BoundedQueue<TcpStream>, mut serve: impl FnMut(TcpStream)) {
-    loop {
-        match queue.pop_timeout(WORKER_TICK) {
-            Pop::Item(stream) => serve(stream),
-            Pop::TimedOut => {}
-            Pop::Closed => return,
-        }
+        self.service.shutdown();
     }
 }
 
@@ -406,27 +253,23 @@ fn reject_busy(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.write_all(&frame);
 }
 
-/// Serve one client connection to completion on worker `worker`. Never
-/// panics on client misbehaviour: malformed frames, oversized lengths,
-/// and mid-request disconnects all end *this* connection only.
-fn serve_client(shared: &Shared, worker: usize, stream: TcpStream) {
-    let slot = &shared.serving[worker];
-    // Register first, then read the flag: a shutdown that swept this
-    // slot before the registration had already set it.
-    *slot.lock() = stream.try_clone().ok();
-    if shared.shutdown.load(Ordering::SeqCst) {
-        let _ = stream.shutdown(Shutdown::Read);
+/// Counts a client connected for as long as it lives, so a session
+/// that ends in a panic is counted disconnected too.
+struct Connected<'a>(&'a Shared);
+
+impl Drop for Connected<'_> {
+    fn drop(&mut self) {
+        self.0.core.stats().client_disconnected();
     }
-    let stats = shared.core.stats();
-    let client_id = stats.client_connected();
-    serve_client_inner(shared, stream, client_id);
-    stats.client_disconnected();
-    // The clone holds the socket open; drop it with the connection.
-    *slot.lock() = None;
 }
 
-fn serve_client_inner(shared: &Shared, mut stream: TcpStream, client_id: u64) {
+/// Serve one client connection to completion. Never panics on client
+/// misbehaviour: malformed frames, oversized lengths, and mid-request
+/// disconnects all end *this* connection only.
+fn serve_client(shared: &Shared, mut stream: TcpStream) {
     let stats = shared.core.stats();
+    let client_id = stats.client_connected();
+    let _connected = Connected(shared);
     if stream.set_read_timeout(Some(READ_TICK)).is_err()
         || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
         || stream.set_nodelay(true).is_err()
@@ -442,12 +285,8 @@ fn serve_client_inner(shared: &Shared, mut stream: TcpStream, client_id: u64) {
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                // An idle tick. Shutdown closes this connection's read
-                // half instead of waiting here, unless its `try_clone`
-                // failed and the sweep never saw it.
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
+                // An idle tick: shutdown closes the read half instead of
+                // waiting here.
                 continue;
             }
             Err(WireError::Closed) | Err(WireError::Io(_)) => return,
@@ -585,9 +424,17 @@ fn handle_request(shared: &Shared, pdu: Pdu) -> Pdu {
             // arg, so per-host clock skew cannot break the stitch).
             let _render_span =
                 (trace_id != 0).then(|| obs::span!(obs::stitch::SERVER_SCRAPE_SPAN, trace_id));
-            Pdu::ExpositionResult {
-                text: shared.exposition(),
+            let text = shared.exposition();
+            if text.len() > MAX_EXPOSITION {
+                return Pdu::Error {
+                    code: ErrorCode::TooLarge,
+                    detail: format!(
+                        "exposition of {} bytes exceeds limit {MAX_EXPOSITION}",
+                        text.len()
+                    ),
+                };
             }
+            Pdu::ExpositionResult { text }
         }
         // Anything else is a server-to-client PDU arriving backwards.
         // The detail names only its type: the PDU's own fields are the
@@ -668,6 +515,7 @@ mod tests {
             sockets,
             &PrivilegeToken::user(),
             WireConfig::default(),
+            None,
         );
         assert!(err.is_err());
     }

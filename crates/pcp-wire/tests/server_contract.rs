@@ -5,7 +5,7 @@
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
-use p9_memsim::SimMachine;
+use p9_memsim::{PrivilegeToken, SimMachine};
 use pcp_sim::{InstanceId, MetricId, PcpError, PmApi, Pmns};
 use pcp_wire::pdu::{read_pdu, write_pdu, DEFAULT_MAX_PAYLOAD};
 use pcp_wire::server::MAX_FETCH_BATCH;
@@ -16,10 +16,11 @@ fn bind(registry: Option<Arc<obs::Registry>>, config: WireConfig) -> PmcdServer 
     let sockets = (0..machine.num_sockets())
         .map(|s| machine.socket_shared(s))
         .collect();
-    PmcdServer::bind_system_with_registry(
+    PmcdServer::bind(
         "127.0.0.1:0",
         Pmns::for_machine(machine.arch()),
         sockets,
+        &PrivilegeToken::elevated(),
         config,
         registry,
     )
@@ -111,6 +112,36 @@ fn oversized_fetch_batch_is_refused_and_the_connection_lives_on() {
         .pm_fetch(&batch(MAX_FETCH_BATCH))
         .expect("fetch at the cap");
     assert_eq!(values, vec![errors_before + 1; MAX_FETCH_BATCH]);
+}
+
+/// An exposition too big for a frame a client accepts is answered
+/// `Error{TooLarge}` with its size, and the session stays up: the same
+/// connection, on the server's one worker, then resolves a name.
+#[test]
+fn oversized_exposition_is_refused_and_the_session_lives_on() {
+    let registry = Arc::new(obs::Registry::new());
+    let pad = "x".repeat(200);
+    // Each counter costs its `# TYPE` line and its sample, ~450 bytes.
+    for i in 0..2_500 {
+        registry.counter(Box::leak(format!("pad.{i:04}.{pad}").into_boxed_str()));
+    }
+    let one_worker = WireConfig {
+        workers: 1,
+        pending: 4,
+    };
+    let server = bind(Some(registry), one_worker);
+    assert!(server.exposition().len() > 1 << 20);
+
+    let client = WireClient::connect(server.local_addr()).expect("connect");
+    match client.scrape_exposition() {
+        Err(PcpError::Protocol(detail)) => {
+            assert!(detail.starts_with("TooLarge: exposition of "), "{detail}");
+        }
+        other => panic!("oversized exposition answered with {other:?}"),
+    }
+    client
+        .pm_lookup_name("pmcd.pdu.error")
+        .expect("the session survives the refusal");
 }
 
 /// A PDU only a server sends, arriving at the server after CREDS, is

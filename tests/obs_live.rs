@@ -146,6 +146,13 @@ fn exposition_parity_under_concurrent_clients() {
         stop.store(true, Ordering::Relaxed);
     });
 
+    // Every client above has hung up, but a worker counts its client
+    // gone only once it reads the EOF; wait for that (bounded), and the
+    // server is quiesced.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while server.stats().clients_current != 0 && std::time::Instant::now() < deadline {
+        std::thread::yield_now();
+    }
     // Quiesced: nothing moves the counters now, so one TCP scrape and
     // one in-process render must agree exactly modulo the timestamp.
     let (status, tcp_doc) = http_get(scrape.local_addr(), "/metrics");
