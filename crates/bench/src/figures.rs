@@ -234,9 +234,6 @@ pub fn bandwidth_point(
     let active = machine.arch().node.sockets[0].usable_cores;
     let trace = make(&mut machine, n);
     let shared = machine.socket_shared(0);
-    // privilege-ok: the sweep driver is the node's operator; it reads the
-    // same SocketShared handle its PAPI stack opened with an elevated
-    // token during setup_node.
     let before = shared.counters().snapshot();
     let t0 = shared.now_seconds();
     machine.run_parallel(0, active, |tid, core| {
@@ -244,7 +241,6 @@ pub fn bandwidth_point(
             trace.run(core);
         }
     });
-    // privilege-ok: same operator read as `before` above.
     let d = shared.counters().snapshot().delta(&before);
     let dt = shared.now_seconds() - t0;
     BandwidthRow {

@@ -279,7 +279,7 @@ pub fn run_experiments(experiments: Vec<Experiment>, workers: usize) -> RunRepor
     std::thread::scope(|scope| {
         for _ in 0..workers.min(jobs.len().max(1)) {
             scope.spawn(|| loop {
-                // relaxed-ok: pure job-ticket counter; the claimed job's
+                // A pure job-ticket counter: the claimed job's
                 // closure is transferred through its Mutex (acquire /
                 // release), so no other memory needs ordering with the
                 // ticket RMW, and fetch_add cannot hand out duplicates.

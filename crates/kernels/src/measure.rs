@@ -122,16 +122,12 @@ where
         // --- One measured repetition, then scale. -----------------------
         let kernel = make_kernel(machine, cfg.threads);
         let t0 = shared.now_seconds();
-        // privilege-ok: measurement harness acting as the run's driver; it
-        // reads through the same SocketShared handle the PAPI event set
-        // already opened with an elevated token.
         let before = shared.counters().snapshot();
         machine.run_parallel(0, cfg.threads, |tid, core| {
             if tid == 0 {
                 run(&kernel, 0, core);
             }
         });
-        // privilege-ok: same harness read as `before` above.
         let delta = shared.counters().snapshot().delta(&before);
         let t_rep = shared.now_seconds() - t0;
 

@@ -12,10 +12,10 @@
 //! without locks. A simulated core counts its transactions per channel
 //! itself and publishes them here at fence points ([`NestCounters::record_sectors`],
 //! one add per non-zero channel and direction); bulk traffic is added as it
-//! happens. Ordering is `Relaxed` throughout: the counters are statistics, and
-//! every reader tolerates (indeed, models) slightly stale values.
+//! happens. Each is an [`obs::Counter`]: a statistic whose readers tolerate
+//! (indeed, model) slightly stale values.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use obs::Counter;
 
 use crate::SECTOR_BYTES;
 use p9_arch::MBA_CHANNELS;
@@ -30,8 +30,8 @@ pub enum Direction {
 /// The per-socket MBA byte counters.
 #[derive(Debug, Default)]
 pub struct NestCounters {
-    read_bytes: [AtomicU64; MBA_CHANNELS],
-    write_bytes: [AtomicU64; MBA_CHANNELS],
+    read_bytes: [Counter; MBA_CHANNELS],
+    write_bytes: [Counter; MBA_CHANNELS],
     /// Independent books for `record_bulk` traffic (see [`crate::verify`]).
     bulk: BulkShadow,
 }
@@ -41,10 +41,10 @@ pub struct NestCounters {
 /// arithmetic is double-entry checked.
 #[derive(Debug, Default)]
 struct BulkShadow {
-    read_bytes: [AtomicU64; MBA_CHANNELS],
-    write_bytes: [AtomicU64; MBA_CHANNELS],
-    read_total: AtomicU64,
-    write_total: AtomicU64,
+    read_bytes: [Counter; MBA_CHANNELS],
+    write_bytes: [Counter; MBA_CHANNELS],
+    read_total: Counter,
+    write_total: Counter,
 }
 
 /// A point-in-time copy of all sixteen counters.
@@ -113,9 +113,7 @@ impl NestCounters {
             Direction::Read => &self.read_bytes[ch],
             Direction::Write => &self.write_bytes[ch],
         }
-        // relaxed-ok: independent monotonic statistic; no reader orders
-        // other memory against it, and the RMW itself cannot lose counts.
-        .fetch_add(n * SECTOR_BYTES, Ordering::Relaxed);
+        .add(n * SECTOR_BYTES);
     }
 
     /// Record `bytes` of traffic spread evenly across channels (used by the
@@ -126,8 +124,7 @@ impl NestCounters {
             Direction::Read => &self.bulk.read_total,
             Direction::Write => &self.bulk.write_total,
         }
-        // relaxed-ok: shadow totals are only compared after threads join.
-        .fetch_add(bytes, Ordering::Relaxed);
+        .add(bytes);
         let per = bytes / MBA_CHANNELS as u64;
         let rem = bytes % MBA_CHANNELS as u64;
         for ch in 0..MBA_CHANNELS {
@@ -137,15 +134,12 @@ impl NestCounters {
                     Direction::Read => &self.read_bytes[ch],
                     Direction::Write => &self.write_bytes[ch],
                 }
-                // relaxed-ok: same monotonic-statistic argument as
-                // record_sectors; per-channel adds are independent.
-                .fetch_add(amount, Ordering::Relaxed);
+                .add(amount);
                 match dir {
                     Direction::Read => &self.bulk.read_bytes[ch],
                     Direction::Write => &self.bulk.write_bytes[ch],
                 }
-                // relaxed-ok: shadow channel adds, compared only at rest.
-                .fetch_add(amount, Ordering::Relaxed);
+                .add(amount);
             }
         }
     }
@@ -154,26 +148,19 @@ impl NestCounters {
     pub fn bulk_shadow(&self) -> crate::verify::BulkSnapshot {
         let mut s = crate::verify::BulkSnapshot::default();
         for ch in 0..MBA_CHANNELS {
-            // relaxed-ok: shadow loads; callers verify quiescent state.
-            s.read_bytes[ch] = self.bulk.read_bytes[ch].load(Ordering::Relaxed);
-            // relaxed-ok: shadow loads; callers verify quiescent state.
-            s.write_bytes[ch] = self.bulk.write_bytes[ch].load(Ordering::Relaxed);
+            s.read_bytes[ch] = self.bulk.read_bytes[ch].get();
+            s.write_bytes[ch] = self.bulk.write_bytes[ch].get();
         }
-        // relaxed-ok: shadow totals load, quiescent at verification time.
-        s.read_total = self.bulk.read_total.load(Ordering::Relaxed);
-        // relaxed-ok: shadow totals load, quiescent at verification time.
-        s.write_total = self.bulk.write_total.load(Ordering::Relaxed);
+        s.read_total = self.bulk.read_total.get();
+        s.write_total = self.bulk.write_total.get();
         s
     }
 
     /// Read a single channel counter.
     pub fn channel(&self, ch: usize, dir: Direction) -> u64 {
         match dir {
-            // relaxed-ok: free-running counter read; readers model stale
-            // hardware counter reads and need no ordering with other state.
-            Direction::Read => self.read_bytes[ch].load(Ordering::Relaxed),
-            // relaxed-ok: same free-running counter read as above.
-            Direction::Write => self.write_bytes[ch].load(Ordering::Relaxed),
+            Direction::Read => self.read_bytes[ch].get(),
+            Direction::Write => self.write_bytes[ch].get(),
         }
     }
 
@@ -181,11 +168,10 @@ impl NestCounters {
     pub fn snapshot(&self) -> CounterSnapshot {
         let mut s = CounterSnapshot::default();
         for ch in 0..MBA_CHANNELS {
-            // relaxed-ok: snapshot of free-running statistics; channel
-            // loads need not be mutually consistent (hardware reads aren't).
-            s.read_bytes[ch] = self.read_bytes[ch].load(Ordering::Relaxed);
-            // relaxed-ok: same snapshot-of-statistics argument as above.
-            s.write_bytes[ch] = self.write_bytes[ch].load(Ordering::Relaxed);
+            // Channel reads need not be mutually consistent; hardware
+            // reads are not.
+            s.read_bytes[ch] = self.read_bytes[ch].get();
+            s.write_bytes[ch] = self.write_bytes[ch].get();
         }
         s
     }

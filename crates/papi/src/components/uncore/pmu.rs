@@ -89,8 +89,8 @@ impl UncoreCounter {
     /// callers take start/stop snapshots and subtract.
     pub fn read(&self) -> u64 {
         self.shared
-            // privilege-ok: elevation was proven at open() (which takes
-            // &PrivilegeToken, like perf_event_open); this handle is the
+            // Elevation was proven at open(), which takes a
+            // &PrivilegeToken like perf_event_open; this handle is the
             // capability witness, exactly as a perf fd is.
             .counters()
             .channel(self.def.channel, self.def.direction)

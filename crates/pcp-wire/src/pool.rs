@@ -433,7 +433,7 @@ mod tests {
                 let total = Arc::clone(&total);
                 std::thread::spawn(move || {
                     while let Some(v) = q.pop() {
-                        // relaxed-ok: test tally, read after joins.
+                        // A test tally, read after the joins.
                         total.fetch_add(v, std::sync::atomic::Ordering::Relaxed);
                     }
                 })
@@ -456,7 +456,7 @@ mod tests {
         for c in consumers {
             c.join().expect("join consumer");
         }
-        // relaxed-ok: read after every consumer joined.
+        // Read after every consumer joined.
         assert_eq!(total.load(std::sync::atomic::Ordering::Relaxed), pushed);
     }
 

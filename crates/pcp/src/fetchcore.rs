@@ -29,7 +29,6 @@
 //! the exported `lt_*` metrics are cumulative sample counts below
 //! power-of-two nanosecond thresholds, named by the exact threshold.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use obs::metrics::{ExportSemantics, Exported};
@@ -93,31 +92,16 @@ const SELF_METRICS: [(&str, &str, MetricSemantics, Source); 15] = {
     ]
 };
 
-/// Increment one operational counter, returning the previous value.
-#[inline]
-fn bump(counter: &AtomicU64) -> u64 {
-    // relaxed-ok: operational statistics; readers tolerate staleness and
-    // no other memory is published through these counters.
-    counter.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Read one operational counter.
-#[inline]
-fn peek(counter: &AtomicU64) -> u64 {
-    // relaxed-ok: statistic read; consumers expect free-running values.
-    counter.load(Ordering::Relaxed)
-}
-
 /// The daemon's operational counters, updated lock-free by whichever
 /// transport drives the core.
 #[derive(Default)]
 pub struct PmcdStats {
-    pdu_in: AtomicU64,
-    pdu_out: AtomicU64,
-    pdu_error: AtomicU64,
-    clients_current: AtomicU64,
-    clients_total: AtomicU64,
-    clients_rejected: AtomicU64,
+    pdu_in: obs::Counter,
+    pdu_out: obs::Counter,
+    pdu_error: obs::Counter,
+    clients_current: obs::Gauge,
+    clients_total: obs::Counter,
+    clients_rejected: obs::Counter,
     /// Fetch service times, log2-bucketed. Count and sum are read from
     /// the histogram — there are no separate counters to drift from it.
     fetch_hist: obs::Histogram,
@@ -126,47 +110,45 @@ pub struct PmcdStats {
 impl PmcdStats {
     /// Count one request received (any kind).
     pub fn count_pdu_in(&self) {
-        bump(&self.pdu_in);
+        self.pdu_in.inc();
     }
 
     /// Count one reply sent.
     pub fn count_pdu_out(&self) {
-        bump(&self.pdu_out);
+        self.pdu_out.inc();
     }
 
     /// Count one malformed request or error reply.
     pub fn count_pdu_error(&self) {
-        bump(&self.pdu_error);
+        self.pdu_error.inc();
     }
 
     /// A client connection was taken up; returns its 1-based client id.
     pub fn client_connected(&self) -> u64 {
-        bump(&self.clients_current);
-        bump(&self.clients_total) + 1
+        self.clients_current.add(1);
+        self.clients_total.add(1) + 1
     }
 
     /// The connection counted by [`Self::client_connected`] ended.
     pub fn client_disconnected(&self) {
-        // relaxed-ok: statistic decrement, pairs with the bump in
-        // `client_connected`.
-        self.clients_current.fetch_sub(1, Ordering::Relaxed);
+        self.clients_current.sub(1);
     }
 
     /// A connection was shed at the door (also `pmcd.queue.shed`).
     pub fn count_client_rejected(&self) {
-        bump(&self.clients_rejected);
+        self.clients_rejected.inc();
     }
 
     /// A point-in-time copy of every counter.
     pub fn snapshot(&self) -> StatsSnapshot {
         let fetch_latency = self.fetch_hist.snapshot();
         StatsSnapshot {
-            pdu_in: peek(&self.pdu_in),
-            pdu_out: peek(&self.pdu_out),
-            pdu_error: peek(&self.pdu_error),
-            clients_current: peek(&self.clients_current),
-            clients_total: peek(&self.clients_total),
-            clients_rejected: peek(&self.clients_rejected),
+            pdu_in: self.pdu_in.get(),
+            pdu_out: self.pdu_out.get(),
+            pdu_error: self.pdu_error.get(),
+            clients_current: self.clients_current.get(),
+            clients_total: self.clients_total.get(),
+            clients_rejected: self.clients_rejected.get(),
             fetch_count: fetch_latency.count(),
             fetch_latency_ns_sum: fetch_latency.sum,
             fetch_latency,
@@ -175,12 +157,12 @@ impl PmcdStats {
 
     fn value(&self, source: Source, queue_depth: u64) -> u64 {
         match source {
-            Source::PduIn => peek(&self.pdu_in),
-            Source::PduOut => peek(&self.pdu_out),
-            Source::PduError => peek(&self.pdu_error),
-            Source::ClientsCurrent => peek(&self.clients_current),
-            Source::ClientsTotal => peek(&self.clients_total),
-            Source::ClientsRejected => peek(&self.clients_rejected),
+            Source::PduIn => self.pdu_in.get(),
+            Source::PduOut => self.pdu_out.get(),
+            Source::PduError => self.pdu_error.get(),
+            Source::ClientsCurrent => self.clients_current.get(),
+            Source::ClientsTotal => self.clients_total.get(),
+            Source::ClientsRejected => self.clients_rejected.get(),
             Source::FetchCount => self.fetch_hist.snapshot().count(),
             Source::FetchLatencySum => self.fetch_hist.snapshot().sum,
             Source::FetchLatencyBelowPow2(k) => self.fetch_hist.snapshot().count_below_pow2(k),

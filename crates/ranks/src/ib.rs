@@ -17,8 +17,9 @@
 //!   port counters, and returns the modeled duration of the exchange
 //!   (bottlenecked by per-node injection bandwidth across both rails).
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use obs::Counter;
 
 /// EDR InfiniBand per-rail bandwidth (bytes/s), ~12.5 GB/s.
 pub const RAIL_BW: f64 = 12.5e9;
@@ -26,36 +27,30 @@ pub const RAIL_BW: f64 = 12.5e9;
 /// One HCA port with extended counters.
 #[derive(Debug, Default)]
 pub struct Port {
-    recv_words: AtomicU64,
-    xmit_words: AtomicU64,
+    recv_words: Counter,
+    xmit_words: Counter,
 }
 
 impl Port {
     /// Record `bytes` received (stored in 4-byte words, rounding down like
     /// the hardware counter).
     pub fn record_recv(&self, bytes: u64) {
-        // relaxed-ok: monotonic traffic statistic; no other memory is
-        // published through the port counters.
-        self.recv_words.fetch_add(bytes / 4, Ordering::Relaxed);
+        self.recv_words.add(bytes / 4);
     }
 
     /// Record `bytes` transmitted.
     pub fn record_xmit(&self, bytes: u64) {
-        // relaxed-ok: same monotonic-statistic argument as record_recv.
-        self.xmit_words.fetch_add(bytes / 4, Ordering::Relaxed);
+        self.xmit_words.add(bytes / 4);
     }
 
     /// `port_recv_data`: received 32-bit words.
     pub fn recv_data(&self) -> u64 {
-        // relaxed-ok: free-running counter read; samplers tolerate
-        // staleness, exactly like reading the sysfs counter file.
-        self.recv_words.load(Ordering::Relaxed)
+        self.recv_words.get()
     }
 
     /// `port_xmit_data`: transmitted 32-bit words.
     pub fn xmit_data(&self) -> u64 {
-        // relaxed-ok: same free-running counter read as recv_data.
-        self.xmit_words.load(Ordering::Relaxed)
+        self.xmit_words.get()
     }
 }
 
