@@ -27,7 +27,7 @@
 //! `quiet_factored_matches_full_simulation` below (GEMM N = 64, 3
 //! threads, 4 repetitions; 5 % read / 25 % write tolerance). Nothing
 //! checks the factoring at the cache bound, where one core with a
-//! share and 21 contending cores could differ (ROADMAP item 6).
+//! share and 21 contending cores could differ (ROADMAP item 9(a)).
 
 use p9_memsim::{CoreSim, Direction, SimMachine};
 use papi_sim::{EventSet, Papi, PapiError};

@@ -70,8 +70,8 @@ impl Default for AccessCosts {
 }
 
 /// Switchable model mechanisms, for ablation studies. Defaults are the
-/// full model; the `repro-bench` `ablation` binary regenerates key
-/// results with each mechanism disabled to show what it contributes.
+/// full model; `repro --only ablation` regenerates key results with
+/// each mechanism disabled to show what it contributes.
 #[derive(Clone, Copy, Debug)]
 pub struct ModelPolicy {
     /// Sequential store streams gather and bypass the cache (no RFO).

@@ -234,9 +234,17 @@ impl Chunk {
     }
 
     /// Append the samples inside the inclusive window `[from, to]` to
-    /// `out`, oldest first. Decoding stops once a sample reaches `to`,
-    /// so a window ending mid-chunk does not pay for the rest.
+    /// `out`, oldest first. A chunk wholly inside the window is appended
+    /// without testing each sample against it; otherwise decoding stops
+    /// once a sample reaches `to`, so a window ending mid-chunk does not
+    /// pay for the rest.
     pub fn samples_in(&self, from: u64, to: u64, out: &mut Vec<Sample>) -> Result<(), StoreError> {
+        if from <= self.min_t && self.max_t <= to {
+            return walk(self.bytes(), |s| {
+                out.push(s);
+                true
+            });
+        }
         walk(self.bytes(), |s| {
             if s.t_ns >= from && s.t_ns <= to {
                 out.push(s);
@@ -246,9 +254,85 @@ impl Chunk {
     }
 }
 
+/// Bytes ahead of a delta pair that let [`walk`] decode it from a fixed
+/// window: two varints of at most [`FAST_VARINT`] bytes each fit.
+const FAST_WINDOW: usize = 20;
+
+/// The longest varint the fast path decodes: nine 7-bit groups carry 63
+/// bits, so no shift can overflow and no byte needs the `u64` check.
+const FAST_VARINT: usize = 9;
+
+/// Decode a varint of at most [`FAST_VARINT`] bytes from a fixed window:
+/// the value and its length, or `None` when it runs longer.
+#[inline(always)]
+fn fast_varint(w: &[u8; FAST_VARINT]) -> Option<(u64, usize)> {
+    let mut v = 0u64;
+    for (i, &byte) in w.iter().enumerate() {
+        v |= u64::from(byte & 0x7f) << (7 * i);
+        if byte & 0x80 == 0 {
+            return Some((v, i + 1));
+        }
+    }
+    None
+}
+
+/// Where a walk stands between two delta pairs: the byte the next pair
+/// starts at, and the last timestamp delta and timestamp.
+#[derive(Clone, Copy)]
+struct Cursor {
+    pos: usize,
+    dt: i64,
+    t: u64,
+}
+
+/// The delta pair at `at` by the fast path: where the walk stands after
+/// it, and the value XOR. `None` when fewer than [`FAST_WINDOW`] bytes
+/// remain, a varint runs past [`FAST_VARINT`] bytes, or the timestamp
+/// would not advance or would overflow: [`checked_step`] then decodes
+/// the same pair and judges it.
+#[inline(always)]
+fn fast_step(bytes: &[u8], at: Cursor) -> Option<(Cursor, u64)> {
+    let w: &[u8; FAST_WINDOW] = bytes.get(at.pos..)?.first_chunk()?;
+    let (dod, a) = fast_varint(w.first_chunk()?)?;
+    let (xor, b) = fast_varint(w.get(a..)?.first_chunk()?)?;
+    let dt = at.dt.wrapping_add(unzigzag(dod));
+    if dt <= 0 {
+        return None;
+    }
+    let t = at.t.checked_add(dt.unsigned_abs())?;
+    let pos = at.pos + a + b;
+    Some((Cursor { pos, dt, t }, xor))
+}
+
+/// The delta pair at `at`, every byte bounds-checked: where the walk
+/// stands after it and the value XOR, or the typed error of the first
+/// thing wrong with the pair.
+#[cold]
+fn checked_step(bytes: &[u8], at: Cursor) -> Result<(Cursor, u64), StoreError> {
+    let mut pos = at.pos;
+    let dod = unzigzag(get_varint(bytes, &mut pos)?);
+    let dt = at.dt.wrapping_add(dod);
+    let step = u64::try_from(dt).map_err(|_| StoreError::Corrupt("negative timestamp delta"))?;
+    if step == 0 {
+        return Err(StoreError::Corrupt("zero timestamp delta"));
+    }
+    let t =
+        at.t.checked_add(step)
+            .ok_or(StoreError::Corrupt("timestamp overflows u64"))?;
+    let xor = get_varint(bytes, &mut pos)?;
+    Ok((Cursor { pos, dt, t }, xor))
+}
+
 /// Decode a chunk payload, handing each sample to `visit` oldest first
 /// until it returns `false` or the payload ends. A walk that runs to the
 /// end also validates that nothing trails the last sample.
+///
+/// The one decoder. Each delta pair is read by [`fast_step`] from a
+/// fixed window, without a bounds check per byte; anything it does not
+/// accept — the payload's last bytes, a 10-byte varint, a timestamp
+/// that does not advance or overflows — is read again at the same
+/// position by [`checked_step`], which raises the typed error if there
+/// is one.
 fn walk(bytes: &[u8], mut visit: impl FnMut(Sample) -> bool) -> Result<(), StoreError> {
     let mut pos = 0usize;
     let count = get_varint(bytes, &mut pos)?;
@@ -260,32 +344,37 @@ fn walk(bytes: &[u8], mut visit: impl FnMut(Sample) -> bool) -> Result<(), Store
         // a count beyond the payload size is corruption, not data.
         return Err(StoreError::Corrupt("chunk count exceeds payload size"));
     }
-    let mut t = get_varint(bytes, &mut pos)?;
+    let t = get_varint(bytes, &mut pos)?;
     let mut v = get_varint(bytes, &mut pos)?;
     if !visit(Sample { t_ns: t, value: v }) {
         return Ok(());
     }
-    let mut dt = 0i64;
+    let mut at = Cursor { pos, dt: 0, t };
     for _ in 1..count {
-        let dod = unzigzag(get_varint(bytes, &mut pos)?);
-        dt = dt.wrapping_add(dod);
-        let step =
-            u64::try_from(dt).map_err(|_| StoreError::Corrupt("negative timestamp delta"))?;
-        if step == 0 {
-            return Err(StoreError::Corrupt("zero timestamp delta"));
-        }
-        t = t
-            .checked_add(step)
-            .ok_or(StoreError::Corrupt("timestamp overflows u64"))?;
-        v ^= get_varint(bytes, &mut pos)?;
-        if !visit(Sample { t_ns: t, value: v }) {
+        let xor;
+        (at, xor) = match fast_step(bytes, at) {
+            Some(step) => step,
+            None => checked_step(bytes, at)?,
+        };
+        v ^= xor;
+        if !visit(Sample {
+            t_ns: at.t,
+            value: v,
+        }) {
             return Ok(());
         }
     }
-    if pos != bytes.len() {
+    if at.pos != bytes.len() {
         return Err(StoreError::Corrupt("trailing bytes after last sample"));
     }
     Ok(())
+}
+
+/// The most bytes a chunk of `n` samples can encode to: a 5-byte count
+/// (a `u32`), then a 10-byte varint for each of the first timestamp and
+/// value and for both halves of every later pair.
+fn max_encoded_len(n: usize) -> usize {
+    5 + 20 * n
 }
 
 /// Encode `samples` (strictly increasing in time) into one chunk.
@@ -294,8 +383,8 @@ pub fn encode(samples: &[Sample]) -> Result<Chunk, StoreError> {
 }
 
 /// [`encode`] through `bytes`, a scratch buffer the caller reuses
-/// across seals: the encoding grows there, and the chunk owns one
-/// exact-size copy of it.
+/// across seals: reserved once for the widest encoding, so it never
+/// grows mid-encode, and the chunk owns one exact-size copy of it.
 pub(crate) fn encode_with(samples: &[Sample], bytes: &mut Vec<u8>) -> Result<Chunk, StoreError> {
     let (Some(first), Some(last)) = (samples.first(), samples.last()) else {
         return Err(StoreError::EmptyChunk);
@@ -303,7 +392,7 @@ pub(crate) fn encode_with(samples: &[Sample], bytes: &mut Vec<u8>) -> Result<Chu
     let count =
         u32::try_from(samples.len()).map_err(|_| StoreError::Corrupt("too many samples"))?;
     bytes.clear();
-    bytes.reserve(4 + samples.len() * 3);
+    bytes.reserve(max_encoded_len(samples.len()));
     put_varint(bytes, u64::from(count));
     put_varint(bytes, first.t_ns);
     put_varint(bytes, first.value);
@@ -457,6 +546,27 @@ mod tests {
     }
 
     #[test]
+    fn the_scratch_buffer_never_grows_during_an_encode() {
+        // Values flipping every bit make each value XOR a 10-byte
+        // varint, past three bytes a sample several times over.
+        let widest: Vec<Sample> = (0..64u64)
+            .map(|i| s((i + 1) * 1_000, if i % 2 == 0 { 0 } else { u64::MAX }))
+            .collect();
+        let mut scratch = Vec::new();
+        let chunk = encode_with(&widest, &mut scratch).unwrap();
+        assert_eq!(chunk.samples().unwrap(), widest);
+        assert!(chunk.bytes().len() > 4 + 3 * widest.len());
+        // Reserved once, exactly, and never reallocated: a buffer that
+        // outgrew its reservation would have doubled.
+        assert_eq!(scratch.capacity(), max_encoded_len(widest.len()));
+        let (at, capacity) = (scratch.as_ptr(), scratch.capacity());
+        for n in [1, 2, 17, 64] {
+            encode_with(&widest[..n], &mut scratch).unwrap();
+            assert_eq!((scratch.as_ptr(), scratch.capacity()), (at, capacity));
+        }
+    }
+
+    #[test]
     fn varint_round_trips_extremes() {
         for v in [0u64, 1, 127, 128, 300, u64::MAX, 1 << 63, (1 << 53) + 1] {
             let mut buf = Vec::new();
@@ -470,3 +580,6 @@ mod tests {
         assert!(get_varint(&[0x80; 11], &mut pos).is_err());
     }
 }
+
+#[cfg(test)]
+mod differential;

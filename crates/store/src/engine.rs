@@ -25,7 +25,11 @@
 //! decompress outside any lock — only the chunks of matching series
 //! that overlap the window, in segments whose time bounds overlap it
 //! (`store.query.segments_skipped`, `store.query.chunks_decoded`), so a
-//! query costs its window, not the store. Compaction streams one
+//! query costs its window, not the store. The selector is asked once
+//! per distinct series, and every chunk to decode is listed before any
+//! is, so each result is allocated once from its chunks' counts and
+//! its order is checked where one block meets the next, not row by
+//! row. Compaction streams one
 //! series at a time (its surviving chunks, borrowed from the snapshot,
 //! decoded oldest first into one buffer of a merged chunk's samples),
 //! builds replacement segments off to the side and swaps the list in
@@ -65,6 +69,69 @@ struct Tail {
     semantics: ExportSemantics,
     staged: Vec<Chunk>,
     head: Vec<Sample>,
+}
+
+/// One series a query returns: the blocks its rows are read from, in
+/// the order they are appended, and how many rows they hold at most.
+struct Plan<'a> {
+    key: &'a SeriesKey,
+    semantics: ExportSemantics,
+    /// Sealed chunks in segment order, then staged chunks.
+    chunks: Vec<&'a Chunk>,
+    head: &'a [Sample],
+    rows: usize,
+}
+
+impl<'a> Plan<'a> {
+    fn new(key: &'a SeriesKey, semantics: ExportSemantics) -> Self {
+        Plan {
+            key,
+            semantics,
+            chunks: Vec::new(),
+            head: &[],
+            rows: 0,
+        }
+    }
+
+    /// Read `chunk` after the blocks planned so far.
+    fn add(&mut self, chunk: &'a Chunk) {
+        self.rows += chunk.count() as usize;
+        self.chunks.push(chunk);
+    }
+
+    /// The rows inside `[from, to]`, oldest first, in one buffer
+    /// allocated at its final size.
+    fn read(&self, from: u64, to: u64) -> Result<Vec<Sample>, StoreError> {
+        let mut samples = Vec::with_capacity(self.rows);
+        // Every chunk and every head is strictly increasing by
+        // construction, so the rows are in order when each block starts
+        // past the row before it. A compaction racing the segment walk
+        // can interleave epochs; only then are the rows sorted and
+        // duplicate timestamps dropped.
+        let mut ordered = true;
+        for chunk in &self.chunks {
+            let start = samples.len();
+            chunk.samples_in(from, to, &mut samples)?;
+            ordered &= continues(&samples, start);
+        }
+        let start = samples.len();
+        samples.extend_from_slice(self.head);
+        ordered &= continues(&samples, start);
+        if !ordered {
+            samples.sort_by_key(|s| s.t_ns);
+            samples.dedup_by_key(|s| s.t_ns);
+        }
+        Ok(samples)
+    }
+}
+
+/// False when the block appended at `start` does not begin past the row
+/// before it.
+fn continues(samples: &[Sample], start: usize) -> bool {
+    !matches!(
+        start.checked_sub(1).and_then(|i| samples.get(i..=start)),
+        Some([prev, next]) if next.t_ns <= prev.t_ns
+    )
 }
 
 /// Engine tuning knobs.
@@ -522,65 +589,61 @@ impl Store {
         };
         let segments = self.segments();
 
-        let mut out: BTreeMap<&SeriesKey, SeriesData> = BTreeMap::new();
-        let series = |key: &SeriesKey, semantics| SeriesData {
-            key: key.clone(),
-            semantics,
-            samples: Vec::new(),
-        };
-        let (mut segments_skipped, mut chunks_decoded) = (0u64, 0u64);
+        // Plan every result before decoding any: which chunks of which
+        // series, and how many rows they hold at most, so each result is
+        // allocated once at its final size. Each distinct key holds the
+        // selector's verdict, reached once however many segments hold the
+        // series: its plan, or `None` when the selector rejects it.
+        let mut plans: BTreeMap<&SeriesKey, Option<Plan>> = BTreeMap::new();
+        let mut segments_skipped = 0u64;
         for seg in segments.iter() {
             if !seg.overlaps(t_from_ns, t_to_ns) {
                 segments_skipped += 1;
                 continue;
             }
             for run in seg.runs() {
-                // A run is one series, oldest chunk first: one selector
-                // verdict covers it, and no chunk after the first one
-                // that starts past the window can overlap it.
+                // A run is one series, oldest chunk first: no chunk after
+                // the first one that starts past the window can overlap it.
                 let mut hits = run
                     .iter()
                     .take_while(|e| e.chunk.min_t() <= t_to_ns)
                     .filter(|e| e.chunk.max_t() >= t_from_ns)
                     .peekable();
                 let Some(first) = hits.peek() else { continue };
-                if !sel.matches(&first.key) {
-                    continue;
-                }
-                let data = out
-                    .entry(&first.key)
-                    .or_insert_with(|| series(&first.key, first.semantics));
-                for e in hits {
-                    e.chunk.samples_in(t_from_ns, t_to_ns, &mut data.samples)?;
-                    chunks_decoded += 1;
+                let verdict = plans.entry(&first.key).or_insert_with(|| {
+                    sel.matches(&first.key)
+                        .then(|| Plan::new(&first.key, first.semantics))
+                });
+                if let Some(plan) = verdict {
+                    hits.for_each(|e| plan.add(&e.chunk));
                 }
             }
         }
+        // The tails were selected under the ingest lock.
         for tail in &tails {
-            let data = out
+            let plan = plans
                 .entry(&tail.key)
-                .or_insert_with(|| series(&tail.key, tail.semantics));
-            for chunk in &tail.staged {
-                chunk.samples_in(t_from_ns, t_to_ns, &mut data.samples)?;
-                chunks_decoded += 1;
+                .or_default()
+                .get_or_insert_with(|| Plan::new(&tail.key, tail.semantics));
+            tail.staged.iter().for_each(|c| plan.add(c));
+            plan.rows += tail.head.len();
+            plan.head = &tail.head;
+        }
+
+        let (mut result, mut chunks_decoded) = (Vec::new(), 0u64);
+        for plan in plans.values().flatten() {
+            chunks_decoded += plan.chunks.len() as u64;
+            let samples = plan.read(t_from_ns, t_to_ns)?;
+            if !samples.is_empty() {
+                result.push(SeriesData {
+                    key: plan.key.clone(),
+                    semantics: plan.semantics,
+                    samples,
+                });
             }
-            data.samples.extend_from_slice(&tail.head);
         }
         obs::counter!("store.query.segments_skipped").add(segments_skipped);
         obs::counter!("store.query.chunks_decoded").add(chunks_decoded);
-
-        let mut result: Vec<SeriesData> = out.into_values().collect();
-        for series in &mut result {
-            // Segments are written in time order, so this is already
-            // sorted in the common case; a compaction racing the segment
-            // walk can still interleave epochs, so restore order when
-            // (and only when) needed, then drop duplicate timestamps.
-            if series.samples.windows(2).any(|w| w[1].t_ns <= w[0].t_ns) {
-                series.samples.sort_by_key(|s| s.t_ns);
-                series.samples.dedup_by_key(|s| s.t_ns);
-            }
-        }
-        result.retain(|s| !s.samples.is_empty());
         obs::histogram!("store.query.latency_ns").record(started.elapsed().as_nanos() as u64);
         Ok(result)
     }

@@ -262,6 +262,110 @@ proptest! {
     }
 }
 
+/// The windows the query path treats specially agree with the naive
+/// reference: windows that start or end exactly on a chunk's first or
+/// last sample (a chunk wholly inside is appended without a per-sample
+/// test), windows that lie only in the unsealed heads, and windows that
+/// span sealed segment chunks, staged chunks and the heads at once.
+#[test]
+fn windows_on_chunk_edges_heads_and_staged_chunks_agree_with_naive_reference() {
+    let store = Store::new(StoreConfig {
+        chunk_samples: 8,
+        segment_bytes: 300,
+        retention_ns: None,
+    });
+    let keys = [
+        SeriesKey::new("prop.series").with_label("host", "h0"),
+        SeriesKey::new("prop.series").with_label("host", "h1"),
+        SeriesKey::new("prop.seriesx").with_label("host", "h0"),
+        SeriesKey::new("prop.other").with_label("host", "h1"),
+    ];
+    // Irregular steps and wide values, 8 · (25 + k) + 5 samples for
+    // series k: every head holds 5 unsealed samples, and the longer
+    // series seal their last chunks after the others, too few bytes to
+    // fill a segment, so those stay staged.
+    let mut reference: Vec<(SeriesKey, Vec<Sample>)> = keys
+        .iter()
+        .enumerate()
+        .map(|(k, key)| {
+            let steps: Vec<(u64, u64)> = (0..205 + 8 * k as u64)
+                .map(|i| {
+                    (
+                        1 + (i * 7 + k as u64 * 3) % 11 * 1_000,
+                        i.wrapping_mul(0x9e37_79b9_7f4a_7c15),
+                    )
+                })
+                .collect();
+            (key.clone(), samples_from(&steps))
+        })
+        .collect();
+    reference.sort_by(|a, b| a.0.cmp(&b.0));
+    for i in 0..229 {
+        for (key, samples) in &reference {
+            if let Some(p) = samples.get(i) {
+                store
+                    .ingest(key, ExportSemantics::Counter, p.t_ns, p.value)
+                    .expect("in-order ingest");
+            }
+        }
+    }
+    let total: u64 = reference.iter().map(|(_, s)| s.len() as u64).sum();
+    let sealed: u64 = store.segments().iter().map(|seg| seg.samples()).sum();
+    let heads = 4 * 5;
+    assert!(
+        sealed > 0 && sealed < total - heads,
+        "want sealed, staged and head samples at once: {sealed} sealed of {total}"
+    );
+
+    // Chunk edges come from the flushed store, whose chunks are the
+    // staged and sealed chunks above plus the heads sealed as they are.
+    let probe = Store::new(store.config());
+    for (key, samples) in &reference {
+        for p in samples {
+            probe
+                .ingest(key, ExportSemantics::Counter, p.t_ns, p.value)
+                .expect("in-order ingest");
+        }
+    }
+    probe.flush().expect("flush");
+    let mut windows = Vec::new();
+    for seg in probe.segments().iter() {
+        for e in seg.entries().iter().step_by(3) {
+            let (lo, hi) = (e.chunk.min_t(), e.chunk.max_t());
+            windows.extend([
+                (lo, hi),
+                (lo, lo),
+                (hi, hi),
+                (lo, u64::MAX),
+                (0, hi),
+                (lo + 1, hi - 1),
+                (lo - 1, hi + 1),
+            ]);
+        }
+    }
+    // Only in the heads: every series' last five samples.
+    let timeline = &reference[0].1;
+    let head = &timeline[timeline.len() - 5..];
+    windows.extend([
+        (head[0].t_ns, head[4].t_ns),
+        (head[2].t_ns, head[2].t_ns),
+        (head[0].t_ns, u64::MAX),
+    ]);
+    // Across all three tiers.
+    let first = timeline[0].t_ns;
+    windows.extend([
+        (0, u64::MAX),
+        (first + 1, head[1].t_ns),
+        (timeline[100].t_ns, head[3].t_ns),
+    ]);
+
+    queries_agree(&store, &reference, &windows, "sealed + staged + heads").expect("agrees");
+    store.flush().expect("flush");
+    queries_agree(&store, &reference, &windows, "flushed").expect("agrees");
+    store.compact(u64::MAX).expect("compact");
+    queries_agree(&store, &reference, &windows, "compacted").expect("agrees");
+}
+
 /// Values past 2^53 survive the pipeline bit-for-bit — the explicit
 /// regression for codecs that route sample values through f64.
 #[test]
